@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -47,7 +46,6 @@ class RunConfig:
     lang: str = "en"       # zh | en; picks tokenizer + default lexicon
     d_model: int = 32
     d_head: int = 16
-    heads: int = 1
     mixer: bool = False
     lr: float = 1e-5
     batch_size: int = 16
@@ -59,7 +57,6 @@ class RunConfig:
     eps: float = 1e-8
     unify: bool = True
     query_mode: str = "lexicon"  # lexicon | gold (gold uses training targets)
-    workers: int = 1
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -144,24 +141,23 @@ def _query_for(dialogue: Dialogue, idx: int, lexicon: PronounLexicon,
         raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
 
 
-def _prepare(cfg: RunConfig, need_gold: bool) -> list[TrainExample]:
+def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport]]:
+    """Training examples with their gold matrices, and each matrix's report."""
     dialogues = load_dialogues(cfg.data, cfg.data_format)
     lexicon = cfg.load_lexicon()
     parses = cfg.load_parses()
-    use_gold = need_gold and cfg.query_mode == "gold"
-    examples = []
+    use_gold = cfg.query_mode == "gold"
+    examples, reports = [], []
     for idx, dlg in enumerate(dialogues):
-        if need_gold and dlg.rewritten is None:
+        if dlg.rewritten is None:
             raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
         query = _query_for(dlg, idx, lexicon, parses, cfg, use_gold)
         inp = build_input_sequence(query, dlg)
-        if need_gold:
-            gold, _ = build_edit_matrix(dlg, inp)
-        else:
-            gold = None
+        gold, report = build_edit_matrix(dlg, inp)
         examples.append(TrainExample(input=inp, gold=gold,
                                      example_id=dlg.example_id, dialogue=dlg))
-    return examples
+        reports.append(report)
+    return examples, reports
 
 
 def config_option(fn):
@@ -182,15 +178,12 @@ def cli():
 def cmd_build_supervision(config_path, data, out):
     """Write per-example edit matrices and an aggregate report."""
     cfg = _load_config(config_path, data=data, out=out)
-    examples = _prepare(cfg, need_gold=True)
+    examples, reports = _prepare(cfg)
     out_dir = Path(cfg.out)
     (out_dir / "matrices").mkdir(parents=True, exist_ok=True)
-    reports: list[SupervisionReport] = []
     for ex in examples:
-        matrix, report = build_edit_matrix(ex.dialogue, ex.input)
         (out_dir / "matrices" / f"{ex.example_id}.json").write_text(
-            matrix.to_json(), encoding="utf-8")
-        reports.append(report)
+            ex.gold.to_json(), encoding="utf-8")
     agg = aggregate_report(reports)
     (out_dir / "report.json").write_text(json.dumps(agg, ensure_ascii=False),
                                          encoding="utf-8")
@@ -236,7 +229,7 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
     """Train the scoring network and persist the model + a JSON log."""
     cfg = _load_config(config_path, data=data, model=model_path, seed=seed,
                        epochs=epochs)
-    dataset = _prepare(cfg, need_gold=True)
+    dataset, _ = _prepare(cfg)
     if resume:
         model, opt_state = load_model(cfg.model)
         if opt_state is None:
@@ -244,8 +237,8 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
         start_epoch = opt_state.epochs_done
     else:
         vocab = build_vocab(ex.input for ex in dataset)
-        model = init_model(vocab, cfg.d_model, cfg.d_head, cfg.heads,
-                           seed=cfg.seed, mixer=cfg.mixer)
+        model = init_model(vocab, cfg.d_model, cfg.d_head, seed=cfg.seed,
+                           mixer=cfg.mixer)
         opt_state, start_epoch = None, 0
     tlog, opt_state = train(dataset, cfg.train_config(), model,
                             start_epoch=start_epoch, opt_state=opt_state)
@@ -275,12 +268,11 @@ def _load_model_for_inference(cfg: RunConfig, vectors: Optional[str]) -> ModelPa
 @click.option("--unify/--no-unify", default=None)
 @click.option("--vectors", default=None, type=click.Path(exists=True),
               help="imported contextual-vector sidecar (.ctxvec)")
-@click.option("--workers", default=None, type=int)
 @click.option("--out", "out_path", default="-", help="output JSONL ('-' = stdout)")
-def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, workers, out_path):
+def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     """Rewrite every dialogue in the input JSONL."""
     cfg = _load_config(config_path, data=data, model=model_path, theta=theta,
-                       unify=unify, workers=workers)
+                       unify=unify)
     if not Path(cfg.model).exists():
         raise UserError(f"model file not found: {cfg.model}")
     model = _load_model_for_inference(cfg, vectors)
@@ -288,19 +280,11 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, workers, o
     lexicon = cfg.load_lexicon()
     parses = cfg.load_parses()
     sep = "" if cfg.lang == "zh" else " "
-
-    def run(item):
-        idx, dlg = item
+    results = []
+    for idx, dlg in enumerate(dialogues):
         parse = parses[idx] if idx < len(parses) else None
         out, _ = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
-        return {"id": dlg.example_id, "rewritten": out.text(sep)}
-
-    items = list(enumerate(dialogues))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, items))  # map preserves input order
-    else:
-        results = [run(it) for it in items]
+        results.append({"id": dlg.example_id, "rewritten": out.text(sep)})
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
     try:
         for rec in results:

@@ -9,7 +9,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import ndimage
 
-from .datamodel import Dialogue, InputSequence, Role, Token, Utterance
+from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
+from .querygen import build_query
+from .scoring import score_all
 from .supervision import EditMatrix, EditOp
 
 # 4-connectivity for rectangle extraction
@@ -69,9 +71,7 @@ def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     runs per column. ``grids`` (op -> ScoreGrid) supplies cell scores.
     """
     spans: list[EditSpan] = []
-    sub = np.zeros((matrix.n_rows, matrix.n_cols), dtype=bool)
-    for r, c in matrix.cells_of(EditOp.SUBSTITUTE):
-        sub[r, c] = True
+    sub = matrix.mask(EditOp.SUBSTITUTE)
     if sub.any():
         labels, count = ndimage.label(sub, structure=_STRUCTURE)
         for sl in ndimage.find_objects(labels):
@@ -161,6 +161,15 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
     return Utterance.from_texts(out, incomplete.speaker_turn)
 
 
+def decode(grids, input: InputSequence, incomplete: Utterance, theta: float
+           ) -> tuple[EditMatrix, list[EditSpan], Utterance]:
+    """Score grids (op -> ScoreGrid) to the labeled matrix, the surviving
+    edit spans and the rewritten utterance."""
+    matrix = merge_matrices([decode_labels(g, theta) for g in grids.values()])
+    spans = resolve_conflicts(cells_to_spans(matrix, grids))
+    return matrix, spans, apply_edits(incomplete, spans, input)
+
+
 @dataclass
 class Diagnostics:
     query_texts: list[str] = field(default_factory=list)
@@ -199,16 +208,10 @@ def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
     threshold decode -> span extraction -> conflict resolution -> edit
     application. The returned diagnostics carry every intermediate.
     """
-    from .datamodel import build_input_sequence
-    from .querygen import build_query
-    from .scoring import score_all
-
     query = build_query(dialogue.incomplete, lexicon, parse, unify)
     input_seq = build_input_sequence(query, dialogue)
     grids = score_all(input_seq, model, example_id=dialogue.example_id)
-    matrix = merge_matrices([decode_labels(g, theta) for g in grids.values()])
-    spans = resolve_conflicts(cells_to_spans(matrix, grids))
-    output = apply_edits(dialogue.incomplete, spans, input_seq)
+    matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
     diag = Diagnostics(query_texts=query.texts(), input_texts=input_seq.texts(),
                        grids=grids, matrix=matrix, spans=spans)
     return output, diag

@@ -102,11 +102,6 @@ class HeadParams:
 class ModelParams:
     encoder: EncoderParams
     head: HeadParams
-    heads: int = 1  # attention-style head count; outputs are concatenated
-
-    @property
-    def d_head(self) -> int:
-        return self.head.d_out // self.heads
 
 
 @dataclass
@@ -173,15 +168,17 @@ def build_vocab(inputs: Iterable[InputSequence]) -> dict[str, int]:
     return {t: i for i, t in enumerate(reserved + extra)}
 
 
-def init_model(vocab: dict[str, int], d_model: int, d_head: int, heads: int = 1,
-               seed: int = 0, mixer: bool = False, d_ff: Optional[int] = None
-               ) -> ModelParams:
-    """Uniform init scaled by 1/sqrt(d_model); biases zero; seed-controlled."""
+def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
+               mixer: bool = False, d_ff: Optional[int] = None) -> ModelParams:
+    """Uniform init scaled by 1/sqrt(d_model); biases zero; seed-controlled.
+
+    ``d_head`` is the width of each operation's q/k projection, which the
+    rotary embedding rotates as a whole.
+    """
     if d_head <= 0 or d_head % 2:
         raise ValueError("d_head must be positive and even")
     rng = np.random.default_rng(seed)
     s = 1.0 / np.sqrt(d_model)
-    d_out = heads * d_head
 
     def u(*shape):
         return _q32(rng.uniform(-s, s, size=shape))
@@ -196,10 +193,16 @@ def init_model(vocab: dict[str, int], d_model: int, d_head: int, heads: int = 1,
                           w2=u(d_ff, d_model), b2=np.zeros(d_model))
     per_op = {}
     for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
-        per_op[op] = OpHead(wq=u(d_out, d_model), bq=np.zeros(d_out),
-                            wk=u(d_out, d_model), bk=np.zeros(d_out))
+        per_op[op] = OpHead(wq=u(d_head, d_model), bq=np.zeros(d_head),
+                            wk=u(d_head, d_model), bk=np.zeros(d_head))
     enc = EncoderParams(vocab=dict(vocab), embedding=embedding, mixer=mix)
-    return ModelParams(encoder=enc, head=HeadParams(per_op), heads=heads)
+    return ModelParams(encoder=enc, head=HeadParams(per_op))
+
+
+def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:
+    """Operations in the one fixed order that serialization, the loss sum
+    and the backward pass's accumulation follow."""
+    return sorted(ops, key=lambda o: o.value)
 
 
 def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
@@ -211,7 +214,7 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
         if mix is not None:
             for name in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"):
                 items.append((f"mixer.{name}", getattr(mix, name)))
-    for op in sorted(model.head.per_op, key=lambda o: o.value):
+    for op in _in_order(model.head.per_op):
         h = model.head.per_op[op]
         for name in ("wq", "bq", "wk", "bk"):
             items.append((f"head.{op.value}.{name}", getattr(h, name)))
@@ -280,9 +283,10 @@ def _mixer_backward(dx2: np.ndarray, p: MixerParams, cache, grads: dict, prefix=
     return dx1 + dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
 
-def encode(input: InputSequence, params: EncoderParams,
-           example_id: Optional[str] = None) -> np.ndarray:
-    """One d_model vector per token, sentinel included."""
+def _encode(input: InputSequence, params: EncoderParams,
+            example_id: Optional[str] = None):
+    """``encode`` plus what the backward pass needs: the token ids (None for
+    imported vectors) and the mixer cache (None without a mixer)."""
     if params.mode == MODE_IMPORTED:
         if params.imported is None or example_id not in params.imported:
             raise ValueError(f"no imported vectors for example {example_id!r}")
@@ -291,12 +295,19 @@ def encode(input: InputSequence, params: EncoderParams,
             raise ValueError(
                 f"imported vectors for {example_id!r} have shape {h.shape}, "
                 f"expected {(len(input.tokens), params.d_model)}")
-        return h
+        return h, None, None
     ids = params.token_ids(input.texts())
     h = params.embedding[ids]
+    cache = None
     if params.mixer is not None:
-        h, _ = _mixer_forward(h, params.mixer)
-    return h
+        h, cache = _mixer_forward(h, params.mixer)
+    return h, ids, cache
+
+
+def encode(input: InputSequence, params: EncoderParams,
+           example_id: Optional[str] = None) -> np.ndarray:
+    """One d_model vector per token, sentinel included."""
+    return _encode(input, params, example_id)[0]
 
 
 def project(h: np.ndarray, params: HeadParams, op: EditOp
@@ -320,17 +331,54 @@ def _row_col_indices(input: InputSequence) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _forward(model: ModelParams, input: InputSequence,
+             example_id: Optional[str] = None):
+    """Raw score arrays per operation (rows = context, cols = incomplete
+    positions + sentinel; positions are absolute indices) and the cache
+    ``_backward`` reads. Only the context and column vectors are projected."""
+    h, ids, mix_cache = _encode(input, model.encoder, example_id)
+    rows, cols = _row_col_indices(input)
+    hq, hk = h[rows], h[cols]
+    values, rotated = {}, {}
+    for op in _in_order(model.head.per_op):
+        head = model.head.per_op[op]
+        rq = rope_rotate(hq @ head.wq.T + head.bq, rows)
+        rk = rope_rotate(hk @ head.wk.T + head.bk, cols)
+        values[op] = rq @ rk.T
+        rotated[op] = rq, rk
+    return values, (h, ids, mix_cache, rows, cols, hq, hk, rotated)
+
+
+def _backward(model: ModelParams, cache, dvalues: dict[EditOp, np.ndarray],
+              grads: dict[str, np.ndarray]) -> None:
+    """Accumulate into ``grads`` the gradients of a loss whose derivatives
+    with respect to the ``_forward`` score arrays are ``dvalues``."""
+    h, ids, mix_cache, rows, cols, hq, hk, rotated = cache
+    dh = np.zeros_like(h)
+    for op in _in_order(dvalues):
+        head = model.head.per_op[op]
+        rq, rk = rotated[op]
+        ds = dvalues[op]
+        dq = rope_rotate(ds @ rk, -rows)  # rotations are orthogonal: R^T = R(-pos)
+        dk = rope_rotate(ds.T @ rq, -cols)
+        pre = f"head.{op.value}."
+        grads[pre + "wq"] += dq.T @ hq
+        grads[pre + "bq"] += dq.sum(axis=0)
+        grads[pre + "wk"] += dk.T @ hk
+        grads[pre + "bk"] += dk.sum(axis=0)
+        dh[rows] += dq @ head.wq
+        dh[cols] += dk @ head.wk
+    if ids is not None:
+        if mix_cache is not None:
+            dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
+        np.add.at(grads["emb"], ids, dh)
+
+
 def score_all(input: InputSequence, model: ModelParams,
               example_id: Optional[str] = None) -> dict[EditOp, ScoreGrid]:
-    """Both operations' grids for one input (rows = context, cols =
-    incomplete positions + sentinel; positions are absolute indices)."""
-    h = encode(input, model.encoder, example_id)
-    rows, cols = _row_col_indices(input)
-    grids = {}
-    for op in model.head.per_op:
-        q, k = project(h, model.head, op)
-        grids[op] = score_grid(q[rows], k[cols], rows, cols, op)
-    return grids
+    """Both operations' grids for one input (see ``_forward``)."""
+    values, _ = _forward(model, input, example_id)
+    return {op: ScoreGrid(op=op, values=v) for op, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -351,74 +399,29 @@ def _op_loss_grad(s: np.ndarray, pos_mask: np.ndarray) -> tuple[float, np.ndarra
     return float(t_pos + t_neg), ds
 
 
-def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
-    """Total loss over both operations; labeled cells are the positives,
-    every other in-range cell is a negative."""
+def _loss_grad(values: dict[EditOp, np.ndarray], gold: EditMatrix
+               ) -> tuple[float, dict[EditOp, np.ndarray]]:
+    """Total loss over the operations and its derivative per score array."""
     total = 0.0
-    for op, grid in grids.items():
-        s = np.asarray(grid.values, dtype=np.float64)
+    dvalues = {}
+    for op in _in_order(values):
+        s = values[op]
         if s.shape != (gold.n_rows, gold.n_cols):
             raise ValueError(f"grid shape {s.shape} does not match gold "
                              f"{(gold.n_rows, gold.n_cols)}")
-        mask = np.zeros(s.shape, dtype=bool)
-        for r, c in gold.cells_of(op):
-            mask[r, c] = True
-        loss, _ = _op_loss_grad(s, mask)
+        loss, dvalues[op] = _op_loss_grad(s, gold.mask(op))
         total += loss
-    return total
+    return total, dvalues
+
+
+def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
+    """Total loss over both operations; labeled cells are the positives,
+    every other in-range cell is a negative."""
+    return _loss_grad({op: g.values for op, g in grids.items()}, gold)[0]
 
 
 def _zero_grads(model: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params_items(model)}
-
-
-def _example_loss_grad(model: ModelParams, ex: TrainExample,
-                       grads: dict[str, np.ndarray]) -> float:
-    """Forward + backward for one example; accumulates into ``grads``."""
-    enc = model.encoder
-    trainable = enc.mode == MODE_TRAINABLE
-    cache = None
-    if trainable:
-        ids = enc.token_ids(ex.input.texts())
-        e = enc.embedding[ids]
-        if enc.mixer is not None:
-            h, cache = _mixer_forward(e, enc.mixer)
-        else:
-            h = e
-    else:
-        h = encode(ex.input, enc, ex.example_id)
-    rows, cols = _row_col_indices(ex.input)
-    dh = np.zeros_like(h)
-    loss = 0.0
-    for op in sorted(model.head.per_op, key=lambda o: o.value):
-        head = model.head.per_op[op]
-        hq, hk = h[rows], h[cols]
-        q = hq @ head.wq.T + head.bq
-        k = hk @ head.wk.T + head.bk
-        rq = rope_rotate(q, rows)
-        rk = rope_rotate(k, cols)
-        s = rq @ rk.T
-        mask = np.zeros(s.shape, dtype=bool)
-        for r, c in ex.gold.cells_of(op):
-            mask[r, c] = True
-        l_op, ds = _op_loss_grad(s, mask)
-        loss += l_op
-        # backward: score -> rotated vectors -> projections -> hidden states
-        drq = ds @ rk
-        drk = ds.T @ rq
-        dq = rope_rotate(drq, -rows)  # rotations are orthogonal: R^T = R(-pos)
-        dk = rope_rotate(drk, -cols)
-        pre = f"head.{op.value}."
-        grads[pre + "wq"] += dq.T @ hq
-        grads[pre + "bq"] += dq.sum(axis=0)
-        grads[pre + "wk"] += dk.T @ hk
-        grads[pre + "bk"] += dk.sum(axis=0)
-        dh[rows] += dq @ head.wq
-        dh[cols] += dk @ head.wk
-    if trainable:
-        de = _mixer_backward(dh, enc.mixer, cache, grads) if cache is not None else dh
-        np.add.at(grads["emb"], ids, de)
-    return loss
 
 
 def grad(model: ModelParams, batch: Sequence[TrainExample]
@@ -428,7 +431,9 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
     grads = _zero_grads(model)
     total = 0.0
     for ex in batch:
-        loss = _example_loss_grad(model, ex, grads)
+        values, cache = _forward(model, ex.input, ex.example_id)
+        loss, dvalues = _loss_grad(values, ex.gold)
+        _backward(model, cache, dvalues, grads)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss on example {ex.example_id!r}")
         total += loss
@@ -474,22 +479,14 @@ def _adam_step(model: ModelParams, grads: dict[str, np.ndarray],
         v[...] = _q32(v)
 
 
-def decode_example(model: ModelParams, ex: TrainExample, theta: float):
-    """Full decode of one prepared example (no query rebuilding)."""
-    from .rewrite import (apply_edits, cells_to_spans, decode_labels,
-                          merge_matrices, resolve_conflicts)
-
-    grids = score_all(ex.input, model, ex.example_id)
-    matrix = merge_matrices([decode_labels(g, theta) for g in grids.values()])
-    spans = resolve_conflicts(cells_to_spans(matrix, grids))
-    return apply_edits(ex.dialogue.incomplete, spans, ex.input)
-
-
 def train_em(model: ModelParams, examples: Sequence[TrainExample],
              theta: float) -> float:
+    from .rewrite import decode  # rewrite imports this module
+
     hits = 0
     for ex in examples:
-        out = decode_example(model, ex, theta)
+        grids = score_all(ex.input, model, ex.example_id)
+        _, _, out = decode(grids, ex.input, ex.dialogue.incomplete, theta)
         hits += out.texts() == ex.dialogue.rewritten.texts()
     return hits / len(examples)
 
@@ -544,7 +541,6 @@ def save_model(path: str | Path, model: ModelParams,
         "mode": model.encoder.mode,
         "d_model": model.encoder.d_model,
         "d_out": model.head.d_out,
-        "heads": model.heads,
         "has_mixer": mix is not None,
         "d_ff": int(mix.b1.shape[0]) if mix is not None else None,
         "optimizer": ({"step": opt_state.step, "epochs_done": opt_state.epochs_done}
@@ -585,7 +581,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         per_op[op] = OpHead(**{n: tensors[f"head.{op.value}.{n}"]
                                for n in ("wq", "bq", "wk", "bk")})
     enc = EncoderParams(vocab=vocab, embedding=embedding, mixer=mix, mode=header["mode"])
-    model = ModelParams(encoder=enc, head=HeadParams(per_op), heads=header["heads"])
+    # older version-1 headers also carry "heads", which never changed the model
+    model = ModelParams(encoder=enc, head=HeadParams(per_op))
     opt_state = None
     if header.get("optimizer") is not None:
         opt_state = AdamState(step=header["optimizer"]["step"],
@@ -632,4 +629,4 @@ def with_imported_vectors(model: ModelParams,
     enc = EncoderParams(vocab=model.encoder.vocab,
                         embedding=model.encoder.embedding,
                         mixer=None, mode=MODE_IMPORTED, imported=records)
-    return ModelParams(encoder=enc, head=model.head, heads=model.heads)
+    return ModelParams(encoder=enc, head=model.head)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .datamodel import Dialogue, InputSequence, Token, Utterance
 
 
@@ -43,6 +45,14 @@ class EditMatrix:
 
     def cells_of(self, op: EditOp) -> set[tuple[int, int]]:
         return {(r, c) for r, c, o in self.cells if o is op}
+
+    def mask(self, op: EditOp) -> np.ndarray:
+        """Dense (n_rows, n_cols) bool array, True at the cells of ``op``."""
+        out = np.zeros((self.n_rows, self.n_cols), dtype=bool)
+        for r, c, o in self.cells:
+            if o is op:
+                out[r, c] = True
+        return out
 
     def to_json(self) -> str:
         triples = sorted((r, c, op.value) for r, c, op in self.cells)
@@ -200,7 +210,6 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
     spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
     report = SupervisionReport(example_id=dialogue.example_id,
                                deletions=list(deletions))
-    col0 = input.incomplete_range[0]
     cells: set[tuple[int, int, EditOp]] = set()
     for span in spans:
         rows = locate_in_context(span.tokens, input)

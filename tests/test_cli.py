@@ -143,13 +143,6 @@ class TestRewrite:
         assert [r["id"] for r in recs] == [str(i) for i in range(10)]
         assert all(r["rewritten"] for r in recs)
 
-    def test_workers_preserve_order_and_output(self, corpus_dir, trained, tmp_path):
-        one, four = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
-        base = ["rewrite", "--config", str(corpus_dir / "config.ini")]
-        assert main(base + ["--workers", "1", "--out", str(one)]) == 0
-        assert main(base + ["--workers", "4", "--out", str(four)]) == 0
-        assert one.read_text() == four.read_text()
-
     def test_missing_model_is_user_error(self, corpus_dir):
         rc = main(["rewrite", "--config", str(corpus_dir / "config.ini"),
                    "--model", "/no/such/model.bin"])

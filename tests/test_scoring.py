@@ -1,10 +1,13 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import TokenizeMode, build_input_sequence
+from iurkit.datamodel import (Dialogue, Role, TokenizeMode, Utterance,
+                              build_input_sequence)
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, OpHead, ScoreGrid, TrainConfig,
@@ -14,7 +17,7 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             rope_rotate, save_model, score_all, score_grid,
                             train, with_imported_vectors, write_ctxvec)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
-from synthetic import PRONOUNS, make_corpus
+from synthetic import PRONOUNS, VOCAB, make_corpus
 
 EN = TokenizeMode.WHITESPACE_PUNCT
 
@@ -35,6 +38,27 @@ def prepare(ex, lexicon):
 @pytest.fixture(scope="module")
 def small_set(en_lexicon):
     return [prepare(e, en_lexicon) for e in make_corpus(6, seed=11)]
+
+
+def lengthen(ex, rng, turns=12, turn_len=16):
+    """Prepend distractor history turns (~200 context rows), drawn from
+    vocabulary words the dialogue does not use."""
+    d = ex.dialogue
+    used = {t for u in (*d.history, d.incomplete, d.rewritten) for t in u.texts()}
+    pool = [w for w in VOCAB if w not in used]
+    extra = tuple(Utterance.from_texts(list(rng.choice(pool, size=turn_len)), turn,
+                                       Role.HISTORY) for turn in range(turns))
+    history = extra + tuple(Utterance(u.tokens, u.speaker_turn + turns)
+                            for u in d.history)
+    n = len(history)
+    return replace(ex, dialogue=Dialogue(history, Utterance(d.incomplete.tokens, n),
+                                         Utterance(d.rewritten.tokens, n), d.example_id))
+
+
+@pytest.fixture(scope="module")
+def long_set(en_lexicon):
+    rng = np.random.default_rng(2)
+    return [prepare(lengthen(e, rng), en_lexicon) for e in make_corpus(40, seed=17)]
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +293,16 @@ class TestGradients:
                 fd = (lp - lm) / (2 * step)
                 assert abs(grads[f"mixer.{k}"][idx] - fd) < 1e-5 * max(abs(fd), 1.0)
 
+    def test_loss_equals_circle_loss_of_score_all(self, long_set):
+        # training and inference share one forward pass, so the loss that
+        # grad reports is bit-equal to the loss of the inference grids
+        vocab = build_vocab([e.input for e in long_set])
+        model = init_model(vocab, d_model=32, d_head=16, seed=0, mixer=True)
+        for ex in long_set:
+            assert ex.input.context_length > 150
+            loss, _ = grad(model, [ex])
+            assert loss == circle_loss(score_all(ex.input, model), ex.gold)
+
     def test_mean_over_batch(self, small_set, small_model):
         l1, g1 = grad(small_model, small_set[:1])
         l2, g2 = grad(small_model, small_set[:1] * 3)
@@ -332,6 +366,15 @@ class TestPersistence:
             assert np.array_equal(state.m[n], lstate.m[n])
             assert np.array_equal(state.v[n], lstate.v[n])
         assert loaded.encoder.vocab == model.encoder.vocab
+        # version-1 headers written before the head count was removed carry
+        # "heads"; such files still load to the same parameters
+        header, tensors = p.read_bytes().split(b"\n", 1)
+        old = tmp_path / "old.bin"
+        old.write_bytes(json.dumps({**json.loads(header), "heads": 1}).encode()
+                        + b"\n" + tensors)
+        again, _ = load_model(old)
+        for (na, a), (nb, b) in zip(params_items(loaded), params_items(again)):
+            assert na == nb and np.array_equal(a, b)
 
     def test_resume_matches_uninterrupted(self, small_set, small_model, tmp_path):
         import copy

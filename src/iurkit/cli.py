@@ -124,7 +124,7 @@ def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
         return []
     alignment = lcs_align(dialogue.incomplete.tokens, dialogue.rewritten.tokens)
     spans, _ = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
-    return [s.anchor[1] for s in spans if s.anchor[0] == "replace"]
+    return [s.cols for s in spans if s.cols[0] < s.cols[1]]
 
 
 def _query_for(dialogue: Dialogue, idx: int, lexicon: PronounLexicon,
@@ -137,6 +137,16 @@ def _query_for(dialogue: Dialogue, idx: int, lexicon: PronounLexicon,
     try:
         return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
                            gold_replace_intervals=gold)
+    except ValueError as exc:
+        raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
+
+
+def _rewrite_record(dialogue: Dialogue, idx: int, model: ModelParams,
+                    lexicon: PronounLexicon, parses: list[DependencyParse],
+                    cfg: RunConfig):
+    parse = parses[idx] if idx < len(parses) else None
+    try:
+        return rewrite_one(dialogue, model, cfg.theta, lexicon, parse, cfg.unify)
     except ValueError as exc:
         raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
 
@@ -282,8 +292,7 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     sep = "" if cfg.lang == "zh" else " "
     results = []
     for idx, dlg in enumerate(dialogues):
-        parse = parses[idx] if idx < len(parses) else None
-        out, _ = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
+        out, _ = _rewrite_record(dlg, idx, model, lexicon, parses, cfg)
         results.append({"id": dlg.example_id, "rewritten": out.text(sep)})
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
     try:
@@ -337,8 +346,7 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
     parses = cfg.load_parses()
     for idx, dlg in enumerate(dialogues):
         if dlg.example_id == example_id:
-            parse = parses[idx] if idx < len(parses) else None
-            _, diag = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
+            _, diag = _rewrite_record(dlg, idx, model, lexicon, parses, cfg)
             click.echo(diag.to_json(precise=precise))
             return
     raise UserError(f"example id {example_id!r} not found in {cfg.data}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -12,23 +12,42 @@ from scipy import ndimage
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import build_query
 from .scoring import score_all
-from .supervision import EditMatrix, EditOp
+from .supervision import EditMatrix, EditOp, op_of
 
-# 4-connectivity for rectangle extraction
-_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# Substitute cells form rectangles (4-connected components); Pre-Insert
+# cells form row runs within one column (vertical neighbours only).
+_CONNECTIVITY = {
+    EditOp.SUBSTITUTE: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    EditOp.PRE_INSERT: np.array([[0, 1, 0], [0, 1, 0], [0, 1, 0]], dtype=bool),
+}
 
 
 @dataclass(frozen=True)
 class EditSpan:
-    op: EditOp
+    """Copy context rows ``source_rows`` over the half-open interval ``cols``
+    of incomplete columns. An empty interval ``(c, c)`` inserts before
+    column ``c`` (the sentinel column means end-of-utterance)."""
+
     source_rows: tuple[int, int]
-    target: tuple[str, Union[tuple[int, int], int]]  # ("replace", interval) | ("insert", col)
+    cols: tuple[int, int]
     score: float = 0.0
     filled: bool = True  # False when cells did not fill their bounding box
 
     def __post_init__(self):
         if self.source_rows[0] >= self.source_rows[1]:
             raise ValueError("source row interval must be non-empty")
+        if not 0 <= self.cols[0] <= self.cols[1]:
+            raise ValueError(f"bad column interval {self.cols}")
+
+    @property
+    def op(self) -> EditOp:
+        return op_of(self.cols)
+
+
+def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Two column intervals cannot both be applied: they are equal, or they
+    overlap (an insert conflicts with a replace only strictly inside it)."""
+    return a == b or (a[0] < b[1] and b[0] < a[1])
 
 
 def decode_labels(grid, theta: float) -> EditMatrix:
@@ -55,109 +74,65 @@ def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
     return EditMatrix(first.n_rows, first.n_cols, cells)
 
 
-def _mean_score(grids, op: EditOp, cells: list[tuple[int, int]]) -> float:
-    if not grids or op not in grids:
-        return 0.0
-    vals = np.asarray(grids[op].values)
-    return float(np.mean([vals[r, c] for r, c in cells]))
-
-
 def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     """Group labeled cells into spans.
 
     Substitute cells become maximal rectangles via 4-connected components
     plus bounding boxes; components that do not fill their box keep the box
     and are flagged ``filled=False``. Pre-Insert cells become maximal row
-    runs per column. ``grids`` (op -> ScoreGrid) supplies cell scores.
+    runs per column. A span's score is the mean over the labeled cells of
+    its box, taken from ``grids`` (op -> ScoreGrid) when given.
     """
     spans: list[EditSpan] = []
-    sub = matrix.mask(EditOp.SUBSTITUTE)
-    if sub.any():
-        labels, count = ndimage.label(sub, structure=_STRUCTURE)
-        for sl in ndimage.find_objects(labels):
-            rows = (sl[0].start, sl[0].stop)
-            cols = (sl[1].start, sl[1].stop)
-            member = [(r, c) for r in range(*rows) for c in range(*cols) if sub[r, c]]
-            filled = len(member) == (rows[1] - rows[0]) * (cols[1] - cols[0])
-            spans.append(EditSpan(EditOp.SUBSTITUTE, rows, ("replace", cols),
-                                  _mean_score(grids, EditOp.SUBSTITUTE, member), filled))
-    by_col: dict[int, list[int]] = {}
-    for r, c in matrix.cells_of(EditOp.PRE_INSERT):
-        by_col.setdefault(c, []).append(r)
-    for c in sorted(by_col):
-        rows = sorted(by_col[c])
-        run_start = rows[0]
-        prev = rows[0]
-        for r in rows[1:] + [None]:
-            if r is not None and r == prev + 1:
-                prev = r
-                continue
-            member = [(rr, c) for rr in range(run_start, prev + 1)]
-            spans.append(EditSpan(EditOp.PRE_INSERT, (run_start, prev + 1), ("insert", c),
-                                  _mean_score(grids, EditOp.PRE_INSERT, member)))
-            if r is not None:
-                run_start = prev = r
+    for op, structure in _CONNECTIVITY.items():
+        mask = matrix.mask(op)
+        if not mask.any():
+            continue
+        values = np.asarray(grids[op].values) if grids and op in grids else None
+        labels, _ = ndimage.label(mask, structure=structure)
+        for rs, cs in ndimage.find_objects(labels):
+            member = mask[rs, cs]
+            score = float(np.mean(values[rs, cs][member])) if values is not None else 0.0
+            cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
+            spans.append(EditSpan((rs.start, rs.stop), cols, score, bool(member.all())))
     return spans
 
 
 def resolve_conflicts(spans: Sequence[EditSpan]) -> list[EditSpan]:
-    """Drop conflicting spans, keeping the highest mean score.
-
-    Overlapping Replace intervals and duplicate inserts at one column are
-    resolved by score (ties: lower source row). Inserts strictly inside a
-    surviving Replace interval are dropped; boundary inserts are kept.
-    """
-    order = lambda s: (-s.score, s.source_rows[0])
-    replaces = sorted((s for s in spans if s.target[0] == "replace"), key=order)
-    kept_replace: list[EditSpan] = []
-    for s in replaces:
-        a, b = s.target[1]
-        if all(b <= k.target[1][0] or k.target[1][1] <= a for k in kept_replace):
-            kept_replace.append(s)
-    best_insert: dict[int, EditSpan] = {}
-    for s in sorted((s for s in spans if s.target[0] == "insert"), key=order):
-        best_insert.setdefault(s.target[1], s)
-    kept_insert = []
-    for col, s in best_insert.items():
-        interior = any(k.target[1][0] < col < k.target[1][1] for k in kept_replace)
-        if not interior:
-            kept_insert.append(s)
-    out = kept_replace + kept_insert
-    out.sort(key=lambda s: (s.target[1] if s.target[0] == "insert" else s.target[1][0],
-                            s.target[0]))
-    return out
+    """Drop conflicting spans (see ``_conflict``), keeping the highest mean
+    score; replaces take precedence over inserts, and ties go to the lower
+    source row. The survivors are returned in column order."""
+    kept: list[EditSpan] = []
+    for s in sorted(spans, key=lambda s: (s.cols[0] == s.cols[1], -s.score,
+                                          s.source_rows[0])):
+        if not any(_conflict(s.cols, k.cols) for k in kept):
+            kept.append(s)
+    return sorted(kept, key=lambda s: s.cols)
 
 
 def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
                 input: InputSequence) -> Utterance:
-    """Emit the rewritten utterance column by column.
-
-    At column j any insert-before span fires first, then a Replace interval
-    starting at j emits its source rows and skips the interval, otherwise
-    the original token is copied. The sentinel column takes inserts only.
-    """
-    ctx = input.context_length
+    """Emit the rewritten utterance: walking the spans in column order, copy
+    the tokens before each span, then its source rows, then skip its
+    columns. Conflicting spans are rejected, not resolved."""
+    ctx, n = input.context_length, len(incomplete)
     for s in spans:
         if not (0 <= s.source_rows[0] and s.source_rows[1] <= ctx):
             raise ValueError(f"span rows {s.source_rows} outside context region")
-    inserts = {s.target[1]: s for s in spans if s.target[0] == "insert"}
-    replaces = {s.target[1][0]: s for s in spans if s.target[0] == "replace"}
-    texts = input.texts()
+        if s.cols[1] > n:
+            raise ValueError(f"span columns {s.cols} outside the utterance")
+    spans = sorted(spans, key=lambda s: s.cols)
+    for s, t in zip(spans, spans[1:]):  # in column order, a conflict has an adjacent one
+        if _conflict(s.cols, t.cols):
+            raise ValueError(f"conflicting spans at columns {s.cols} and {t.cols}")
+    words = incomplete.texts()
     out: list[str] = []
-    n = len(incomplete)
     j = 0
-    while j <= n:
-        if j in inserts:
-            out.extend(texts[r] for r in range(*inserts[j].source_rows))
-        if j == n:
-            break
-        if j in replaces:
-            s = replaces[j]
-            out.extend(texts[r] for r in range(*s.source_rows))
-            j = s.target[1][1]
-        else:
-            out.append(incomplete.tokens[j].text)
-            j += 1
+    for s in spans:
+        out.extend(words[j:s.cols[0]])
+        out.extend(t.text for t in input.tokens[s.source_rows[0]:s.source_rows[1]])
+        j = s.cols[1]
+    out.extend(words[j:])
     return Utterance.from_texts(out, incomplete.speaker_turn)
 
 
@@ -187,9 +162,7 @@ class Diagnostics:
             "input": self.input_texts,
             "matrix": json.loads(self.matrix.to_json()) if self.matrix else None,
             "spans": [{"op": s.op.value, "rows": list(s.source_rows),
-                       "target": [s.target[0],
-                                  list(s.target[1]) if s.target[0] == "replace"
-                                  else s.target[1]],
+                       "cols": list(s.cols),
                        "score": fmt(s.score), "filled": s.filled}
                       for s in self.spans],
         }

@@ -566,6 +566,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
             if len(buf) != 4 * n:
                 raise ValueError(f"{path}: truncated tensor {name}")
             tensors[name] = np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor")
     vocab = {t: i for i, t in enumerate(header["vocab"])}
     d_model = header["d_model"]
     if header["mode"] == MODE_TRAINABLE:
@@ -613,13 +615,26 @@ def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
         header = json.loads(fh.readline().decode("utf-8"))
         d_model = header["d_model"]
         records: dict[str, np.ndarray] = {}
-        for _ in range(header["count"]):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            ex_id = fh.read(id_len).decode("utf-8")
-            (n,) = struct.unpack("<I", fh.read(4))
-            buf = fh.read(4 * n * d_model)
-            records[ex_id] = np.frombuffer(buf, dtype="<f4").astype(np.float64) \
-                .reshape(n, d_model)
+
+        def read(size: int, what: str) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{where}: truncated {what}")
+            return buf
+
+        for i in range(header["count"]):
+            where = f"{path}: record {i}"
+            (id_len,) = struct.unpack("<I", read(4, "id length"))
+            ex_id = read(id_len, "id").decode("utf-8")
+            where = f"{path}: record {ex_id!r}"
+            (n,) = struct.unpack("<I", read(4, "position count"))
+            vecs = np.frombuffer(read(4 * n * d_model, "vectors"), dtype="<f4") \
+                .astype(np.float64).reshape(n, d_model)
+            if not np.isfinite(vecs).all():
+                raise ValueError(f"{where}: non-finite vector")
+            records[ex_id] = vecs
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last record")
     return d_model, records
 
 

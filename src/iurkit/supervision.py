@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,25 +66,26 @@ class EditMatrix:
         return cls(obj["rows"], obj["cols"], cells)
 
 
+def op_of(cols: tuple[int, int]) -> EditOp:
+    """Substitute over a non-empty column interval, Pre-Insert for an empty one."""
+    return EditOp.SUBSTITUTE if cols[0] < cols[1] else EditOp.PRE_INSERT
+
+
 @dataclass(frozen=True)
 class AddedSpan:
     """A run of rewritten tokens absent from the incomplete utterance.
 
-    ``anchor`` is either ("replace", (col_start, col_stop)) for a non-empty
-    incomplete interval being substituted, or ("insert", col) for insertion
-    before that column (the sentinel column means end-of-utterance).
+    ``cols`` is the half-open interval of incomplete columns the tokens
+    take the place of; an empty interval ``(c, c)`` inserts them before
+    column ``c`` (the sentinel column means end-of-utterance).
     """
 
     tokens: tuple[Token, ...]
-    anchor: tuple[str, Union[tuple[int, int], int]]
+    cols: tuple[int, int]
 
     def __post_init__(self):
-        kind, where = self.anchor
-        if kind == "replace":
-            if where[0] >= where[1]:
-                raise ValueError("replace interval must be non-empty")
-        elif kind != "insert":
-            raise ValueError(f"unknown anchor kind {kind!r}")
+        if not 0 <= self.cols[0] <= self.cols[1]:
+            raise ValueError(f"bad column interval {self.cols}")
 
 
 def _texts(seq) -> list[str]:
@@ -139,13 +140,7 @@ def diff_spans(incomplete: Utterance, rewritten: Utterance,
         gap_inc = (prev_i, ai)
         gap_rew = rewritten.tokens[prev_j:aj]
         if gap_rew:
-            if gap_inc[0] < gap_inc[1]:
-                anchor = ("replace", gap_inc)
-            elif ai < len(incomplete):
-                anchor = ("insert", ai)
-            else:
-                anchor = ("insert", len(incomplete))  # sentinel column
-            spans.append(AddedSpan(tuple(gap_rew), anchor))
+            spans.append(AddedSpan(tuple(gap_rew), gap_inc))
         elif gap_inc[0] < gap_inc[1]:
             deletions.append(gap_inc)
         prev_i, prev_j = ai + 1, aj + 1
@@ -187,8 +182,8 @@ class SupervisionReport:
 
 def aggregate_report(reports: Sequence[SupervisionReport]) -> dict:
     full = sum(r.fully_expressible for r in reports)
-    partial = sum((not r.fully_expressible)
-                  and (r.skipped_spans or r.deletions) for r in reports)
+    partial = sum(bool(not r.fully_expressible
+                       and (r.skipped_spans or r.deletions)) for r in reports)
     failed = len(reports) - full - partial
     return {"full": full, "partial": partial, "failed": failed,
             "examples": [r.to_dict() for r in reports
@@ -199,10 +194,11 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
                       ) -> tuple[EditMatrix, SupervisionReport]:
     """Gold matrix for one (incomplete, rewritten, history) triple.
 
-    Replace spans yield full Substitute rectangles (row interval x column
-    interval); insert spans yield Pre-Insert column stripes. The report
-    notes spans not found in history, deletions, and whether applying the
-    gold matrix reproduces the rewritten utterance token-exactly.
+    A span over a non-empty column interval yields a full Substitute
+    rectangle (row interval x column interval); an empty interval yields a
+    Pre-Insert column stripe. The report notes spans not found in history,
+    deletions, and whether applying the gold matrix reproduces the
+    rewritten utterance token-exactly.
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
@@ -216,14 +212,9 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
         if rows is None:
             report.skipped_spans.append("".join(_texts(span.tokens)))
             continue
-        kind, where = span.anchor
-        if kind == "replace":
-            for r in range(*rows):
-                for c in range(*where):
-                    cells.add((r, c, EditOp.SUBSTITUTE))
-        else:
-            for r in range(*rows):
-                cells.add((r, where, EditOp.PRE_INSERT))
+        a, b = span.cols
+        op = op_of(span.cols)
+        cells.update((r, c, op) for r in range(*rows) for c in range(a, max(b, a + 1)))
     matrix = EditMatrix(n_rows=input.context_length,
                         n_cols=input.incomplete_length + 1,
                         cells=frozenset(cells))

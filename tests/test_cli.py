@@ -95,6 +95,22 @@ class TestBuildSupervision:
         matrices = list((corpus_dir / "out" / "matrices").glob("*.json"))
         assert len(matrices) == 10
 
+    def test_partial_example_counted(self, tmp_path, capsys):
+        # a novel word appended to one rewrite cannot be copied from history
+        examples = make_corpus(4, seed=21)
+        write_corpus_files(examples, tmp_path / "d.jsonl", tmp_path / "p.conllu",
+                           tmp_path / "lex.txt")
+        recs = [json.loads(l) for l in (tmp_path / "d.jsonl").read_text().splitlines()]
+        recs[0]["rewritten"] += " novelword"
+        (tmp_path / "d.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+        (tmp_path / "c.ini").write_text(
+            f"data = {tmp_path / 'd.jsonl'}\nparses = {tmp_path / 'p.conllu'}\n"
+            f"lexicon = {tmp_path / 'lex.txt'}\nout = {tmp_path / 'out'}\nlang = en\n")
+        assert main(["build-supervision", "--config", str(tmp_path / "c.ini")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["full"], report["partial"], report["failed"]) == (3, 1, 0)
+        assert report["examples"][0]["skipped_spans"] == ["novelword"]
+
     def test_missing_gold_is_user_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         data.write_text('{"history":["a b"],"incomplete":"c d","lang":"en"}\n')
@@ -147,6 +163,23 @@ class TestRewrite:
         rc = main(["rewrite", "--config", str(corpus_dir / "config.ini"),
                    "--model", "/no/such/model.bin"])
         assert rc == 1
+
+
+@pytest.mark.parametrize("command", [["rewrite"], ["inspect-matrix", "bad"]])
+def test_record_error_names_example(command, corpus_dir, trained, tmp_path, capsys):
+    # a 4-token parse for a 2-token incomplete utterance
+    (tmp_path / "bad.jsonl").write_text(json.dumps(
+        {"history": ["word001 word002"], "incomplete": "word003 word004",
+         "lang": "en", "id": "bad"}) + "\n")
+    (tmp_path / "bad.conllu").write_text(
+        "".join(f"{i}\tw{i}\t{int(i > 1)}\tdep\n" for i in range(1, 5)) + "\n")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text()
+                   + f"data = {tmp_path / 'bad.jsonl'}\n"
+                   + f"parses = {tmp_path / 'bad.conllu'}\n")
+    assert main([*command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "example 'bad'" in err and "parse length 4" in err
 
 
 class TestEvaluate:

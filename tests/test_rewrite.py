@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from iurkit.datamodel import (Dialogue, Role, TokenizeMode, Utterance,
                               build_input_sequence)
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
-from iurkit.rewrite import (EditSpan, apply_edits, cells_to_spans,
+from iurkit.rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
                             decode_labels, merge_matrices, resolve_conflicts,
                             rewrite)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
@@ -114,7 +115,8 @@ class TestCellsToSpans:
         m = EditMatrix(8, 4, cells)
         (span,) = cells_to_spans(m)
         assert span.source_rows == (3, 6)
-        assert span.target == ("replace", (1, 2))
+        assert span.cols == (1, 2)
+        assert span.op is EditOp.SUBSTITUTE
         assert span.filled
 
     def test_two_separate_components(self):
@@ -130,7 +132,7 @@ class TestCellsToSpans:
         m = EditMatrix(3, 3, cells)
         (span,) = cells_to_spans(m)
         assert span.source_rows == (0, 2)
-        assert span.target == ("replace", (0, 2))
+        assert span.cols == (0, 2)
         assert not span.filled
 
     def test_insert_column_runs(self):
@@ -138,8 +140,9 @@ class TestCellsToSpans:
                            (5, 2, EditOp.PRE_INSERT)})
         m = EditMatrix(7, 4, cells)
         spans = cells_to_spans(m)
-        assert [(s.source_rows, s.target) for s in spans] == \
-            [((1, 3), ("insert", 2)), ((5, 6), ("insert", 2))]
+        assert [(s.source_rows, s.cols) for s in spans] == \
+            [((1, 3), (2, 2)), ((5, 6), (2, 2))]
+        assert {s.op for s in spans} == {EditOp.PRE_INSERT}
 
     def test_scores_are_component_means(self):
         values = np.zeros((3, 3))
@@ -155,51 +158,89 @@ class TestCellsToSpans:
         m = EditMatrix(6, 6, frozenset({(r, c, EditOp.SUBSTITUTE)
                                         for r, c in cells}))
         spans = cells_to_spans(m)
-        got = sorted((s.source_rows, s.target[1], s.filled) for s in spans)
+        got = sorted((s.source_rows, s.cols, s.filled) for s in spans)
         assert got == oracle_components(cells)
 
 
-def span(op, rows, target, score=0.0):
-    return EditSpan(op, rows, target, score)
+def span(rows, cols, score=0.0):
+    return EditSpan(rows, cols, score)
+
+
+def clash(a, b):
+    """The conflict rule stated case by case on column intervals."""
+    (a0, a1), (b0, b1) = a, b
+    if a0 == a1 and b0 == b1:
+        return a0 == b0          # duplicate inserts
+    if a0 == a1:
+        return b0 < a0 < b1      # insert strictly inside a replace
+    if b0 == b1:
+        return a0 < b0 < a1
+    return a0 < b1 and b0 < a1   # overlapping replaces
+
+
+@st.composite
+def span_lists(draw, n_rows, n_cols):
+    spans = []
+    for _ in range(draw(st.integers(0, 8))):
+        r0 = draw(st.integers(0, n_rows - 1))
+        a = draw(st.integers(0, n_cols))
+        spans.append(span((r0, draw(st.integers(r0 + 1, n_rows))),
+                          (a, draw(st.integers(a, n_cols))),
+                          draw(st.sampled_from([0.1, 0.2, 0.3]))))
+    return spans
 
 
 class TestResolveConflicts:
     def test_overlapping_replaces_keep_best(self):
-        a = span(EditOp.SUBSTITUTE, (0, 2), ("replace", (1, 3)), 0.9)
-        b = span(EditOp.SUBSTITUTE, (4, 5), ("replace", (2, 4)), 0.4)
+        a = span((0, 2), (1, 3), 0.9)
+        b = span((4, 5), (2, 4), 0.4)
         assert resolve_conflicts([a, b]) == [a]
 
     def test_tie_prefers_lower_source_row(self):
-        a = span(EditOp.SUBSTITUTE, (3, 4), ("replace", (1, 2)), 0.5)
-        b = span(EditOp.SUBSTITUTE, (1, 2), ("replace", (1, 2)), 0.5)
+        a = span((3, 4), (1, 2), 0.5)
+        b = span((1, 2), (1, 2), 0.5)
         assert resolve_conflicts([a, b]) == [b]
 
     def test_disjoint_replaces_both_kept(self):
-        a = span(EditOp.SUBSTITUTE, (0, 1), ("replace", (0, 1)), 0.2)
-        b = span(EditOp.SUBSTITUTE, (2, 3), ("replace", (2, 3)), 0.1)
+        a = span((0, 1), (0, 1), 0.2)
+        b = span((2, 3), (2, 3), 0.1)
         assert set(resolve_conflicts([a, b])) == {a, b}
 
     def test_duplicate_inserts_keep_best(self):
-        a = span(EditOp.PRE_INSERT, (0, 1), ("insert", 2), 0.3)
-        b = span(EditOp.PRE_INSERT, (4, 6), ("insert", 2), 0.8)
+        a = span((0, 1), (2, 2), 0.3)
+        b = span((4, 6), (2, 2), 0.8)
         assert resolve_conflicts([a, b]) == [b]
 
     def test_interior_insert_dropped(self):
-        rep = span(EditOp.SUBSTITUTE, (0, 1), ("replace", (1, 4)), 0.9)
-        inside = span(EditOp.PRE_INSERT, (2, 3), ("insert", 2), 0.5)
+        rep = span((0, 1), (1, 4), 0.9)
+        inside = span((2, 3), (2, 2), 0.5)
         assert resolve_conflicts([rep, inside]) == [rep]
 
     def test_boundary_insert_kept(self):
-        rep = span(EditOp.SUBSTITUTE, (0, 1), ("replace", (1, 4)), 0.9)
-        before = span(EditOp.PRE_INSERT, (2, 3), ("insert", 1), 0.5)
-        after = span(EditOp.PRE_INSERT, (3, 4), ("insert", 4), 0.5)
+        rep = span((0, 1), (1, 4), 0.9)
+        before = span((2, 3), (1, 1), 0.5)
+        after = span((3, 4), (4, 4), 0.5)
         kept = resolve_conflicts([rep, before, after])
         assert set(kept) == {rep, before, after}
 
     def test_output_sorted_by_column(self):
-        a = span(EditOp.PRE_INSERT, (0, 1), ("insert", 5), 0.1)
-        b = span(EditOp.SUBSTITUTE, (0, 1), ("replace", (1, 2)), 0.1)
+        a = span((0, 1), (5, 5), 0.1)
+        b = span((0, 1), (1, 2), 0.1)
         assert resolve_conflicts([a, b]) == [b, a]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_kept_spans_conflict_free_and_applicable(self, data):
+        d = zh_dialogue(["史密斯需要在附近找一家昂贵的餐馆。"], "不，他不关心。")
+        inp = prepared(d)
+        spans = data.draw(span_lists(inp.context_length, len(d.incomplete)))
+        kept = resolve_conflicts(spans)
+        for i, s in enumerate(kept):
+            assert not any(clash(s.cols, t.cols) for t in kept[i + 1:])
+        # every dropped span lost to a kept one
+        for s in spans:
+            assert s in kept or any(clash(s.cols, k.cols) for k in kept)
+        apply_edits(d.incomplete, kept, inp)
 
 
 class TestApplyEdits:
@@ -215,8 +256,8 @@ class TestApplyEdits:
                         "不，他不关心。", "不，史密斯不关心菜肴的类型。")
         inp = prepared(d)
         base = inp.history_turns[1][0]
-        spans = [span(EditOp.SUBSTITUTE, (base, base + 3), ("replace", (2, 3))),
-                 span(EditOp.PRE_INSERT, (base + 5, base + 10), ("insert", 6))]
+        spans = [span((base, base + 3), (2, 3)),
+                 span((base + 5, base + 10), (6, 6))]
         out = apply_edits(d.incomplete, spans, inp)
         assert out.text() == "不，史密斯不关心菜肴的类型。"
 
@@ -226,8 +267,8 @@ class TestApplyEdits:
                         "能不能找到", "能不能找到西安到商洛的顺风车")
         inp = prepared(d)
         base = inp.history_turns[0][0]
-        spans = [span(EditOp.PRE_INSERT, (base + 5, base + 14),
-                      ("insert", len(d.incomplete)))]
+        spans = [span((base + 5, base + 14),
+                      (len(d.incomplete), len(d.incomplete)))]
         out = apply_edits(d.incomplete, spans, inp)
         assert out.text() == "能不能找到西安到商洛的顺风车"
 
@@ -235,17 +276,36 @@ class TestApplyEdits:
         d = zh_dialogue(["雅思第一项是什么"], "考口语啊", "雅思第一项考口语啊")
         inp = prepared(d)
         base = inp.history_turns[0][0]
-        spans = [span(EditOp.PRE_INSERT, (base, base + 5), ("insert", 0))]
+        spans = [span((base, base + 5), (0, 0))]
         out = apply_edits(d.incomplete, spans, inp)
         assert out.text() == "雅思第一项考口语啊"
 
     def test_rows_outside_context_rejected(self):
         d = zh_dialogue(["历史"], "考口语")
         inp = prepared(d)
-        bad = [span(EditOp.SUBSTITUTE, (inp.context_length, inp.context_length + 1),
-                    ("replace", (0, 1)))]
+        bad = [span((inp.context_length, inp.context_length + 1), (0, 1))]
         with pytest.raises(ValueError, match="context"):
             apply_edits(d.incomplete, bad, inp)
+
+    def test_columns_outside_utterance_rejected(self):
+        d = zh_dialogue(["历史"], "考口语")
+        inp = prepared(d)
+        bad = [span((0, 1), (4, 4))]
+        with pytest.raises(ValueError, match="columns"):
+            apply_edits(d.incomplete, bad, inp)
+
+    @pytest.mark.parametrize("cols", [
+        [(0, 2), (1, 3)],   # overlapping replaces
+        [(1, 1), (1, 1)],   # duplicate inserts
+        [(0, 3), (1, 1)],   # insert strictly inside a replace
+    ])
+    def test_conflicting_spans_rejected(self, cols):
+        d = zh_dialogue(["历史"], "考口语")
+        inp = prepared(d)
+        base = inp.history_turns[0][0]
+        spans = [span((base, base + 1), c) for c in cols]
+        with pytest.raises(ValueError, match="conflicting"):
+            apply_edits(d.incomplete, spans, inp)
 
 
 class TestRewritePipeline:
@@ -269,13 +329,19 @@ class TestRewritePipeline:
         inp = prepared(d)
         model = init_model(build_vocab([inp]), 8, 4, seed=0)
         _, diag = rewrite(d, model, theta=0.1, lexicon=lex)
-        import json
         obj = json.loads(diag.to_json(precise=True))
         grid = obj["grids"]["S"]
         assert isinstance(grid[0][0], str)
         # 16 significant digits round-trip a double to within one ulp
         assert float(grid[0][0]) == pytest.approx(
             float(diag.grids[EditOp.SUBSTITUTE].values[0][0]), rel=1e-15)
+
+    def test_diagnostics_span_keys(self):
+        diag = Diagnostics(spans=[span((0, 2), (1, 3), 0.5), span((4, 5), (3, 3), 0.25)])
+        obj = json.loads(diag.to_json(with_grids=False))
+        assert obj["spans"] == [
+            {"op": "S", "rows": [0, 2], "cols": [1, 3], "score": 0.5, "filled": True},
+            {"op": "I", "rows": [4, 5], "cols": [3, 3], "score": 0.25, "filled": True}]
 
     def test_supervision_round_trip_corpus(self):
         # gold matrices decoded back through the span machinery must

@@ -405,6 +405,14 @@ class TestPersistence:
             blobs.append(p.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_rejects_trailing_bytes(self, small_model, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(p, small_model)
+        load_model(p)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            load_model(p)
+
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b'{"format": "other"}\n')
@@ -423,6 +431,31 @@ class TestCtxVec:
         assert d == 4 and set(back) == {"a", "b"}
         for k in records:
             assert np.array_equal(back[k], records[k])
+
+    @pytest.fixture
+    def ctxvec_bytes(self, tmp_path):
+        records = {"a": np.ones((3, 4)), "b": np.zeros((7, 4))}
+        p = tmp_path / "v.ctxvec"
+        write_ctxvec(p, 4, records)
+        return p, p.read_bytes()
+
+    def test_rejects_truncated_file(self, ctxvec_bytes):
+        p, data = ctxvec_bytes
+        p.write_bytes(data[:-6])
+        with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': truncated vectors"):
+            read_ctxvec(p)
+
+    def test_rejects_trailing_bytes(self, ctxvec_bytes):
+        p, data = ctxvec_bytes
+        p.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match=r"v\.ctxvec: trailing"):
+            read_ctxvec(p)
+
+    def test_rejects_non_finite_vectors(self, tmp_path):
+        p = tmp_path / "v.ctxvec"
+        write_ctxvec(p, 4, {"a": np.ones((2, 4)), "b": np.full((2, 4), np.nan)})
+        with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
+            read_ctxvec(p)
 
     def test_rejects_wrong_width(self, tmp_path):
         with pytest.raises(ValueError, match="vectors"):

@@ -94,9 +94,9 @@ class TestDiffSpans:
         assert deletions == []
         assert len(spans) == 2
         sub, ins = spans
-        assert sub.anchor == ("replace", (2, 3))  # 他 -> 史密斯
+        assert sub.cols == (2, 3)  # 他 -> 史密斯
         assert [t.text for t in sub.tokens] == ["史", "密", "斯"]
-        assert ins.anchor == ("insert", 6)        # 菜肴的类型 before 。
+        assert ins.cols == (6, 6)        # 菜肴的类型 before 。
         assert [t.text for t in ins.tokens] == ["菜", "肴", "的", "类", "型"]
 
     def test_identical_no_spans(self):
@@ -109,7 +109,7 @@ class TestDiffSpans:
         rew = Utterance.from_text("雅思第一项考口语啊", ZH)
         spans, _ = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
         (span,) = spans
-        assert span.anchor == ("insert", 0)
+        assert span.cols == (0, 0)
         assert [t.text for t in span.tokens] == ["雅", "思", "第", "一", "项"]
 
     def test_end_insert_goes_to_sentinel(self):
@@ -117,7 +117,7 @@ class TestDiffSpans:
         rew = Utterance.from_text("不想保留意见", ZH)
         spans, _ = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
         (span,) = spans
-        assert span.anchor == ("insert", 4)  # sentinel column
+        assert span.cols == (4, 4)  # sentinel column
 
     def test_pure_deletion_reported(self):
         inc = Utterance.from_text("abc", TokenizeMode.WHITESPACE_PUNCT)

@@ -31,7 +31,7 @@ matrix, report = build_edit_matrix(dialogue, inp)
 print("input length     :", len(inp.tokens))
 print("fully expressible:", report.fully_expressible)
 for r, c, op in sorted(matrix.cells, key=lambda cell: (cell[1], cell[0])):
-    print(f"  {op.value}  row {r:2d} ({inp.tokens[r].text})  col {c}")
+    print(f"  {op.value}  row {r:2d} ({inp.tokens[r]})  col {c}")
 
 spans = resolve_conflicts(cells_to_spans(matrix))
 out = apply_edits(dialogue.incomplete, spans, inp)

@@ -1,12 +1,15 @@
 #!/bin/sh
 # End-to-end CLI walkthrough on a generated toy corpus:
 # supervision -> training -> rewriting -> evaluation.
+# Run from the repository root; without an installed package, set
+# PYTHONPATH=src. PYTHON picks the interpreter (default python3).
 set -e
+py=${PYTHON:-python3}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-python3 - "$work" <<'EOF'
+"$py" - "$work" <<'EOF'
 import sys
 from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
@@ -34,12 +37,14 @@ epochs = 150
 seed = 0
 EOF
 
-iurkit build-supervision --config "$work/config.ini"
-iurkit train --config "$work/config.ini"
-iurkit rewrite --config "$work/config.ini" --out "$work/hyp.jsonl"
-python3 -c "import json,sys
+"$py" -m iurkit.cli build-supervision --config "$work/config.ini"
+"$py" -m iurkit.cli train --config "$work/config.ini"
+"$py" -m iurkit.cli rewrite --config "$work/config.ini" --out "$work/hyp.jsonl"
+"$py" -c "import json,sys
 for line in open('$work/hyp.jsonl'):
     print(json.loads(line)['rewritten'])" > "$work/hyp.txt"
-iurkit evaluate "$work/hyp.txt" "$work/refs.txt"
-iurkit inspect-matrix 0 --config "$work/config.ini" --precise | head -c 300
+"$py" -m iurkit.cli evaluate "$work/hyp.txt" "$work/refs.txt"
+"$py" -m iurkit.cli inspect-matrix 0 --config "$work/config.ini" --precise \
+    > "$work/inspect.json"
+head -c 300 "$work/inspect.json"
 echo

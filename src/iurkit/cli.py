@@ -106,6 +106,16 @@ class RunConfig:
     def load_parses(self) -> list[DependencyParse]:
         return read_conllu(self.parses) if self.parses else []
 
+    def parses_for(self, dialogues: list[Dialogue]) -> list[Optional[DependencyParse]]:
+        """The parse of each dialogue, by position; all None without a parses file."""
+        if not self.parses:
+            return [None] * len(dialogues)
+        parses = self.load_parses()
+        if len(parses) != len(dialogues):
+            raise ValueError(f"{self.parses}: {len(parses)} parse sentences for "
+                             f"{len(dialogues)} dialogues")
+        return parses
+
 
 class UserError(click.ClickException):
     pass
@@ -127,10 +137,9 @@ def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
     return [s.cols for s in spans if s.cols[0] < s.cols[1]]
 
 
-def _query_for(dialogue: Dialogue, idx: int, lexicon: PronounLexicon,
-               parses: list[DependencyParse], cfg: RunConfig,
+def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
+               lexicon: PronounLexicon, cfg: RunConfig,
                use_gold: bool) -> QueryTemplate:
-    parse = parses[idx] if idx < len(parses) else None
     gold = _gold_replace_intervals(dialogue) if use_gold else None
     if use_gold and not gold:
         gold = None  # fall back to the lexicon, then ellipsis detection
@@ -141,10 +150,8 @@ def _query_for(dialogue: Dialogue, idx: int, lexicon: PronounLexicon,
         raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
 
 
-def _rewrite_record(dialogue: Dialogue, idx: int, model: ModelParams,
-                    lexicon: PronounLexicon, parses: list[DependencyParse],
-                    cfg: RunConfig):
-    parse = parses[idx] if idx < len(parses) else None
+def _rewrite_record(dialogue: Dialogue, parse: Optional[DependencyParse],
+                    model: ModelParams, lexicon: PronounLexicon, cfg: RunConfig):
     try:
         return rewrite_one(dialogue, model, cfg.theta, lexicon, parse, cfg.unify)
     except ValueError as exc:
@@ -155,13 +162,13 @@ def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport
     """Training examples with their gold matrices, and each matrix's report."""
     dialogues = load_dialogues(cfg.data, cfg.data_format)
     lexicon = cfg.load_lexicon()
-    parses = cfg.load_parses()
+    parses = cfg.parses_for(dialogues)
     use_gold = cfg.query_mode == "gold"
     examples, reports = [], []
-    for idx, dlg in enumerate(dialogues):
+    for dlg, parse in zip(dialogues, parses):
         if dlg.rewritten is None:
             raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
-        query = _query_for(dlg, idx, lexicon, parses, cfg, use_gold)
+        query = _query_for(dlg, parse, lexicon, cfg, use_gold)
         inp = build_input_sequence(query, dlg)
         gold, report = build_edit_matrix(dlg, inp)
         examples.append(TrainExample(input=inp, gold=gold,
@@ -212,12 +219,12 @@ def cmd_make_query(config_path, data, out_path, unify):
     cfg = _load_config(config_path, data=data, unify=unify)
     dialogues = load_dialogues(cfg.data, cfg.data_format)
     lexicon = cfg.load_lexicon()
-    parses = cfg.load_parses()
+    parses = cfg.parses_for(dialogues)
     sep = "" if cfg.lang == "zh" else " "
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
     try:
-        for idx, dlg in enumerate(dialogues):
-            query = _query_for(dlg, idx, lexicon, parses, cfg, use_gold=False)
+        for dlg, parse in zip(dialogues, parses):
+            query = _query_for(dlg, parse, lexicon, cfg, use_gold=False)
             rec = {"id": dlg.example_id,
                    "incomplete": dlg.incomplete.text(sep),
                    "query": query.text(sep),
@@ -288,11 +295,11 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     model = _load_model_for_inference(cfg, vectors)
     dialogues = load_dialogues(cfg.data, cfg.data_format)
     lexicon = cfg.load_lexicon()
-    parses = cfg.load_parses()
+    parses = cfg.parses_for(dialogues)
     sep = "" if cfg.lang == "zh" else " "
     results = []
-    for idx, dlg in enumerate(dialogues):
-        out, _ = _rewrite_record(dlg, idx, model, lexicon, parses, cfg)
+    for dlg, parse in zip(dialogues, parses):
+        out, _ = _rewrite_record(dlg, parse, model, lexicon, cfg)
         results.append({"id": dlg.example_id, "rewritten": out.text(sep)})
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
     try:
@@ -343,10 +350,10 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
     model = _load_model_for_inference(cfg, vectors)
     dialogues = load_dialogues(cfg.data, cfg.data_format)
     lexicon = cfg.load_lexicon()
-    parses = cfg.load_parses()
-    for idx, dlg in enumerate(dialogues):
+    parses = cfg.parses_for(dialogues)
+    for dlg, parse in zip(dialogues, parses):
         if dlg.example_id == example_id:
-            _, diag = _rewrite_record(dlg, idx, model, lexicon, parses, cfg)
+            _, diag = _rewrite_record(dlg, parse, model, lexicon, cfg)
             click.echo(diag.to_json(precise=precise))
             return
     raise UserError(f"example id {example_id!r} not found in {cfg.data}")

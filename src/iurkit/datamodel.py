@@ -26,7 +26,6 @@ class Role(Enum):
     QUERY = "query"
     HISTORY = "history"
     INCOMPLETE = "incomplete"
-    SENTINEL = "sentinel"
 
 
 class TokenizeMode(Enum):
@@ -43,8 +42,8 @@ class Token:
     def __post_init__(self):
         if self.position < 0:
             raise ValueError("token position must be non-negative")
-        if not self.text and self.role is not Role.SENTINEL:
-            raise ValueError("non-sentinel token text must be non-empty")
+        if not self.text:
+            raise ValueError("token text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,12 @@ class Dialogue:
 class InputSequence:
     """query tokens + history tokens + incomplete tokens + one [END] sentinel.
 
-    Ranges are half-open ``(start, stop)`` intervals over ``tokens``;
-    ``history_turns`` gives the sub-interval of each history utterance so
-    span search can respect utterance boundaries.
+    ``tokens`` holds the token texts. Ranges are half-open ``(start, stop)``
+    intervals over ``tokens``; ``history_turns`` gives the sub-interval of
+    each history utterance so span search can respect utterance boundaries.
     """
 
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     query_range: tuple[int, int]
     history_range: tuple[int, int]
     incomplete_range: tuple[int, int]
@@ -104,7 +103,7 @@ class InputSequence:
             raise ValueError("ranges must be contiguous and ordered")
         if self.sentinel_index != len(self.tokens) - 1 or inc[1] != self.sentinel_index:
             raise ValueError("sentinel must be the final token")
-        if self.tokens[self.sentinel_index].text != END_TOKEN:
+        if self.tokens[self.sentinel_index] != END_TOKEN:
             raise ValueError("final token must be the sentinel")
 
     @property
@@ -117,7 +116,7 @@ class InputSequence:
         return self.incomplete_range[1] - self.incomplete_range[0]
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
 
 _LATIN_RUN = re.compile(r"[A-Za-z0-9À-ɏ]+")
@@ -262,28 +261,23 @@ def _parse_tsv_record(line: str, lineno: int) -> Dialogue:
 def build_input_sequence(query: "Utterance | object", dialogue: Dialogue) -> InputSequence:
     """Concatenate query, history turns, the incomplete utterance, and [END].
 
-    ``query`` may be an Utterance or anything exposing ``tokens`` (e.g. a
-    query template). Token positions are renumbered consecutively.
+    ``query`` may be an Utterance or anything exposing ``texts()`` (e.g. a
+    query template).
     """
-    tokens: list[Token] = []
-
-    def _extend(src_tokens: Iterable[Token], role: Role) -> tuple[int, int]:
-        start = len(tokens)
-        for t in src_tokens:
-            tokens.append(Token(t.text, len(tokens), role))
-        return (start, len(tokens))
-
-    query_range = _extend(query.tokens, Role.QUERY)
+    tokens = list(query.texts())
+    q = len(tokens)
     turn_ranges = []
-    h_start = len(tokens)
     for utt in dialogue.history:
-        turn_ranges.append(_extend(utt.tokens, Role.HISTORY))
-    history_range = (h_start, len(tokens))
-    incomplete_range = _extend(dialogue.incomplete.tokens, Role.INCOMPLETE)
-    tokens.append(Token(END_TOKEN, len(tokens), Role.SENTINEL))
+        start = len(tokens)
+        tokens += utt.texts()
+        turn_ranges.append((start, len(tokens)))
+    h = len(tokens)
+    tokens += dialogue.incomplete.texts()
+    inc = len(tokens)
+    tokens.append(END_TOKEN)
     return InputSequence(tokens=tuple(tokens),
-                         query_range=query_range,
-                         history_range=history_range,
-                         incomplete_range=incomplete_range,
-                         sentinel_index=len(tokens) - 1,
+                         query_range=(0, q),
+                         history_range=(q, h),
+                         incomplete_range=(h, inc),
+                         sentinel_index=inc,
                          history_turns=tuple(turn_ranges))

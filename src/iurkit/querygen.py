@@ -14,8 +14,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .datamodel import (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, Role, Token,
-                        TokenizeMode, Utterance, tokenize)
+from .datamodel import (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, TokenizeMode,
+                        Utterance, tokenize)
 
 # DEPREL labels treated as subject/object evidence; configurable because
 # different parsers label these differently.
@@ -122,14 +122,21 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
     """
     parses: list[DependencyParse] = []
     rows: list[tuple[str, int, str]] = []
+
+    def flush():
+        if not rows:
+            return
+        try:
+            parses.append(DependencyParse(heads=tuple(r[1] for r in rows),
+                                          deprels=tuple(r[2] for r in rows),
+                                          forms=tuple(r[0] for r in rows)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: sentence {len(parses) + 1}: {exc}") from exc
+        rows.clear()
+
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip("\n")
         if not line.strip():
-            if rows:
-                parses.append(DependencyParse(heads=tuple(r[1] for r in rows),
-                                              deprels=tuple(r[2] for r in rows),
-                                              forms=tuple(r[0] for r in rows)))
-                rows = []
+            flush()
             continue
         if line.startswith("#"):
             continue
@@ -146,22 +153,21 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         rows.append((form, head, deprel))
-    if rows:
-        parses.append(DependencyParse(heads=tuple(r[1] for r in rows),
-                                      deprels=tuple(r[2] for r in rows),
-                                      forms=tuple(r[0] for r in rows)))
+    flush()
     return parses
 
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    tokens: tuple[Token, ...]
+    """Token texts with marker slots; ``markers`` gives each slot's index and kind."""
+
+    tokens: tuple[str, ...]
     markers: tuple[tuple[int, MarkerKind], ...]
     kind_summary: KindSummary
     unified: bool = False
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
     def text(self, sep: str = "") -> str:
         return sep.join(self.texts())
@@ -169,15 +175,9 @@ class QueryTemplate:
     def unify(self) -> "QueryTemplate":
         """Render every marker token as [UNK]; marker kinds stay in metadata."""
         marker_positions = {p for p, _ in self.markers}
-        toks = tuple(Token(UNK_TOKEN, t.position, t.role) if i in marker_positions else t
+        toks = tuple(UNK_TOKEN if i in marker_positions else t
                      for i, t in enumerate(self.tokens))
         return QueryTemplate(toks, self.markers, self.kind_summary, unified=True)
-
-
-def _template(texts: list[str], markers: list[tuple[int, MarkerKind]],
-              summary: KindSummary) -> QueryTemplate:
-    toks = tuple(Token(t, i, Role.QUERY) for i, t in enumerate(texts))
-    return QueryTemplate(toks, tuple(markers), summary)
 
 
 def match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[QueryTemplate]:
@@ -206,7 +206,7 @@ def match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[Quer
             i += 1
     if not markers:
         return None
-    return _template(out, markers, KindSummary.COREF_ONLY)
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
 
 
 def coref_from_gold(incomplete: Utterance,
@@ -232,7 +232,7 @@ def coref_from_gold(incomplete: Utterance,
         else:
             out.append(texts[i])
             i += 1
-    return _template(out, markers, KindSummary.COREF_ONLY)
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
 
 
 def detect_ellipsis(incomplete: Utterance, parse: DependencyParse,
@@ -246,11 +246,15 @@ def detect_ellipsis(incomplete: Utterance, parse: DependencyParse,
     if len(parse) != len(incomplete):
         raise ValueError(
             f"parse length {len(parse)} does not match utterance length {len(incomplete)}")
+    texts = incomplete.texts()
+    for i, (form, text) in enumerate(zip(parse.forms, texts)):
+        if form != text:
+            raise ValueError(f"parse form {form!r} at token {i} does not match "
+                             f"utterance token {text!r}")
     has_subj = any(d in subject_labels for d in parse.deprels)
     has_obj = any(d in object_labels for d in parse.deprels)
     at_begin = not has_subj or (has_subj and has_obj)
     at_end = not has_obj or (has_subj and has_obj)
-    texts = incomplete.texts()
     markers: list[tuple[int, MarkerKind]] = []
     out: list[str] = []
     if at_begin:
@@ -260,7 +264,7 @@ def detect_ellipsis(incomplete: Utterance, parse: DependencyParse,
     if at_end:
         markers.append((len(out), MarkerKind.ELLIP))
         out.append(ELLIP_TOKEN)
-    return _template(out, markers, KindSummary.ELLIPSIS_ONLY)
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.ELLIPSIS_ONLY)
 
 
 def heuristic_parse(incomplete: Utterance, verbs: Sequence[str]) -> DependencyParse:

@@ -130,7 +130,7 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
     j = 0
     for s in spans:
         out.extend(words[j:s.cols[0]])
-        out.extend(t.text for t in input.tokens[s.source_rows[0]:s.source_rows[1]])
+        out.extend(input.tokens[s.source_rows[0]:s.source_rows[1]])
         j = s.cols[1]
     out.extend(words[j:])
     return Utterance.from_texts(out, incomplete.speaker_turn)

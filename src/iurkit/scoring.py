@@ -164,7 +164,7 @@ def _q32(a: np.ndarray) -> np.ndarray:
 def build_vocab(inputs: Iterable[InputSequence]) -> dict[str, int]:
     reserved = [UNK_TOKEN, END_TOKEN, "[COREF]", "[ELLIP]"]
     seen = set(reserved)
-    extra = sorted({t.text for inp in inputs for t in inp.tokens} - seen)
+    extra = sorted({t for inp in inputs for t in inp.tokens} - seen)
     return {t: i for i, t in enumerate(reserved + extra)}
 
 

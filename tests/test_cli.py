@@ -182,6 +182,58 @@ def test_record_error_names_example(command, corpus_dir, trained, tmp_path, caps
     assert "example 'bad'" in err and "parse length 4" in err
 
 
+def _config_with_parses(corpus_dir, tmp_path, blocks):
+    (tmp_path / "p.conllu").write_text("".join(b + "\n\n" for b in blocks))
+    cfg = tmp_path / "p.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text()
+                   + f"parses = {tmp_path / 'p.conllu'}\n")
+    return cfg
+
+
+def _parse_blocks(corpus_dir):
+    return (corpus_dir / "parses.conllu").read_text().strip().split("\n\n")
+
+
+class TestParsesFile:
+    @pytest.mark.parametrize("command", ["make-query", "rewrite", "build-supervision"])
+    def test_two_roots_names_file_and_sentence(self, command, corpus_dir, trained,
+                                               tmp_path, capsys):
+        blocks = _parse_blocks(corpus_dir)
+        blocks[1] = "1\tx\t0\troot\n2\ty\t0\troot"
+        cfg = _config_with_parses(corpus_dir, tmp_path, blocks)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'p.conllu'}: sentence 2: parse must have exactly one root" in err
+
+    @pytest.mark.parametrize("count", [9, 11])
+    @pytest.mark.parametrize("command", ["make-query", "rewrite", "train"])
+    def test_count_mismatch_names_counts_and_file(self, command, count, corpus_dir,
+                                                  trained, tmp_path, capsys):
+        blocks = _parse_blocks(corpus_dir)
+        blocks = (blocks * 2)[:count]
+        cfg = _config_with_parses(corpus_dir, tmp_path, blocks)
+        args = [command, "--config", str(cfg)]
+        if command == "train":
+            args += ["--model", str(tmp_path / "m.bin")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'p.conllu'}: {count} parse sentences for 10 dialogues" in err
+
+    @pytest.mark.parametrize("command", ["make-query", "rewrite"])
+    def test_form_mismatch_names_example(self, command, corpus_dir, trained,
+                                         tmp_path, capsys):
+        (tmp_path / "d.jsonl").write_text(json.dumps(
+            {"history": ["word001 word002"], "incomplete": "word003 word004",
+             "lang": "en", "id": "odd"}) + "\n")
+        cfg = _config_with_parses(corpus_dir, tmp_path,
+                                  ["1\tword003\t0\troot\n2\tword005\t1\tdep"])
+        cfg.write_text(cfg.read_text() + f"data = {tmp_path / 'd.jsonl'}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "example 'odd'" in err
+        assert "parse form 'word005' at token 1 does not match utterance token 'word004'" in err
+
+
 class TestEvaluate:
     def test_identical_files(self, tmp_path, capsys):
         hyp = tmp_path / "h.txt"

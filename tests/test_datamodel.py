@@ -94,6 +94,9 @@ class TestLoadDialogues:
         assert d.incomplete.texts() == ["你", "好"]
 
 
+WORD = st.text(alphabet="ab汉[]", min_size=1, max_size=3)
+
+
 def _dlg(history_texts, inc_texts, rew_texts=None):
     hist = tuple(Utterance.from_texts(h, i, Role.HISTORY)
                  for i, h in enumerate(history_texts))
@@ -134,7 +137,6 @@ class TestBuildInputSequence:
         q = Utterance.from_texts(["p"], 0, Role.QUERY)
         seq = build_input_sequence(q, d)
         assert seq.texts() == ["p", "x", "y", "a", "b", "[END]"]
-        assert [t.position for t in seq.tokens] == list(range(6))
 
     def test_range_arithmetic(self):
         d = _dlg([["x"], ["y", "z"]], ["a"])
@@ -142,3 +144,18 @@ class TestBuildInputSequence:
         seq = build_input_sequence(q, d)
         spans = [seq.query_range, seq.history_range, seq.incomplete_range]
         assert sum(b - a for a, b in spans) + 1 == len(seq.tokens)
+
+    @given(st.lists(WORD, max_size=5),
+           st.lists(st.lists(WORD, max_size=4), max_size=4),
+           st.lists(WORD, max_size=5))
+    def test_concatenation_and_turn_intervals(self, query, history, incomplete):
+        d = _dlg(history, incomplete)
+        seq = build_input_sequence(Utterance.from_texts(query, 0, Role.QUERY), d)
+        flat = [t for turn in history for t in turn]
+        assert seq.texts() == query + flat + incomplete + ["[END]"]
+        assert seq.query_range == (0, len(query))
+        assert seq.history_range == (len(query), len(query) + len(flat))
+        assert len(seq.history_turns) == len(history)
+        for (a, b), turn in zip(seq.history_turns, history):
+            assert seq.texts()[a:b] == turn
+        assert seq.texts()[slice(*seq.incomplete_range)] == incomplete

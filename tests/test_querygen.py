@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from iurkit.datamodel import TokenizeMode, Utterance
@@ -116,6 +118,10 @@ class TestDetectEllipsis:
         with pytest.raises(ValueError, match="length"):
             detect_ellipsis(utt("关心"), parse_of(utt("关"), ["root"]))
 
+    def test_form_mismatch_names_first_token(self):
+        with pytest.raises(ValueError, match="'爱' at token 1 .* '心'"):
+            detect_ellipsis(utt("关心它"), parse_of(utt("关爱他"), ["root", "dep", "dep"]))
+
 
 class TestBuildQuery:
     def test_unified_coref(self, zh_lexicon):
@@ -181,6 +187,13 @@ class TestConllu:
     def test_rejects_two_roots(self):
         with pytest.raises(ValueError, match="root"):
             DependencyParse((0, 0), ("root", "root"), ("x", "y"))
+
+    @pytest.mark.parametrize("trailing", ["", "\n"])
+    def test_bad_sentence_names_file_and_sentence(self, tmp_path, trailing):
+        p = tmp_path / "p.conllu"
+        p.write_text("1\tx\t0\troot\n\n1\tx\t0\troot\n2\ty\t0\troot\n" + trailing)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: sentence 2: ") + ".*exactly one root"):
+            read_conllu(p)
 
 
 class TestHeuristicParse:

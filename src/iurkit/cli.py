@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +34,9 @@ from .supervision import (SupervisionReport, aggregate_report,
 log = logging.getLogger("iurkit")
 
 _TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+_CHOICES = {"format": ("jsonl", "tsv"), "lang": ("zh", "en"),
+            "query_mode": ("lexicon", "gold")}
 
 
 @dataclass
@@ -68,22 +72,34 @@ class RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            cfg.set(key, value.strip("\"'"))
+            try:
+                cfg.set(key, value.strip("\"'"))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
         return cfg
 
     def set(self, key: str, value: str) -> None:
-        spec = {f.name: f.type for f in fields(self)}
-        if key not in spec:
+        if key not in {f.name for f in fields(self)}:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(self, key)
         if isinstance(current, bool):
-            setattr(self, key, value.lower() in _TRUE)
-        elif isinstance(current, int):
-            setattr(self, key, int(value))
-        elif isinstance(current, float):
-            setattr(self, key, float(value))
-        else:
-            setattr(self, key, value)
+            if value.lower() not in _TRUE | _FALSE:
+                raise ValueError(f"config key {key!r}: expected true/false, yes/no, "
+                                 f"on/off or 1/0, got {value!r}")
+            value = value.lower() in _TRUE
+        elif isinstance(current, (int, float)):
+            try:
+                number = type(current)(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValueError(f"config key {key!r}: expected a finite "
+                                 f"{type(current).__name__}, got {value!r}")
+            value = number
+        elif key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"config key {key!r}: expected one of "
+                             f"{', '.join(_CHOICES[key])}, got {value!r}")
+        setattr(self, key, value)
 
     @property
     def tokenize_mode(self) -> TokenizeMode:
@@ -132,7 +148,7 @@ def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
 def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
     if dialogue.rewritten is None:
         return []
-    alignment = lcs_align(dialogue.incomplete.tokens, dialogue.rewritten.tokens)
+    alignment = lcs_align(dialogue.incomplete.texts(), dialogue.rewritten.texts())
     spans, _ = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
     return [s.cols for s in spans if s.cols[0] < s.cols[1]]
 

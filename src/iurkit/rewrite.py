@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,26 +53,18 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 def decode_labels(grid, theta: float) -> EditMatrix:
     """Threshold one score grid into an edit matrix (label 1 iff s >= theta).
-
-    Substitute labels landing on the sentinel column are discarded: the
-    matrix invariant reserves that column for Pre-Insert.
-    """
-    values = np.asarray(grid.values)
-    n_rows, n_cols = values.shape
-    rs, cs = np.nonzero(values >= theta)
-    cells = set()
-    for r, c in zip(rs.tolist(), cs.tolist()):
-        if grid.op is EditOp.SUBSTITUTE and c == n_cols - 1:
-            continue
-        cells.add((r, c, grid.op))
-    return EditMatrix(n_rows, n_cols, frozenset(cells))
+    Substitute labels on the sentinel column are discarded: the matrix
+    invariant reserves that column for Pre-Insert."""
+    labels = np.asarray(grid.values) >= theta
+    if grid.op is EditOp.SUBSTITUTE:
+        labels[:, -1:] = False
+    empty = np.zeros(labels.shape, dtype=bool)
+    return EditMatrix({op: labels if op is grid.op else empty for op in EditOp})
 
 
 def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
-    """Union per-op matrices of identical dimensions into one."""
-    first = matrices[0]
-    cells = frozenset().union(*(m.cells for m in matrices))
-    return EditMatrix(first.n_rows, first.n_cols, cells)
+    """Union matrices of identical dimensions into one, per operation."""
+    return EditMatrix({op: reduce(np.logical_or, [m.mask(op) for m in matrices]) for op in EditOp})
 
 
 def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:

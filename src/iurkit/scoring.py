@@ -17,6 +17,8 @@ all arithmetic runs in float64.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -405,11 +407,10 @@ def _loss_grad(values: dict[EditOp, np.ndarray], gold: EditMatrix
     total = 0.0
     dvalues = {}
     for op in _in_order(values):
-        s = values[op]
-        if s.shape != (gold.n_rows, gold.n_cols):
-            raise ValueError(f"grid shape {s.shape} does not match gold "
-                             f"{(gold.n_rows, gold.n_cols)}")
-        loss, dvalues[op] = _op_loss_grad(s, gold.mask(op))
+        s, positives = values[op], gold.mask(op)
+        if s.shape != positives.shape:
+            raise ValueError(f"grid shape {s.shape} does not match gold {positives.shape}")
+        loss, dvalues[op] = _op_loss_grad(s, positives)
         total += loss
     return total, dvalues
 
@@ -554,43 +555,90 @@ def save_model(path: str | Path, model: ModelParams,
             fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
+def _read_header(fh, path) -> dict:
+    """The JSON object on the first line of a model or sidecar file."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    return header
+
+
+def _require(header: dict, path, *keys: str) -> None:
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+
+
+def _count(value, path, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{path}: {what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        header = _read_header(fh, path)
         if header.get("format") != "iurkit-model" or header.get("version") != 1:
             raise ValueError(f"{path}: not an iurkit model file")
+        _require(header, path, "mode", "d_model", "has_mixer", "vocab", "tensors")
+        entries = header["tensors"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], list) for e in entries):
+            raise ValueError(f"{path}: tensors must be a list of [name, shape] pairs")
         tensors = {}
-        for name, shape in header["tensors"]:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(4 * n)
-            if len(buf) != 4 * n:
+        for name, shape in entries:
+            shape = [_count(n, path, f"a dimension of tensor {name!r}") for n in shape]
+            size = 4 * math.prod(shape)
+            if size > _bytes_left(fh):
                 raise ValueError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+            data = np.frombuffer(fh.read(size), dtype="<f4")
+            tensors[name] = data.astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")
-    vocab = {t: i for i, t in enumerate(header["vocab"])}
-    d_model = header["d_model"]
+    words = header["vocab"]
+    if not (isinstance(words, list) and all(isinstance(t, str) for t in words)):
+        raise ValueError(f"{path}: vocab must be a list of strings")
+    vocab = {t: i for i, t in enumerate(words)}
+    d_model = _count(header["d_model"], path, "d_model")
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        return tensors[name]
+
     if header["mode"] == MODE_TRAINABLE:
-        embedding = tensors["emb"]
+        embedding = tensor("emb")
     else:
         embedding = np.zeros((len(vocab), d_model))
     mix = None
     if header["has_mixer"]:
-        mix = MixerParams(**{n: tensors[f"mixer.{n}"]
+        mix = MixerParams(**{n: tensor(f"mixer.{n}")
                              for n in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")})
     per_op = {}
     for op in (EditOp.PRE_INSERT, EditOp.SUBSTITUTE):
-        per_op[op] = OpHead(**{n: tensors[f"head.{op.value}.{n}"]
+        per_op[op] = OpHead(**{n: tensor(f"head.{op.value}.{n}")
                                for n in ("wq", "bq", "wk", "bk")})
     enc = EncoderParams(vocab=vocab, embedding=embedding, mixer=mix, mode=header["mode"])
     # older version-1 headers also carry "heads", which never changed the model
     model = ModelParams(encoder=enc, head=HeadParams(per_op))
     opt_state = None
-    if header.get("optimizer") is not None:
-        opt_state = AdamState(step=header["optimizer"]["step"],
-                              epochs_done=header["optimizer"].get("epochs_done", 0),
-                              m={n: tensors[f"adam.m.{n}"] for n, _ in params_items(model)},
-                              v={n: tensors[f"adam.v.{n}"] for n, _ in params_items(model)})
+    opt = header.get("optimizer")
+    if opt is not None:
+        if not isinstance(opt, dict):
+            raise ValueError(f"{path}: optimizer must be a JSON object")
+        opt_state = AdamState(step=_count(opt.get("step"), path, "optimizer step"),
+                              epochs_done=_count(opt.get("epochs_done", 0), path,
+                                                 "optimizer epochs_done"),
+                              m={n: tensor(f"adam.m.{n}") for n, _ in params_items(model)},
+                              v={n: tensor(f"adam.v.{n}") for n, _ in params_items(model)})
     return model, opt_state
 
 
@@ -612,17 +660,17 @@ def write_ctxvec(path: str | Path, d_model: int,
 
 def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        d_model = header["d_model"]
+        header = _read_header(fh, path)
+        _require(header, path, "d_model", "count")
+        d_model = _count(header["d_model"], path, "d_model")
         records: dict[str, np.ndarray] = {}
 
         def read(size: int, what: str) -> bytes:
-            buf = fh.read(size)
-            if len(buf) != size:
+            if size > _bytes_left(fh):
                 raise ValueError(f"{where}: truncated {what}")
-            return buf
+            return fh.read(size)
 
-        for i in range(header["count"]):
+        for i in range(_count(header["count"], path, "count")):
             where = f"{path}: record {i}"
             (id_len,) = struct.unpack("<I", read(4, "id length"))
             ex_id = read(id_len, "id").decode("utf-8")

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .datamodel import Dialogue, InputSequence, Token, Utterance
+from .datamodel import Dialogue, InputSequence, Utterance
 
 
 class EditOp(Enum):
@@ -24,46 +24,55 @@ class EditOp(Enum):
     PRE_INSERT = "I"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EditMatrix:
-    """Sparse labeled cells over context rows x incomplete columns.
+    """One read-only bool mask per operation over context rows x incomplete
+    columns. Only Pre-Insert labels the last, end-of-utterance column."""
 
-    ``n_cols`` includes the sentinel column (index ``n_cols - 1``), used by
-    Pre-Insert to express insertion at the end of the incomplete utterance.
-    """
-
-    n_rows: int
-    n_cols: int
-    cells: frozenset[tuple[int, int, EditOp]]
+    masks: Mapping[EditOp, np.ndarray]
 
     def __post_init__(self):
-        for r, c, op in self.cells:
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise ValueError(f"cell ({r},{c}) out of range")
-            if op is EditOp.SUBSTITUTE and c == self.n_cols - 1:
-                raise ValueError("Substitute cells may not target the sentinel column")
+        sub = np.array(self.masks[EditOp.SUBSTITUTE], dtype=bool)
+        ins = np.array(self.masks[EditOp.PRE_INSERT], dtype=bool)
+        if sub.ndim != 2 or ins.shape != sub.shape:
+            raise ValueError("operation masks must share one 2-D shape")
+        if np.count_nonzero(sub[:, -1:]):
+            raise ValueError("Substitute cells may not target the sentinel column")
+        sub.setflags(write=False)
+        ins.setflags(write=False)
+        object.__setattr__(self, "masks", {EditOp.SUBSTITUTE: sub, EditOp.PRE_INSERT: ins})
 
-    def cells_of(self, op: EditOp) -> set[tuple[int, int]]:
-        return {(r, c) for r, c, o in self.cells if o is op}
+    @classmethod
+    def from_cells(cls, n_rows: int, n_cols: int, cells: Iterable) -> "EditMatrix":
+        """From ``(row, col, op)`` triples; ``op`` is an EditOp or its value."""
+        masks = {op: np.zeros((n_rows, n_cols), dtype=bool) for op in EditOp}
+        for r, c, op in cells:
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"cell ({r},{c}) out of range")
+            masks[EditOp(op)][r, c] = True
+        return cls(masks)
+
+    @property
+    def cells(self) -> frozenset[tuple[int, int, EditOp]]:
+        return frozenset((r, c, op) for op, m in self.masks.items()
+                         for r, c in np.argwhere(m).tolist())
 
     def mask(self, op: EditOp) -> np.ndarray:
-        """Dense (n_rows, n_cols) bool array, True at the cells of ``op``."""
-        out = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-        for r, c, o in self.cells:
-            if o is op:
-                out[r, c] = True
-        return out
+        """The stored (read-only) bool mask of ``op``, True at its cells."""
+        return self.masks[op]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EditMatrix) and self.to_json() == other.to_json()
 
     def to_json(self) -> str:
-        triples = sorted((r, c, op.value) for r, c, op in self.cells)
-        return json.dumps({"rows": self.n_rows, "cols": self.n_cols,
-                           "cells": [list(t) for t in triples]})
+        rows, cols = self.mask(EditOp.SUBSTITUTE).shape
+        return json.dumps({"rows": rows, "cols": cols,
+                           "cells": sorted([r, c, op.value] for r, c, op in self.cells)})
 
     @classmethod
     def from_json(cls, text: str) -> "EditMatrix":
         obj = json.loads(text)
-        cells = frozenset((r, c, EditOp(op)) for r, c, op in obj["cells"])
-        return cls(obj["rows"], obj["cols"], cells)
+        return cls.from_cells(obj["rows"], obj["cols"], obj["cells"])
 
 
 def op_of(cols: tuple[int, int]) -> EditOp:
@@ -80,7 +89,7 @@ class AddedSpan:
     column ``c`` (the sentinel column means end-of-utterance).
     """
 
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     cols: tuple[int, int]
 
     def __post_init__(self):
@@ -88,17 +97,12 @@ class AddedSpan:
             raise ValueError(f"bad column interval {self.cols}")
 
 
-def _texts(seq) -> list[str]:
-    return [t.text if isinstance(t, Token) else t for t in seq]
-
-
-def lcs_align(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
+def lcs_align(xs: Sequence[str], ys: Sequence[str]) -> list[tuple[int, int]]:
     """Maximum monotone matching of equal tokens between two sequences.
 
     Standard DP with a fixed backtrace tie-break (match > up > left) so
     co-optimal alignments resolve deterministically.
     """
-    xs, ys = _texts(a), _texts(b)
     n, m = len(xs), len(ys)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -135,10 +139,11 @@ def diff_spans(incomplete: Utterance, rewritten: Utterance,
     spans: list[AddedSpan] = []
     deletions: list[tuple[int, int]] = []
     boundaries = list(alignment) + [(len(incomplete), len(rewritten))]
+    rew_texts = rewritten.texts()
     prev_i, prev_j = 0, 0
     for ai, aj in boundaries:
         gap_inc = (prev_i, ai)
-        gap_rew = rewritten.tokens[prev_j:aj]
+        gap_rew = rew_texts[prev_j:aj]
         if gap_rew:
             spans.append(AddedSpan(tuple(gap_rew), gap_inc))
         elif gap_inc[0] < gap_inc[1]:
@@ -147,14 +152,14 @@ def diff_spans(incomplete: Utterance, rewritten: Utterance,
     return spans, deletions
 
 
-def locate_in_context(span: Sequence, input: InputSequence) -> Optional[tuple[int, int]]:
+def locate_in_context(span: Sequence[str], input: InputSequence) -> Optional[tuple[int, int]]:
     """Find an exact contiguous match of ``span`` in the history region.
 
     Utterances are scanned latest to earliest, left to right within each
     utterance; matches never cross utterance boundaries and the query
     region is never searched. Returns an absolute row interval or None.
     """
-    needle = _texts(span)
+    needle = list(span)
     if not needle:
         raise ValueError("span must be non-empty")
     all_texts = input.texts()
@@ -202,22 +207,20 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
-    alignment = lcs_align(dialogue.incomplete.tokens, dialogue.rewritten.tokens)
+    alignment = lcs_align(dialogue.incomplete.texts(), dialogue.rewritten.texts())
     spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
     report = SupervisionReport(example_id=dialogue.example_id,
                                deletions=list(deletions))
-    cells: set[tuple[int, int, EditOp]] = set()
+    masks = {op: np.zeros((input.context_length, input.incomplete_length + 1), bool)
+             for op in EditOp}
     for span in spans:
         rows = locate_in_context(span.tokens, input)
         if rows is None:
-            report.skipped_spans.append("".join(_texts(span.tokens)))
+            report.skipped_spans.append("".join(span.tokens))
             continue
         a, b = span.cols
-        op = op_of(span.cols)
-        cells.update((r, c, op) for r in range(*rows) for c in range(a, max(b, a + 1)))
-    matrix = EditMatrix(n_rows=input.context_length,
-                        n_cols=input.incomplete_length + 1,
-                        cells=frozenset(cells))
+        masks[op_of(span.cols)][rows[0]:rows[1], a:max(b, a + 1)] = True
+    matrix = EditMatrix(masks)
     report.fully_expressible = (not report.skipped_spans and not deletions
                                 and _round_trips(dialogue, input, matrix))
     return matrix, report

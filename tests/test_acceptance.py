@@ -145,7 +145,7 @@ def test_5_overfit_harness():
 
 
 def test_6_circle_loss_fixtures():
-    gold = EditMatrix(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
+    gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
 
     def grids(s_pos, s_other=-50.0):
         v = np.array([[s_pos, s_other]])

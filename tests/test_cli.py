@@ -67,6 +67,27 @@ class TestRunConfig:
         cfg = RunConfig.from_file(p)
         assert cfg.lang == "zh"
 
+    @pytest.mark.parametrize("key, value", [
+        ("format", "json"), ("lang", "fr"), ("query_mode", "gld"), ("mixer", "maybe"),
+        ("unify", "2"), ("epochs", "x"), ("batch_size", "1.5"), ("lr", "fast"),
+        ("lr", "nan"), ("theta", "inf")])
+    def test_bad_value_names_key_file_and_line(self, key, value, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(f"# run\n{key} = {value}\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(p)
+        message = str(exc.value)
+        assert f"{p}: line 2" in message
+        assert repr(key) in message and repr(value) in message
+
+    def test_allowed_values(self):
+        cfg = RunConfig()
+        for key, value in [("format", "tsv"), ("lang", "zh"), ("query_mode", "gold"),
+                           ("mixer", "on"), ("unify", "FALSE")]:
+            cfg.set(key, value)
+        assert (cfg.format, cfg.lang, cfg.query_mode, cfg.mixer, cfg.unify) == \
+            ("tsv", "zh", "gold", True, False)
+
 
 class TestMakeQuery:
     def test_writes_records(self, corpus_dir, tmp_path):
@@ -285,6 +306,68 @@ class TestInspectMatrix:
         rc = main(["inspect-matrix", "no-such-id",
                    "--config", str(corpus_dir / "config.ini")])
         assert rc == 1
+
+
+@pytest.mark.parametrize("key, value", [("format", "json"), ("lang", "fr"),
+                                        ("query_mode", "gld"), ("mixer", "maybe"),
+                                        ("epochs", "x")])
+def test_bad_config_value_is_user_error(key, value, corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text() + f"{key} = {value}\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and repr(key) in err
+
+
+class TestStrictHeaders:
+    """A malformed model or sidecar header is a user error naming the file."""
+
+    @pytest.mark.parametrize("edit, keep_tensors, message", [
+        (lambda h: [h], True, "header is not a JSON object"),
+        (lambda h: {"format": "iurkit-model", "version": 1}, False,
+         "header lacks mode, d_model, has_mixer, vocab, tensors"),
+        (lambda h: {**h, "tensors": []}, False, "missing tensor 'emb'"),
+        (lambda h: {**h, "tensors": [["emb", [-1, 8]]]}, False,
+         "a dimension of tensor 'emb' must be a non-negative integer"),
+        (lambda h: {**h, "tensors": [["emb", [2.5, 8]]]}, False,
+         "a dimension of tensor 'emb' must be a non-negative integer"),
+        (lambda h: {**h, "tensors": {"emb": [2, 8]}}, False,
+         "tensors must be a list of [name, shape] pairs"),
+        (lambda h: {**h, "d_model": "8"}, True, "d_model must be a non-negative integer"),
+        (lambda h: {**h, "d_model": -8}, True, "d_model must be a non-negative integer"),
+        (lambda h: {**h, "vocab": {"a": 0}}, True, "vocab must be a list of strings"),
+        (lambda h: {**h, "optimizer": {}}, True, "optimizer step must be"),
+    ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
+            "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
+            "optimizer-step"])
+    def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
+                                    trained, tmp_path, capsys):
+        header, tensors = trained.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n"
+                        + (tensors if keep_tensors else b""))
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--model", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {message}" in err
+
+    @pytest.mark.parametrize("header, message", [
+        (b"not json", "header is not JSON"),
+        (b"[]", "header is not a JSON object"),
+        (b'{"count": 0}', "header lacks d_model"),
+        (b'{"d_model": "8", "count": 0}', "d_model must be a non-negative integer"),
+        (b'{"d_model": 8, "count": -1}', "count must be a non-negative integer"),
+        (b'{"d_model": 8, "count": 1.5}', "count must be a non-negative integer"),
+    ], ids=["not-json", "list", "missing-d_model", "string-d_model", "negative-count",
+            "float-count"])
+    def test_malformed_ctxvec_header(self, header, message, corpus_dir, trained,
+                                     tmp_path, capsys):
+        vectors = tmp_path / "bad.ctxvec"
+        vectors.write_bytes(header + b"\n")
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--vectors", str(vectors)]) == 1
+        err = capsys.readouterr().err
+        assert f"{vectors}: {message}" in err
 
 
 class TestExitCodes:

@@ -80,8 +80,8 @@ class TestDecodeLabels:
 
 class TestMergeMatrices:
     def test_union(self):
-        a = EditMatrix(2, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
-        b = EditMatrix(2, 2, frozenset({(1, 1, EditOp.PRE_INSERT)}))
+        a = EditMatrix.from_cells(2, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
+        b = EditMatrix.from_cells(2, 2, frozenset({(1, 1, EditOp.PRE_INSERT)}))
         m = merge_matrices([a, b])
         assert m.cells == a.cells | b.cells
 
@@ -112,7 +112,7 @@ class TestCellsToSpans:
     def test_single_rectangle(self):
         cells = frozenset({(r, c, EditOp.SUBSTITUTE)
                            for r in (3, 4, 5) for c in (1,)})
-        m = EditMatrix(8, 4, cells)
+        m = EditMatrix.from_cells(8, 4, cells)
         (span,) = cells_to_spans(m)
         assert span.source_rows == (3, 6)
         assert span.cols == (1, 2)
@@ -121,7 +121,7 @@ class TestCellsToSpans:
 
     def test_two_separate_components(self):
         cells = frozenset({(0, 0, EditOp.SUBSTITUTE), (2, 2, EditOp.SUBSTITUTE)})
-        m = EditMatrix(4, 4, cells)
+        m = EditMatrix.from_cells(4, 4, cells)
         spans = cells_to_spans(m)
         assert len(spans) == 2
 
@@ -129,7 +129,7 @@ class TestCellsToSpans:
         # an L shape: bounding box kept but marked unfilled
         cells = frozenset({(0, 0, EditOp.SUBSTITUTE), (1, 0, EditOp.SUBSTITUTE),
                            (1, 1, EditOp.SUBSTITUTE)})
-        m = EditMatrix(3, 3, cells)
+        m = EditMatrix.from_cells(3, 3, cells)
         (span,) = cells_to_spans(m)
         assert span.source_rows == (0, 2)
         assert span.cols == (0, 2)
@@ -138,7 +138,7 @@ class TestCellsToSpans:
     def test_insert_column_runs(self):
         cells = frozenset({(1, 2, EditOp.PRE_INSERT), (2, 2, EditOp.PRE_INSERT),
                            (5, 2, EditOp.PRE_INSERT)})
-        m = EditMatrix(7, 4, cells)
+        m = EditMatrix.from_cells(7, 4, cells)
         spans = cells_to_spans(m)
         assert [(s.source_rows, s.cols) for s in spans] == \
             [((1, 3), (2, 2)), ((5, 6), (2, 2))]
@@ -149,14 +149,14 @@ class TestCellsToSpans:
         values[0, 0], values[1, 0] = 0.4, 0.8
         grids = {EditOp.SUBSTITUTE: ScoreGrid(EditOp.SUBSTITUTE, values)}
         cells = frozenset({(0, 0, EditOp.SUBSTITUTE), (1, 0, EditOp.SUBSTITUTE)})
-        (span,) = cells_to_spans(EditMatrix(3, 3, cells), grids)
+        (span,) = cells_to_spans(EditMatrix.from_cells(3, 3, cells), grids)
         assert span.score == pytest.approx(0.6)
 
     @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=14))
     @settings(max_examples=120)
     def test_matches_flood_fill_oracle(self, cells):
-        m = EditMatrix(6, 6, frozenset({(r, c, EditOp.SUBSTITUTE)
-                                        for r, c in cells}))
+        m = EditMatrix.from_cells(6, 6, frozenset({(r, c, EditOp.SUBSTITUTE)
+                                                   for r, c in cells}))
         spans = cells_to_spans(m)
         got = sorted((s.source_rows, s.cols, s.filled) for s in spans)
         assert got == oracle_components(cells)

@@ -204,34 +204,34 @@ class TestCircleLoss:
     def test_zero_score_single_positive(self):
         # one positive at s=0 contributes log(1 + e^0) = log 2; the
         # insert grid at -50 contributes ~0
-        gold = EditMatrix(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
+        gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
         loss = circle_loss(self.grids_of([[0.0, -50.0]]), gold)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_zero_score_single_negative(self):
-        gold = EditMatrix(1, 2, frozenset())
+        gold = EditMatrix.from_cells(1, 2, frozenset())
         loss = circle_loss(self.grids_of([[0.0, -50.0]]), gold)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_saturated_cells_near_zero_loss(self):
-        gold = EditMatrix(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
+        gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
         loss = circle_loss(self.grids_of([[40.0, -40.0]]), gold)
         assert 0.0 < loss < 1e-15
 
     def test_extreme_scores_stay_finite(self):
-        gold = EditMatrix(1, 2, frozenset())
+        gold = EditMatrix.from_cells(1, 2, frozenset())
         loss = circle_loss(self.grids_of([[700.0, 700.0]]), gold)
         # log(1 + 2 e^700) = 700 + log 2 up to an e^-700 correction; naive
         # exponentiation would overflow here
         assert abs(loss - (700.0 + math.log(2.0))) < 1e-9
 
     def test_shape_mismatch_rejected(self):
-        gold = EditMatrix(2, 2, frozenset())
+        gold = EditMatrix.from_cells(2, 2, frozenset())
         with pytest.raises(ValueError, match="shape"):
             circle_loss(self.grids_of([[0.0]]), gold)
 
     def test_monotone_in_positive_score(self):
-        gold = EditMatrix(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
+        gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
         losses = [circle_loss(self.grids_of([[s, -50.0]]), gold)
                   for s in (-1.0, 0.0, 1.0, 2.0)]
         assert losses == sorted(losses, reverse=True)

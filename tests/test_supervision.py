@@ -1,5 +1,7 @@
+import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,32 +92,32 @@ def prepared(dialogue, lexicon=None):
 class TestDiffSpans:
     def test_table1_spans(self, table1):
         inc, rew = table1.incomplete, table1.rewritten
-        spans, deletions = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
+        spans, deletions = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         assert deletions == []
         assert len(spans) == 2
         sub, ins = spans
         assert sub.cols == (2, 3)  # 他 -> 史密斯
-        assert [t.text for t in sub.tokens] == ["史", "密", "斯"]
+        assert list(sub.tokens) == ["史", "密", "斯"]
         assert ins.cols == (6, 6)        # 菜肴的类型 before 。
-        assert [t.text for t in ins.tokens] == ["菜", "肴", "的", "类", "型"]
+        assert list(ins.tokens) == ["菜", "肴", "的", "类", "型"]
 
     def test_identical_no_spans(self):
         u = Utterance.from_text("考口语啊", ZH)
-        spans, deletions = diff_spans(u, u, lcs_align(u.tokens, u.tokens))
+        spans, deletions = diff_spans(u, u, lcs_align(u.texts(), u.texts()))
         assert spans == [] and deletions == []
 
     def test_table9_example2_front_insert(self):
         inc = Utterance.from_text("考口语啊", ZH)
         rew = Utterance.from_text("雅思第一项考口语啊", ZH)
-        spans, _ = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
+        spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         (span,) = spans
         assert span.cols == (0, 0)
-        assert [t.text for t in span.tokens] == ["雅", "思", "第", "一", "项"]
+        assert list(span.tokens) == ["雅", "思", "第", "一", "项"]
 
     def test_end_insert_goes_to_sentinel(self):
         inc = Utterance.from_text("不想保留", ZH)
         rew = Utterance.from_text("不想保留意见", ZH)
-        spans, _ = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
+        spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         (span,) = spans
         assert span.cols == (4, 4)  # sentinel column
 
@@ -124,7 +126,7 @@ class TestDiffSpans:
         rew = Utterance.from_text("ac", TokenizeMode.WHITESPACE_PUNCT)
         inc = Utterance.from_texts(["a", "b", "c"])
         rew = Utterance.from_texts(["a", "c"])
-        spans, deletions = diff_spans(inc, rew, lcs_align(inc.tokens, rew.tokens))
+        spans, deletions = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         assert spans == []
         assert deletions == [(1, 2)]
 
@@ -158,16 +160,69 @@ class TestLocateInContext:
 class TestEditMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            EditMatrix(2, 2, frozenset({(2, 0, EditOp.SUBSTITUTE)}))
+            EditMatrix.from_cells(2, 2, frozenset({(2, 0, EditOp.SUBSTITUTE)}))
 
     def test_rejects_substitute_on_sentinel(self):
         with pytest.raises(ValueError):
-            EditMatrix(2, 2, frozenset({(0, 1, EditOp.SUBSTITUTE)}))
+            EditMatrix.from_cells(2, 2, frozenset({(0, 1, EditOp.SUBSTITUTE)}))
 
     def test_json_round_trip(self):
-        m = EditMatrix(3, 4, frozenset({(0, 1, EditOp.SUBSTITUTE),
-                                        (2, 3, EditOp.PRE_INSERT)}))
+        m = EditMatrix.from_cells(3, 4, frozenset({(0, 1, EditOp.SUBSTITUTE),
+                                                   (2, 3, EditOp.PRE_INSERT)}))
         assert EditMatrix.from_json(m.to_json()) == m
+
+    # cells of a 5 x 4 matrix; column 3 is the sentinel
+    cell_sets = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 3),
+                                  st.sampled_from(list(EditOp))), max_size=12)
+
+    @given(cell_sets)
+    @settings(max_examples=100)
+    def test_masks_and_json_hold_the_cells(self, drawn):
+        both = {(1, 2, EditOp.SUBSTITUTE), (1, 2, EditOp.PRE_INSERT)}
+        cells = {(r, c, op) for r, c, op in drawn
+                 if not (op is EditOp.SUBSTITUTE and c == 3)} | both
+        m = EditMatrix.from_cells(5, 4, cells)
+        assert m.cells == cells
+        assert EditMatrix.from_json(m.to_json()).cells == cells
+        for op in EditOp:
+            expected = np.zeros((5, 4), dtype=bool)
+            for r, c, o in cells:
+                expected[r, c] |= o is op
+            assert np.array_equal(m.mask(op), expected)
+
+    @given(st.integers(-6, 9), st.integers(-6, 9), st.sampled_from(list(EditOp)))
+    def test_rejects_cells_off_the_matrix(self, r, c, op):
+        valid = 0 <= r < 5 and 0 <= c < 4 and not (op is EditOp.SUBSTITUTE and c == 3)
+        if valid:
+            assert EditMatrix.from_cells(5, 4, {(r, c, op)}).cells == {(r, c, op)}
+        else:
+            with pytest.raises(ValueError):
+                EditMatrix.from_cells(5, 4, {(r, c, op)})
+            with pytest.raises(ValueError):
+                EditMatrix.from_json(json.dumps({"rows": 5, "cols": 4,
+                                                 "cells": [[r, c, op.value]]}))
+
+    def test_json_format(self):
+        m = EditMatrix.from_cells(3, 4, {(2, 3, EditOp.PRE_INSERT), (0, 1, EditOp.SUBSTITUTE),
+                                         (0, 1, EditOp.PRE_INSERT)})
+        assert m.to_json() == ('{"rows": 3, "cols": 4, '
+                               '"cells": [[0, 1, "I"], [0, 1, "S"], [2, 3, "I"]]}')
+
+    def test_masks_are_read_only_copies(self):
+        source = np.zeros((2, 3), dtype=bool)
+        m = EditMatrix({EditOp.SUBSTITUTE: source, EditOp.PRE_INSERT: source})
+        source[0, 0] = True
+        assert m.cells == frozenset()
+        for op in EditOp:
+            with pytest.raises(ValueError):
+                m.mask(op)[0, 0] = True
+
+    def test_rejects_mismatched_masks(self):
+        with pytest.raises(ValueError, match="shape"):
+            EditMatrix({EditOp.SUBSTITUTE: np.zeros((2, 3)),
+                        EditOp.PRE_INSERT: np.zeros((2, 4))})
+        with pytest.raises(ValueError, match="sentinel"):
+            EditMatrix({EditOp.SUBSTITUTE: np.eye(2), EditOp.PRE_INSERT: np.zeros((2, 2))})
 
 
 class TestBuildEditMatrix:
@@ -175,8 +230,8 @@ class TestBuildEditMatrix:
         inp = prepared(table1)
         matrix, report = build_edit_matrix(table1, inp)
         assert report.fully_expressible
-        subs = matrix.cells_of(EditOp.SUBSTITUTE)
-        ins = matrix.cells_of(EditOp.PRE_INSERT)
+        subs = {(r, c) for r, c, op in matrix.cells if op is EditOp.SUBSTITUTE}
+        ins = {(r, c) for r, c, op in matrix.cells if op is EditOp.PRE_INSERT}
         # 史密斯: 3 rows x 1 col; 菜肴的类型: 5 rows x 1 col
         assert len(subs) == 3 and {c for _, c in subs} == {2}
         assert len(ins) == 5 and {c for _, c in ins} == {6}

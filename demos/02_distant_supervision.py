@@ -10,13 +10,13 @@ must reproduce the gold rewrite exactly.
 from iurkit import (PronounLexicon, apply_edits, build_edit_matrix,
                     build_input_sequence, build_query, cells_to_spans,
                     resolve_conflicts)
-from iurkit.datamodel import Dialogue, Role, TokenizeMode, Utterance
+from iurkit.datamodel import Dialogue, TokenizeMode, Utterance
 
 ZH = TokenizeMode.CHAR_CJK
 
 history = (
-    Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", ZH, 0, Role.HISTORY),
-    Utterance.from_text("史密斯关心菜肴的类型吗？", ZH, 1, Role.HISTORY),
+    Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", ZH, 0),
+    Utterance.from_text("史密斯关心菜肴的类型吗？", ZH, 1),
 )
 dialogue = Dialogue(history,
                     Utterance.from_text("不，他不关心。", ZH, 2),

@@ -141,7 +141,7 @@ def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
     cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
     for key, value in overrides.items():
         if value is not None:
-            setattr(cfg, key, value)
+            cfg.set(key, str(value))
     return cfg
 
 

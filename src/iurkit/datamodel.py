@@ -1,4 +1,4 @@
-"""Core domain types: tokens, utterances, dialogues, and the model input sequence.
+"""Core domain types: utterances, dialogues, and the model input sequence.
 
 All types are frozen dataclasses; once constructed they are safe to share
 across threads. Two tokenization modes are supported: character-level for
@@ -22,6 +22,9 @@ COREF_TOKEN = "[COREF]"
 ELLIP_TOKEN = "[ELLIP]"
 
 
+# Role and the ``role`` parameter of ``Utterance.from_texts`` are unused. They
+# stay only because bench/corpus.py passes them, and are removed in the
+# benchmark-only change that re-spells that file.
 class Role(Enum):
     QUERY = "query"
     HISTORY = "history"
@@ -34,37 +37,27 @@ class TokenizeMode(Enum):
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    position: int
-    role: Role = Role.INCOMPLETE
+class Utterance:
+    """``tokens`` holds the token texts, each non-empty."""
+
+    tokens: tuple[str, ...]
+    speaker_turn: int = 0
 
     def __post_init__(self):
-        if self.position < 0:
-            raise ValueError("token position must be non-negative")
-        if not self.text:
+        if "" in self.tokens:
             raise ValueError("token text must be non-empty")
-
-
-@dataclass(frozen=True)
-class Utterance:
-    tokens: tuple[Token, ...]
-    speaker_turn: int = 0
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], speaker_turn: int = 0,
                    role: Role = Role.INCOMPLETE) -> "Utterance":
-        return cls(tokens=tuple(Token(t, i, role) for i, t in enumerate(texts)),
-                   speaker_turn=speaker_turn)
+        return cls(tuple(texts), speaker_turn)
 
     @classmethod
-    def from_text(cls, text: str, mode: TokenizeMode, speaker_turn: int = 0,
-                  role: Role = Role.INCOMPLETE) -> "Utterance":
-        return cls.from_texts([t.text for t in tokenize(text, mode)],
-                              speaker_turn, role)
+    def from_text(cls, text: str, mode: TokenizeMode, speaker_turn: int = 0) -> "Utterance":
+        return cls(tuple(tokenize(text, mode)), speaker_turn)
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -127,7 +120,7 @@ def _is_latin(ch: str) -> bool:
     return bool(_LATIN_RUN.fullmatch(ch))
 
 
-def tokenize(text: str, mode: TokenizeMode) -> list[Token]:
+def tokenize(text: str, mode: TokenizeMode) -> list[str]:
     """Deterministic tokenization; empty text yields an empty list.
 
     CHAR_CJK emits one token per non-Latin character (CJK ideographs,
@@ -155,7 +148,7 @@ def tokenize(text: str, mode: TokenizeMode) -> list[Token]:
         texts = _WORD_SPLIT.findall(text)
     else:
         raise ValueError(f"unknown tokenize mode: {mode}")
-    return [Token(t, i) for i, t in enumerate(texts)]
+    return texts
 
 
 def _has_cjk(text: str) -> bool:
@@ -229,13 +222,13 @@ def _parse_jsonl_record(line: str, lineno: int) -> Dialogue:
             mode = infer_mode(texts)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: field 'lang': {exc}") from exc
-    history = tuple(Utterance.from_text(t, mode, turn, Role.HISTORY)
+    history = tuple(Utterance.from_text(t, mode, turn)
                     for turn, t in enumerate(rec["history"]))
     n = len(history)
-    incomplete = Utterance.from_text(rec["incomplete"], mode, n, Role.INCOMPLETE)
+    incomplete = Utterance.from_text(rec["incomplete"], mode, n)
     rewritten = None
     if rec.get("rewritten") is not None:
-        rewritten = Utterance.from_text(rec["rewritten"], mode, n, Role.INCOMPLETE)
+        rewritten = Utterance.from_text(rec["rewritten"], mode, n)
     return Dialogue(history, incomplete, rewritten,
                     example_id=str(rec.get("id", lineno - 1)))
 
@@ -249,12 +242,12 @@ def _parse_tsv_record(line: str, lineno: int) -> Dialogue:
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
     *hist, incomplete, rewritten = cols
-    history = tuple(Utterance.from_text(t, mode, turn, Role.HISTORY)
+    history = tuple(Utterance.from_text(t, mode, turn)
                     for turn, t in enumerate(hist))
     n = len(history)
     return Dialogue(history,
-                    Utterance.from_text(incomplete, mode, n, Role.INCOMPLETE),
-                    Utterance.from_text(rewritten, mode, n, Role.INCOMPLETE),
+                    Utterance.from_text(incomplete, mode, n),
+                    Utterance.from_text(rewritten, mode, n),
                     example_id=str(lineno - 1))
 
 

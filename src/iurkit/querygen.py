@@ -53,7 +53,7 @@ class PronounLexicon:
 
     @classmethod
     def from_surface_forms(cls, forms: Sequence[str], mode: TokenizeMode) -> "PronounLexicon":
-        entries = {tuple(t.text for t in tokenize(f, mode)) for f in forms if f.strip()}
+        entries = {tuple(tokenize(f, mode)) for f in forms if f.strip()}
         return cls(tuple(sorted(entries)))
 
     @classmethod
@@ -70,11 +70,6 @@ class PronounLexicon:
         forms = DEFAULT_PRONOUNS_ZH if lang == "zh" else DEFAULT_PRONOUNS_EN
         mode = TokenizeMode.CHAR_CJK if lang == "zh" else TokenizeMode.WHITESPACE_PUNCT
         return cls.from_surface_forms(forms, mode)
-
-    def augment(self, forms: Sequence[str], mode: TokenizeMode) -> "PronounLexicon":
-        """Extend the lexicon with surface forms mined from training data."""
-        extra = {tuple(t.text for t in tokenize(f, mode)) for f in forms if f.strip()}
-        return PronounLexicon(tuple(sorted(set(self.entries) | extra)))
 
     def longest_first(self) -> list[tuple[str, ...]]:
         return sorted(self.entries, key=lambda e: (-len(e), e))
@@ -265,31 +260,6 @@ def detect_ellipsis(incomplete: Utterance, parse: DependencyParse,
         markers.append((len(out), MarkerKind.ELLIP))
         out.append(ELLIP_TOKEN)
     return QueryTemplate(tuple(out), tuple(markers), KindSummary.ELLIPSIS_ONLY)
-
-
-def heuristic_parse(incomplete: Utterance, verbs: Sequence[str]) -> DependencyParse:
-    """Degraded-mode parse for tests: first known verb is the root; any
-    pre-verbal token counts as subject, any post-verbal token as object."""
-    texts = incomplete.texts()
-    verb_set = set(verbs)
-    v = next((i for i, t in enumerate(texts) if t in verb_set), None)
-    heads = [0] * len(texts)
-    deprels = ["dep"] * len(texts)
-    if v is None:
-        if texts:
-            heads = [1] * len(texts)
-            heads[0] = 0
-            deprels[0] = "root"
-    else:
-        for i in range(len(texts)):
-            heads[i] = v + 1
-        heads[v] = 0
-        deprels[v] = "root"
-        if v > 0:
-            deprels[0] = "nsubj"
-        if v < len(texts) - 1:
-            deprels[v + 1] = "obj"
-    return DependencyParse(tuple(heads), tuple(deprels), tuple(texts))
 
 
 def build_query(incomplete: Utterance, lexicon: PronounLexicon,

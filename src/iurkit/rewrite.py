@@ -51,15 +51,20 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a == b or (a[0] < b[1] and b[0] < a[1])
 
 
-def decode_labels(grid, theta: float) -> EditMatrix:
-    """Threshold one score grid into an edit matrix (label 1 iff s >= theta).
-    Substitute labels on the sentinel column are discarded: the matrix
-    invariant reserves that column for Pre-Insert."""
+def _threshold(grid, theta: float) -> np.ndarray:
+    """Label 1 iff s >= theta. Substitute labels on the sentinel column are
+    discarded: the matrix invariant reserves that column for Pre-Insert."""
     labels = np.asarray(grid.values) >= theta
     if grid.op is EditOp.SUBSTITUTE:
         labels[:, -1:] = False
-    empty = np.zeros(labels.shape, dtype=bool)
-    return EditMatrix({op: labels if op is grid.op else empty for op in EditOp})
+    return labels
+
+
+def decode_labels(grid, theta: float) -> EditMatrix:
+    """Threshold one score grid into an edit matrix of its operation."""
+    labels = _threshold(grid, theta)
+    return EditMatrix({op: labels if op is grid.op else np.zeros_like(labels)
+                       for op in EditOp})
 
 
 def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
@@ -126,14 +131,14 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
         out.extend(input.tokens[s.source_rows[0]:s.source_rows[1]])
         j = s.cols[1]
     out.extend(words[j:])
-    return Utterance.from_texts(out, incomplete.speaker_turn)
+    return Utterance(tuple(out), incomplete.speaker_turn)
 
 
 def decode(grids, input: InputSequence, incomplete: Utterance, theta: float
            ) -> tuple[EditMatrix, list[EditSpan], Utterance]:
-    """Score grids (op -> ScoreGrid) to the labeled matrix, the surviving
-    edit spans and the rewritten utterance."""
-    matrix = merge_matrices([decode_labels(g, theta) for g in grids.values()])
+    """Score grids (op -> ScoreGrid, one per operation) to the labeled
+    matrix, the surviving edit spans and the rewritten utterance."""
+    matrix = EditMatrix({op: _threshold(grids[op], theta) for op in EditOp})
     spans = resolve_conflicts(cells_to_spans(matrix, grids))
     return matrix, spans, apply_edits(incomplete, spans, input)
 

@@ -35,8 +35,8 @@ MODE_TRAINABLE = "trainable"
 MODE_IMPORTED = "imported"
 
 
-class TrainingDiverged(RuntimeError):
-    pass
+class TrainingDiverged(ValueError):
+    """The loss became non-finite: a hyperparameter problem, not a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -607,25 +607,32 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
     if not (isinstance(words, list) and all(isinstance(t, str) for t in words)):
         raise ValueError(f"{path}: vocab must be a list of strings")
     vocab = {t: i for i, t in enumerate(words)}
-    d_model = _count(header["d_model"], path, "d_model")
+    d = _count(header["d_model"], path, "d_model")
+    d_out = _count(header.get("d_out"), path, "d_out")
 
-    def tensor(name: str) -> np.ndarray:
+    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{list(tensors[name].shape)}, expected {list(shape)}")
         return tensors[name]
 
     if header["mode"] == MODE_TRAINABLE:
-        embedding = tensor("emb")
+        embedding = tensor("emb", (len(vocab), d))
     else:
-        embedding = np.zeros((len(vocab), d_model))
+        embedding = np.zeros((len(vocab), d))
     mix = None
     if header["has_mixer"]:
-        mix = MixerParams(**{n: tensor(f"mixer.{n}")
-                             for n in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")})
+        d_ff = _count(header.get("d_ff"), path, "d_ff")
+        shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+                  "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d), "b2": (d,)}
+        mix = MixerParams(**{n: tensor(f"mixer.{n}", s) for n, s in shapes.items()})
     per_op = {}
+    shapes = {"wq": (d_out, d), "bq": (d_out,), "wk": (d_out, d), "bk": (d_out,)}
     for op in (EditOp.PRE_INSERT, EditOp.SUBSTITUTE):
-        per_op[op] = OpHead(**{n: tensor(f"head.{op.value}.{n}")
-                               for n in ("wq", "bq", "wk", "bk")})
+        per_op[op] = OpHead(**{n: tensor(f"head.{op.value}.{n}", s)
+                               for n, s in shapes.items()})
     enc = EncoderParams(vocab=vocab, embedding=embedding, mixer=mix, mode=header["mode"])
     # older version-1 headers also carry "heads", which never changed the model
     model = ModelParams(encoder=enc, head=HeadParams(per_op))
@@ -637,8 +644,10 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         opt_state = AdamState(step=_count(opt.get("step"), path, "optimizer step"),
                               epochs_done=_count(opt.get("epochs_done", 0), path,
                                                  "optimizer epochs_done"),
-                              m={n: tensor(f"adam.m.{n}") for n, _ in params_items(model)},
-                              v={n: tensor(f"adam.v.{n}") for n, _ in params_items(model)})
+                              m={n: tensor(f"adam.m.{n}", a.shape)
+                                 for n, a in params_items(model)},
+                              v={n: tensor(f"adam.v.{n}", a.shape)
+                                 for n, a in params_items(model)})
     return model, opt_state
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iurkit.datamodel import Dialogue, Role, Utterance
+from iurkit.datamodel import Dialogue, Utterance
 from iurkit.querygen import DependencyParse
 
 PRONOUNS = ["he", "she", "it", "they", "this", "that"]
@@ -29,8 +29,8 @@ class SyntheticExample:
     kind: str               # "coref" | "ellipsis"
 
 
-def _utt(words, turn, role=Role.INCOMPLETE):
-    return Utterance.from_texts(list(words), turn, role)
+def _utt(words, turn):
+    return Utterance.from_texts(list(words), turn)
 
 
 def make_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
@@ -44,9 +44,9 @@ def make_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
     filler = rest
 
     h1 = filler[:2] + span + filler[2:4]
-    history = [_utt(h1, 0, Role.HISTORY)]
+    history = [_utt(h1, 0)]
     if rng.random() < 0.5:
-        history.append(_utt(filler[4:8] or filler[:1], 1, Role.HISTORY))
+        history.append(_utt(filler[4:8] or filler[:1], 1))
     rewritten = pre + span + post
 
     kind = "coref" if rng.random() < 0.5 else "ellipsis"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -319,8 +320,15 @@ def test_bad_config_value_is_user_error(key, value, corpus_dir, tmp_path, capsys
     assert str(cfg) in err and repr(key) in err
 
 
+def _reshape(name, new_shape):
+    """A header edit that gives tensor ``name`` the shape ``new_shape(shape)``."""
+    return lambda h: {**h, "tensors": [[n, new_shape(s) if n == name else s]
+                                       for n, s in h["tensors"]]}
+
+
 class TestStrictHeaders:
-    """A malformed model or sidecar header is a user error naming the file."""
+    """A malformed model or sidecar header, or a tensor whose shape does not
+    fit its role, is a user error naming the file."""
 
     @pytest.mark.parametrize("edit, keep_tensors, message", [
         (lambda h: [h], True, "header is not a JSON object"),
@@ -337,9 +345,16 @@ class TestStrictHeaders:
         (lambda h: {**h, "d_model": -8}, True, "d_model must be a non-negative integer"),
         (lambda h: {**h, "vocab": {"a": 0}}, True, "vocab must be a list of strings"),
         (lambda h: {**h, "optimizer": {}}, True, "optimizer step must be"),
+        (_reshape("emb", lambda s: [math.prod(s)]), True, "tensor 'emb' has shape"),
+        (lambda h: {**h, "vocab": h["vocab"][:-1]}, True, "tensor 'emb' has shape"),
+        (_reshape("head.S.wq", lambda s: s[::-1]), True,
+         "tensor 'head.S.wq' has shape [8, 4], expected [4, 8]"),
+        (_reshape("adam.m.head.I.wk", lambda s: s[::-1]), True,
+         "tensor 'adam.m.head.I.wk' has shape [8, 4], expected [4, 8]"),
     ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
             "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
-            "optimizer-step"])
+            "optimizer-step", "1d-emb", "emb-rows-vs-vocab", "swapped-head-wq",
+            "swapped-adam-moment"])
     def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
                                     trained, tmp_path, capsys):
         header, tensors = trained.read_bytes().split(b"\n", 1)
@@ -368,6 +383,27 @@ class TestStrictHeaders:
                      "--vectors", str(vectors)]) == 1
         err = capsys.readouterr().err
         assert f"{vectors}: {message}" in err
+
+
+class TestFlagValidation:
+    """Flags go through the same validation as config-file values."""
+
+    @pytest.mark.parametrize("command", [["rewrite"], ["inspect-matrix", "0"]])
+    def test_nan_theta_flag_is_user_error(self, command, corpus_dir, trained, capsys):
+        assert main([*command, "--config", str(corpus_dir / "config.ini"),
+                     "--theta", "nan"]) == 1
+        assert "config key 'theta': expected a finite float, got 'nan'" in \
+            capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_is_user_error(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text()
+                   + f"model = {tmp_path / 'm.bin'}\nlr = 1e30\nbatch_size = 2\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "error: epoch 0, batch 3: non-finite loss on example '0'" in \
+        capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -1,21 +1,19 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from iurkit.datamodel import (DataFormat, Dialogue, Role, Token, TokenizeMode,
+from iurkit.datamodel import (MODE_BY_LANG, DataFormat, Dialogue, TokenizeMode,
                               Utterance, build_input_sequence, load_dialogues,
                               tokenize)
 from iurkit.querygen import PronounLexicon, build_query
 
 
-def texts(tokens):
-    return [t.text for t in tokens]
-
-
 class TestTokenize:
     def test_cjk_char_per_codepoint(self):
-        assert texts(tokenize("他不关心", TokenizeMode.CHAR_CJK)) == ["他", "不", "关", "心"]
+        assert tokenize("他不关心", TokenizeMode.CHAR_CJK) == ["他", "不", "关", "心"]
 
     def test_empty(self):
         assert tokenize("", TokenizeMode.CHAR_CJK) == []
@@ -23,33 +21,25 @@ class TestTokenize:
 
     def test_whitespace_punct(self):
         # frozen from hand application of the splitting rule
-        assert texts(tokenize("Who is she?", TokenizeMode.WHITESPACE_PUNCT)) == \
+        assert tokenize("Who is she?", TokenizeMode.WHITESPACE_PUNCT) == \
             ["Who", "is", "she", "?"]
 
     def test_cjk_groups_latin_runs(self):
-        assert texts(tokenize("考IELTS口语", TokenizeMode.CHAR_CJK)) == \
+        assert tokenize("考IELTS口语", TokenizeMode.CHAR_CJK) == \
             ["考", "IELTS", "口", "语"]
-
-    def test_positions_consecutive(self):
-        toks = tokenize("a b c", TokenizeMode.WHITESPACE_PUNCT)
-        assert [t.position for t in toks] == [0, 1, 2]
 
     @given(st.text(alphabet="ab 汉字，。x3", max_size=30),
            st.sampled_from(list(TokenizeMode)))
     def test_idempotent_on_token_texts(self, s, mode):
-        once = texts(tokenize(s, mode))
-        again = texts(tokenize(" ".join(once), mode))
+        once = tokenize(s, mode)
+        again = tokenize(" ".join(once), mode)
         assert once == again
 
 
 class TestTokenInvariants:
     def test_rejects_empty_text(self):
         with pytest.raises(ValueError):
-            Token("", 0)
-
-    def test_rejects_negative_position(self):
-        with pytest.raises(ValueError):
-            Token("x", -1)
+            Utterance(("",))
 
 
 class TestLoadDialogues:
@@ -93,13 +83,31 @@ class TestLoadDialogues:
         (d,) = load_dialogues(p, DataFormat.CANONICAL_JSONL)
         assert d.incomplete.texts() == ["你", "好"]
 
+    @given(st.lists(st.fixed_dictionaries(
+        {"history": st.lists(st.text(alphabet="ab 汉字，。x3?", max_size=12), max_size=3),
+         "incomplete": st.text(alphabet="ab 汉字，。x3?", max_size=12),
+         "rewritten": st.text(alphabet="ab 汉字，。x3?", max_size=12),
+         "lang": st.sampled_from(["zh", "en"])}), max_size=4))
+    def test_utterances_hold_tokenized_texts(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "d.jsonl"
+            p.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            dialogues = load_dialogues(p, DataFormat.CANONICAL_JSONL)
+        assert len(dialogues) == len(records)
+        for d, rec in zip(dialogues, records):
+            mode = MODE_BY_LANG[rec["lang"]]
+            fields = [*rec["history"], rec["incomplete"], rec["rewritten"]]
+            utts = [*d.history, d.incomplete, d.rewritten]
+            for u, field in zip(utts, fields, strict=True):
+                assert u.tokens == tuple(tokenize(field, mode))
+                assert all(type(t) is str for t in u.tokens)
+
 
 WORD = st.text(alphabet="ab汉[]", min_size=1, max_size=3)
 
 
 def _dlg(history_texts, inc_texts, rew_texts=None):
-    hist = tuple(Utterance.from_texts(h, i, Role.HISTORY)
-                 for i, h in enumerate(history_texts))
+    hist = tuple(Utterance.from_texts(h, i) for i, h in enumerate(history_texts))
     rew = Utterance.from_texts(rew_texts, len(hist)) if rew_texts else None
     return Dialogue(hist, Utterance.from_texts(inc_texts, len(hist)), rew)
 
@@ -107,7 +115,7 @@ def _dlg(history_texts, inc_texts, rew_texts=None):
 class TestBuildInputSequence:
     def test_length_bookkeeping(self):
         d = _dlg([["h"] * 3, ["h"] * 4], ["i"] * 4)
-        q = Utterance.from_texts(["q"] * 5, 0, Role.QUERY)
+        q = Utterance.from_texts(["q"] * 5, 0)
         seq = build_input_sequence(q, d)
         assert len(seq.tokens) == 17
         assert seq.sentinel_index == 16
@@ -117,15 +125,15 @@ class TestBuildInputSequence:
 
     def test_empty_history(self):
         d = _dlg([], ["a", "b"])
-        q = Utterance.from_texts(["q"], 0, Role.QUERY)
+        q = Utterance.from_texts(["q"], 0)
         seq = build_input_sequence(q, d)
         assert seq.history_range == (1, 1)
         assert seq.incomplete_range == (1, 3)
 
     def test_table1_incomplete_range_covers_7_tokens(self):
         mode = TokenizeMode.CHAR_CJK
-        h1 = Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", mode, 0, Role.HISTORY)
-        h2 = Utterance.from_text("史密斯关心菜肴的类型吗？", mode, 1, Role.HISTORY)
+        h1 = Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", mode, 0)
+        h2 = Utterance.from_text("史密斯关心菜肴的类型吗？", mode, 1)
         inc = Utterance.from_text("不，他不关心。", mode, 2)
         d = Dialogue((h1, h2), inc)
         q = build_query(inc, PronounLexicon.default("zh"), None, unify=True)
@@ -134,13 +142,13 @@ class TestBuildInputSequence:
 
     def test_preserves_texts_and_order(self):
         d = _dlg([["x", "y"]], ["a", "b"])
-        q = Utterance.from_texts(["p"], 0, Role.QUERY)
+        q = Utterance.from_texts(["p"], 0)
         seq = build_input_sequence(q, d)
         assert seq.texts() == ["p", "x", "y", "a", "b", "[END]"]
 
     def test_range_arithmetic(self):
         d = _dlg([["x"], ["y", "z"]], ["a"])
-        q = Utterance.from_texts(["p", "q"], 0, Role.QUERY)
+        q = Utterance.from_texts(["p", "q"], 0)
         seq = build_input_sequence(q, d)
         spans = [seq.query_range, seq.history_range, seq.incomplete_range]
         assert sum(b - a for a, b in spans) + 1 == len(seq.tokens)
@@ -150,7 +158,7 @@ class TestBuildInputSequence:
            st.lists(WORD, max_size=5))
     def test_concatenation_and_turn_intervals(self, query, history, incomplete):
         d = _dlg(history, incomplete)
-        seq = build_input_sequence(Utterance.from_texts(query, 0, Role.QUERY), d)
+        seq = build_input_sequence(Utterance.from_texts(query, 0), d)
         flat = [t for turn in history for t in turn]
         assert seq.texts() == query + flat + incomplete + ["[END]"]
         assert seq.query_range == (0, len(query))

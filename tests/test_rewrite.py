@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, Role, TokenizeMode, Utterance,
+from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
                               build_input_sequence)
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
 from iurkit.rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
-                            decode_labels, merge_matrices, resolve_conflicts,
-                            rewrite)
+                            decode, decode_labels, merge_matrices,
+                            resolve_conflicts, rewrite)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
                             score_all)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
@@ -21,8 +21,7 @@ EN = TokenizeMode.WHITESPACE_PUNCT
 
 
 def zh_dialogue(histories, inc, rew=None, eid="x"):
-    hs = tuple(Utterance.from_text(h, ZH, i, Role.HISTORY)
-               for i, h in enumerate(histories))
+    hs = tuple(Utterance.from_text(h, ZH, i) for i, h in enumerate(histories))
     n = len(hs)
     return Dialogue(hs, Utterance.from_text(inc, ZH, n),
                     Utterance.from_text(rew, ZH, n) if rew else None, eid)
@@ -84,6 +83,25 @@ class TestMergeMatrices:
         b = EditMatrix.from_cells(2, 2, frozenset({(1, 1, EditOp.PRE_INSERT)}))
         m = merge_matrices([a, b])
         assert m.cells == a.cells | b.cells
+
+
+class TestDecode:
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=60)
+    def test_one_matrix_equals_merged_labels(self, data, n_rows, n_cols):
+        # values equal to theta are labeled; Substitute scores on the
+        # sentinel (last) column are drawn like any other cell
+        theta = 0.1
+        value = st.one_of(st.just(theta), st.floats(-1, 1, allow_nan=False))
+        grids = {op: ScoreGrid(op, data.draw(st.lists(
+                     st.lists(value, min_size=n_cols, max_size=n_cols),
+                     min_size=n_rows, max_size=n_rows)))
+                 for op in EditOp}
+        dialogue = Dialogue((Utterance.from_texts(["h"] * (n_rows - 1)),),
+                            Utterance.from_texts(["i"] * (n_cols - 1), 1))
+        inp = build_input_sequence(Utterance.from_texts(["q"]), dialogue)
+        matrix, _, _ = decode(grids, inp, dialogue.incomplete, theta)
+        assert matrix == merge_matrices([decode_labels(g, theta) for g in grids.values()])
 
 
 def oracle_components(cells):

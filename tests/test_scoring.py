@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, Role, TokenizeMode, Utterance,
+from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
                               build_input_sequence)
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
@@ -46,8 +46,8 @@ def lengthen(ex, rng, turns=12, turn_len=16):
     d = ex.dialogue
     used = {t for u in (*d.history, d.incomplete, d.rewritten) for t in u.texts()}
     pool = [w for w in VOCAB if w not in used]
-    extra = tuple(Utterance.from_texts(list(rng.choice(pool, size=turn_len)), turn,
-                                       Role.HISTORY) for turn in range(turns))
+    extra = tuple(Utterance.from_texts(list(rng.choice(pool, size=turn_len)), turn)
+                  for turn in range(turns))
     history = extra + tuple(Utterance(u.tokens, u.speaker_turn + turns)
                             for u in d.history)
     n = len(history)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, Role, TokenizeMode, Utterance,
+from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
                               build_input_sequence)
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts
@@ -61,8 +61,7 @@ class TestLcsAlign:
 
 
 def zh_dialogue(histories, inc, rew=None, eid="x"):
-    hs = tuple(Utterance.from_text(h, ZH, i, Role.HISTORY)
-               for i, h in enumerate(histories))
+    hs = tuple(Utterance.from_text(h, ZH, i) for i, h in enumerate(histories))
     n = len(hs)
     return Dialogue(hs, Utterance.from_text(inc, ZH, n),
                     Utterance.from_text(rew, ZH, n) if rew else None, eid)

@@ -6,13 +6,12 @@ marker kinds can be rendered as a single unified [UNK] placeholder.
 """
 
 from iurkit import DependencyParse, PronounLexicon, build_query
-from iurkit.datamodel import TokenizeMode, Utterance
+from iurkit.datamodel import Utterance
 
-ZH = TokenizeMode.CHAR_CJK
 lexicon = PronounLexicon.default("zh")
 
 # pronoun present: "他" becomes a coreference slot
-inc = Utterance.from_text("不，他不关心。", ZH)
+inc = Utterance.from_text("不，他不关心。")
 q = build_query(inc, lexicon, parse=None, unify=False)
 print("coreference  :", " ".join(q.texts()))
 q = build_query(inc, lexicon, parse=None, unify=True)
@@ -20,7 +19,7 @@ print("unified      :", " ".join(q.texts()))
 
 # no pronoun: the parse says the subject is missing, so a marker is
 # prepended (a missing object would append one instead)
-inc = Utterance.from_text("考口语啊", ZH)
+inc = Utterance.from_text("考口语啊")
 parse = DependencyParse((0, 1, 1, 1), ("root", "obj", "dep", "dep"),
                         tuple(inc.texts()))
 q = build_query(inc, lexicon, parse, unify=False)

@@ -10,17 +10,15 @@ must reproduce the gold rewrite exactly.
 from iurkit import (PronounLexicon, apply_edits, build_edit_matrix,
                     build_input_sequence, build_query, cells_to_spans,
                     resolve_conflicts)
-from iurkit.datamodel import Dialogue, TokenizeMode, Utterance
-
-ZH = TokenizeMode.CHAR_CJK
+from iurkit.datamodel import Dialogue, Utterance
 
 history = (
-    Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", ZH, 0),
-    Utterance.from_text("史密斯关心菜肴的类型吗？", ZH, 1),
+    Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", speaker_turn=0),
+    Utterance.from_text("史密斯关心菜肴的类型吗？", speaker_turn=1),
 )
 dialogue = Dialogue(history,
-                    Utterance.from_text("不，他不关心。", ZH, 2),
-                    Utterance.from_text("不，史密斯不关心菜肴的类型。", ZH, 2),
+                    Utterance.from_text("不，他不关心。", speaker_turn=2),
+                    Utterance.from_text("不，史密斯不关心菜肴的类型。", speaker_turn=2),
                     "demo")
 
 query = build_query(dialogue.incomplete, PronounLexicon.default("zh"),

@@ -14,11 +14,10 @@ from synthetic import PRONOUNS, make_corpus
 
 from iurkit import (PronounLexicon, build_edit_matrix, build_input_sequence,
                     build_query, evaluate, rewrite)
-from iurkit.datamodel import TokenizeMode
 from iurkit.scoring import (TrainConfig, TrainExample, build_vocab, init_model,
                             train, train_em)
 
-lexicon = PronounLexicon.from_surface_forms(PRONOUNS, TokenizeMode.WHITESPACE_PUNCT)
+lexicon = PronounLexicon.from_surface_forms(PRONOUNS)
 
 examples = make_corpus(30, seed=0)
 dataset = []

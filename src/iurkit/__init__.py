@@ -6,9 +6,8 @@ threshold decoding into edit spans -> edit application -> BLEU/ROUGE/EM
 evaluation.
 """
 
-from .datamodel import (DataFormat, Dialogue, InputSequence, TokenizeMode,
-                        Utterance, build_input_sequence, load_dialogues,
-                        tokenize)
+from .datamodel import (DataFormat, Dialogue, InputSequence, Utterance,
+                        build_input_sequence, load_dialogues, tokenize)
 from .metrics import EvalResult, bleu, evaluate, exact_match, rouge_l, rouge_n
 from .querygen import (DependencyParse, KindSummary, MarkerKind,
                        PronounLexicon, QueryTemplate, build_query,

@@ -19,8 +19,8 @@ from typing import Optional
 
 import click
 
-from .datamodel import (DataFormat, Dialogue, TokenizeMode, Utterance,
-                        build_input_sequence, load_dialogues)
+from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
+                        load_dialogues)
 from .metrics import evaluate as evaluate_corpus
 from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
                        build_query, read_conllu)
@@ -47,7 +47,7 @@ class RunConfig:
     model: str = "model.iurkit"
     out: str = "out"
     format: str = "jsonl"  # jsonl | tsv
-    lang: str = "en"       # zh | en; picks tokenizer + default lexicon
+    lang: str = "en"       # zh | en; picks default lexicon + output separator
     d_model: int = 32
     d_head: int = 16
     mixer: bool = False
@@ -102,10 +102,6 @@ class RunConfig:
         setattr(self, key, value)
 
     @property
-    def tokenize_mode(self) -> TokenizeMode:
-        return TokenizeMode.CHAR_CJK if self.lang == "zh" else TokenizeMode.WHITESPACE_PUNCT
-
-    @property
     def data_format(self) -> DataFormat:
         return DataFormat.CANONICAL_JSONL if self.format == "jsonl" else DataFormat.TAB_SEPARATED
 
@@ -116,7 +112,7 @@ class RunConfig:
 
     def load_lexicon(self) -> PronounLexicon:
         if self.lexicon:
-            return PronounLexicon.from_file(self.lexicon, self.tokenize_mode)
+            return PronounLexicon.from_file(self.lexicon)
         return PronounLexicon.default(self.lang)
 
     def load_parses(self) -> list[DependencyParse]:
@@ -327,18 +323,15 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
 
 
 @cli.command("evaluate")
-@config_option
 @click.argument("hyp", type=click.Path(exists=True))
 @click.argument("ref", type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True, help="print JSON instead of a table")
-def cmd_evaluate(config_path, hyp, ref, as_json):
+def cmd_evaluate(hyp, ref, as_json):
     """Score a hypothesis file against a reference file (one utterance per line)."""
-    cfg = _load_config(config_path)
-    mode = cfg.tokenize_mode
 
     def read(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return [Utterance.from_text(line, mode) for line in lines]
+        return [Utterance.from_text(line) for line in lines]
 
     hyps, refs = read(hyp), read(ref)
     if len(hyps) != len(refs):

@@ -1,20 +1,17 @@
 """Core domain types: utterances, dialogues, and the model input sequence.
 
 All types are frozen dataclasses; once constructed they are safe to share
-across threads. Two tokenization modes are supported: character-level for
-CJK text (Latin/digit runs are kept whole) and whitespace+punctuation
-splitting for space-delimited languages.
+across threads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 END_TOKEN = "[END]"
 UNK_TOKEN = "[UNK]"
@@ -22,9 +19,10 @@ COREF_TOKEN = "[COREF]"
 ELLIP_TOKEN = "[ELLIP]"
 
 
-# Role and the ``role`` parameter of ``Utterance.from_texts`` are unused. They
-# stay only because bench/corpus.py passes them, and are removed in the
-# benchmark-only change that re-spells that file.
+# Role, TokenizeMode and the ``role`` and ``mode`` parameters of
+# ``Utterance.from_texts`` and ``Utterance.from_text`` are unused. They stay
+# only because bench/corpus.py and bench/run.py pass them, and are removed in
+# the benchmark-only change that re-spells those files.
 class Role(Enum):
     QUERY = "query"
     HISTORY = "history"
@@ -53,8 +51,9 @@ class Utterance:
         return cls(tuple(texts), speaker_turn)
 
     @classmethod
-    def from_text(cls, text: str, mode: TokenizeMode, speaker_turn: int = 0) -> "Utterance":
-        return cls(tuple(tokenize(text, mode)), speaker_turn)
+    def from_text(cls, text: str, mode: Optional[TokenizeMode] = None,
+                  speaker_turn: int = 0) -> "Utterance":
+        return cls(tuple(tokenize(text)), speaker_turn)
 
     def texts(self) -> list[str]:
         return list(self.tokens)
@@ -112,64 +111,17 @@ class InputSequence:
         return list(self.tokens)
 
 
-_LATIN_RUN = re.compile(r"[A-Za-z0-9À-ɏ]+")
 _WORD_SPLIT = re.compile(r"[A-Za-z0-9À-ɏ]+|[^\sA-Za-z0-9À-ɏ]")
 
 
-def _is_latin(ch: str) -> bool:
-    return bool(_LATIN_RUN.fullmatch(ch))
-
-
-def tokenize(text: str, mode: TokenizeMode) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Deterministic tokenization; empty text yields an empty list.
 
-    CHAR_CJK emits one token per non-Latin character (CJK ideographs,
-    fullwidth punctuation, ...) and keeps contiguous Latin/digit runs
-    whole. WHITESPACE_PUNCT splits on whitespace and detaches punctuation.
+    Contiguous Latin/digit runs stay whole; every other non-space character
+    (CJK ideographs, punctuation, ...) is a token of its own. The same rule
+    serves space-delimited and CJK text, so it needs no language.
     """
-    texts: list[str] = []
-    if mode is TokenizeMode.CHAR_CJK:
-        run: list[str] = []
-        for ch in text:
-            if ch.isspace():
-                if run:
-                    texts.append("".join(run))
-                    run = []
-            elif _is_latin(ch):
-                run.append(ch)
-            else:
-                if run:
-                    texts.append("".join(run))
-                    run = []
-                texts.append(ch)
-        if run:
-            texts.append("".join(run))
-    elif mode is TokenizeMode.WHITESPACE_PUNCT:
-        texts = _WORD_SPLIT.findall(text)
-    else:
-        raise ValueError(f"unknown tokenize mode: {mode}")
-    return texts
-
-
-def _has_cjk(text: str) -> bool:
-    return any("CJK" in unicodedata.name(ch, "") for ch in text)
-
-
-def infer_mode(texts: Iterable[str]) -> TokenizeMode:
-    """Guess the tokenize mode for a record lacking a language tag.
-
-    A record mixing CJK characters with whitespace-delimited Latin words is
-    ambiguous and raises, since the two modes disagree on it.
-    """
-    joined = " ".join(texts)
-    has_cjk = _has_cjk(joined)
-    has_latin_words = len(_LATIN_RUN.findall(joined)) > 1 and " " in joined.strip()
-    if has_cjk and has_latin_words:
-        raise ValueError("mixed-language record without a language field")
-    return TokenizeMode.CHAR_CJK if has_cjk else TokenizeMode.WHITESPACE_PUNCT
-
-
-MODE_BY_LANG = {"zh": TokenizeMode.CHAR_CJK, "en": TokenizeMode.WHITESPACE_PUNCT}
+    return _WORD_SPLIT.findall(text)
 
 
 class DataFormat(Enum):
@@ -181,9 +133,9 @@ def load_dialogues(path: str | Path, format: DataFormat) -> list[Dialogue]:
     """Read dialogues from a canonical-JSONL or TAB-separated file.
 
     JSONL records carry ``history`` (array of strings), ``incomplete``,
-    optional ``rewritten``, and ``lang`` ("zh" | "en"). TSV columns are
-    history..., incomplete, rewritten. Malformed records raise ValueError
-    naming the line number and field.
+    optional ``rewritten``, and optional ``lang`` ("zh" | "en"; validated,
+    not used). TSV columns are history..., incomplete, rewritten. Malformed
+    records raise ValueError naming the line number and field.
     """
     dialogues: list[Dialogue] = []
     with open(path, encoding="utf-8") as fh:
@@ -210,25 +162,15 @@ def _parse_jsonl_record(line: str, lineno: int) -> Dialogue:
             raise ValueError(f"line {lineno}: missing field '{fname}'")
         if not isinstance(rec[fname], ftype):
             raise ValueError(f"line {lineno}: field '{fname}' has wrong type")
-    texts = list(rec["history"]) + [rec["incomplete"]] + \
-        ([rec["rewritten"]] if rec.get("rewritten") is not None else [])
-    if "lang" in rec:
-        try:
-            mode = MODE_BY_LANG[rec["lang"]]
-        except KeyError:
-            raise ValueError(f"line {lineno}: field 'lang' must be 'zh' or 'en'") from None
-    else:
-        try:
-            mode = infer_mode(texts)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: field 'lang': {exc}") from exc
-    history = tuple(Utterance.from_text(t, mode, turn)
+    if "lang" in rec and rec["lang"] not in ("zh", "en"):
+        raise ValueError(f"line {lineno}: field 'lang' must be 'zh' or 'en'")
+    history = tuple(Utterance.from_text(t, speaker_turn=turn)
                     for turn, t in enumerate(rec["history"]))
     n = len(history)
-    incomplete = Utterance.from_text(rec["incomplete"], mode, n)
+    incomplete = Utterance.from_text(rec["incomplete"], speaker_turn=n)
     rewritten = None
     if rec.get("rewritten") is not None:
-        rewritten = Utterance.from_text(rec["rewritten"], mode, n)
+        rewritten = Utterance.from_text(rec["rewritten"], speaker_turn=n)
     return Dialogue(history, incomplete, rewritten,
                     example_id=str(rec.get("id", lineno - 1)))
 
@@ -237,17 +179,13 @@ def _parse_tsv_record(line: str, lineno: int) -> Dialogue:
     cols = line.split("\t")
     if len(cols) < 2:
         raise ValueError(f"line {lineno}: need at least incomplete and rewritten columns")
-    try:
-        mode = infer_mode(cols)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
     *hist, incomplete, rewritten = cols
-    history = tuple(Utterance.from_text(t, mode, turn)
+    history = tuple(Utterance.from_text(t, speaker_turn=turn)
                     for turn, t in enumerate(hist))
     n = len(history)
     return Dialogue(history,
-                    Utterance.from_text(incomplete, mode, n),
-                    Utterance.from_text(rewritten, mode, n),
+                    Utterance.from_text(incomplete, speaker_turn=n),
+                    Utterance.from_text(rewritten, speaker_turn=n),
                     example_id=str(lineno - 1))
 
 

@@ -52,24 +52,25 @@ class PronounLexicon:
             raise ValueError("lexicon entries must be non-empty token sequences")
 
     @classmethod
-    def from_surface_forms(cls, forms: Sequence[str], mode: TokenizeMode) -> "PronounLexicon":
-        entries = {tuple(tokenize(f, mode)) for f in forms if f.strip()}
+    def from_surface_forms(cls, forms: Sequence[str]) -> "PronounLexicon":
+        entries = {tuple(tokenize(f)) for f in forms if f.strip()}
         return cls(tuple(sorted(entries)))
 
     @classmethod
-    def from_file(cls, path: str | Path, mode: TokenizeMode) -> "PronounLexicon":
+    def from_file(cls, path: str | Path,
+                  mode: Optional[TokenizeMode] = None) -> "PronounLexicon":
+        """``mode`` is unused; see the note on ``datamodel.Role``."""
         forms = []
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.split("#", 1)[0].strip()
             if line:
                 forms.append(line)
-        return cls.from_surface_forms(forms, mode)
+        return cls.from_surface_forms(forms)
 
     @classmethod
     def default(cls, lang: str) -> "PronounLexicon":
         forms = DEFAULT_PRONOUNS_ZH if lang == "zh" else DEFAULT_PRONOUNS_EN
-        mode = TokenizeMode.CHAR_CJK if lang == "zh" else TokenizeMode.WHITESPACE_PUNCT
-        return cls.from_surface_forms(forms, mode)
+        return cls.from_surface_forms(forms)
 
     def longest_first(self) -> list[tuple[str, ...]]:
         return sorted(self.entries, key=lambda e: (-len(e), e))

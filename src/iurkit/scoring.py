@@ -492,12 +492,15 @@ def train_em(model: ModelParams, examples: Sequence[TrainExample],
     return hits / len(examples)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is reported below
 def train(dataset: Sequence[TrainExample], config: TrainConfig,
           model: ModelParams, dev: Optional[Sequence[TrainExample]] = None,
           start_epoch: int = 0, opt_state: Optional[AdamState] = None
           ) -> tuple[TrainingLog, AdamState]:
     """Adam over shuffled batches; shuffle order is keyed by (seed, epoch)
-    so a run resumed from a checkpoint retraces the uninterrupted one."""
+    so a run resumed from a checkpoint retraces the uninterrupted one.
+    Raises ``TrainingDiverged`` on a non-finite loss, or on a non-finite
+    tensor after an epoch's last update."""
     state = opt_state or AdamState.for_model(model)
     log = TrainingLog(start_epoch=start_epoch)
     for epoch in range(start_epoch, config.epochs):
@@ -515,6 +518,10 @@ def train(dataset: Sequence[TrainExample], config: TrainConfig,
             _adam_step(model, grads, state, config)
             epoch_loss += loss
             n_batches += 1
+        for name, a in _saved_tensors(model, state):
+            if not np.isfinite(a).all():
+                raise TrainingDiverged(f"epoch {epoch}, batch {n_batches - 1}: "
+                                       f"tensor {name!r} is non-finite after the update")
         log.epoch_losses.append(epoch_loss / max(n_batches, 1))
         state.epochs_done = epoch + 1
         if dev:
@@ -526,15 +533,22 @@ def train(dataset: Sequence[TrainExample], config: TrainConfig,
 # persistence
 
 
-def save_model(path: str | Path, model: ModelParams,
-               opt_state: Optional[AdamState] = None) -> None:
-    """Versioned JSON header line + float32 little-endian tensors in the
-    order declared by the header."""
-    items = list(params_items(model))
+def _saved_tensors(model: ModelParams, opt_state: Optional[AdamState]
+                   ) -> list[tuple[str, np.ndarray]]:
+    """The parameters, then each one's Adam moments, as a model file holds them."""
+    items = params_items(model)
     if opt_state is not None:
         for n, _ in list(items):
             items.append((f"adam.m.{n}", opt_state.m[n]))
             items.append((f"adam.v.{n}", opt_state.v[n]))
+    return items
+
+
+def save_model(path: str | Path, model: ModelParams,
+               opt_state: Optional[AdamState] = None) -> None:
+    """Versioned JSON header line + float32 little-endian tensors in the
+    order declared by the header."""
+    items = _saved_tensors(model, opt_state)
     vocab_list = [t for t, _ in sorted(model.encoder.vocab.items(), key=lambda kv: kv[1])]
     mix = model.encoder.mixer
     header = {
@@ -600,6 +614,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
             if size > _bytes_left(fh):
                 raise ValueError(f"{path}: truncated tensor {name}")
             data = np.frombuffer(fh.read(size), dtype="<f4")
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: tensor {name!r} is not finite")
             tensors[name] = data.astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last tensor")

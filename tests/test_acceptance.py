@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from iurkit.cli import main
-from iurkit.datamodel import TokenizeMode, Utterance, build_input_sequence
+from iurkit.datamodel import Utterance, build_input_sequence
 from iurkit.metrics import bleu, evaluate
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts, rewrite
@@ -21,7 +21,7 @@ from iurkit.scoring import (ScoreGrid, TrainConfig, TrainExample, build_vocab,
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix, lcs_align
 from synthetic import PRONOUNS, make_corpus, write_corpus_files
 
-EN_LEX = PronounLexicon.from_surface_forms(PRONOUNS, TokenizeMode.WHITESPACE_PUNCT)
+EN_LEX = PronounLexicon.from_surface_forms(PRONOUNS)
 
 
 def report(num, name, ok):

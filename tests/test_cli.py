@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import pytest
 
@@ -366,6 +367,22 @@ class TestStrictHeaders:
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err
 
+    @pytest.mark.parametrize("name", ["emb", "head.S.wq", "adam.v.head.I.bk"])
+    def test_non_finite_tensor_names_file_and_tensor(self, name, corpus_dir, trained,
+                                                     tmp_path, capsys):
+        header, tensors = trained.read_bytes().split(b"\n", 1)
+        offset = 0
+        for n, shape in json.loads(header)["tensors"]:
+            if n == name:
+                break
+            offset += 4 * math.prod(shape)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(header + b"\n" + tensors[:offset] + struct.pack("<f", math.nan)
+                        + tensors[offset + 4:])
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--model", str(bad)]) == 1
+        assert f"{bad}: tensor {name!r} is not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header, message", [
         (b"not json", "header is not JSON"),
         (b"[]", "header is not a JSON object"),
@@ -396,7 +413,6 @@ class TestFlagValidation:
             capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_is_user_error(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "diverge.ini"
     cfg.write_text((corpus_dir / "config.ini").read_text()
@@ -404,6 +420,22 @@ def test_diverging_training_is_user_error(corpus_dir, tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 1
     assert "error: epoch 0, batch 3: non-finite loss on example '0'" in \
         capsys.readouterr().err
+
+
+def test_divergence_in_the_last_update_saves_no_model(tmp_path, capsys):
+    """One batch, one epoch: no later loss sees the non-finite parameters."""
+    write_corpus_files(make_corpus(16, seed=21), tmp_path / "data.jsonl",
+                       tmp_path / "parses.conllu", tmp_path / "lexicon.txt")
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(f"data = {tmp_path / 'data.jsonl'}\n"
+                   f"lexicon = {tmp_path / 'lexicon.txt'}\n"
+                   f"parses = {tmp_path / 'parses.conllu'}\n"
+                   f"model = {tmp_path / 'm.bin'}\n"
+                   "d_model = 8\nd_head = 4\nlr = 1e39\nbatch_size = 16\nepochs = 1\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "error: epoch 0, batch 0: tensor 'emb' is non-finite after the update" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 class TestExitCodes:

@@ -1,39 +1,59 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from iurkit.datamodel import (MODE_BY_LANG, DataFormat, Dialogue, TokenizeMode,
-                              Utterance, build_input_sequence, load_dialogues,
-                              tokenize)
+from iurkit.datamodel import (DataFormat, Dialogue, Utterance,
+                              build_input_sequence, load_dialogues, tokenize)
 from iurkit.querygen import PronounLexicon, build_query
+
+
+def char_loop_tokenize(text):
+    """Reference: one character at a time, whitespace ends a Latin/digit
+    run, every other character is a token of its own."""
+    texts, run = [], []
+    for ch in text:
+        if ch.isspace():
+            if run:
+                texts.append("".join(run))
+                run = []
+        elif re.fullmatch(r"[A-Za-z0-9À-ɏ]", ch):
+            run.append(ch)
+        else:
+            if run:
+                texts.append("".join(run))
+                run = []
+            texts.append(ch)
+    if run:
+        texts.append("".join(run))
+    return texts
 
 
 class TestTokenize:
     def test_cjk_char_per_codepoint(self):
-        assert tokenize("他不关心", TokenizeMode.CHAR_CJK) == ["他", "不", "关", "心"]
+        assert tokenize("他不关心") == ["他", "不", "关", "心"]
 
     def test_empty(self):
-        assert tokenize("", TokenizeMode.CHAR_CJK) == []
-        assert tokenize("", TokenizeMode.WHITESPACE_PUNCT) == []
+        assert tokenize("") == []
 
     def test_whitespace_punct(self):
         # frozen from hand application of the splitting rule
-        assert tokenize("Who is she?", TokenizeMode.WHITESPACE_PUNCT) == \
-            ["Who", "is", "she", "?"]
+        assert tokenize("Who is she?") == ["Who", "is", "she", "?"]
 
     def test_cjk_groups_latin_runs(self):
-        assert tokenize("考IELTS口语", TokenizeMode.CHAR_CJK) == \
-            ["考", "IELTS", "口", "语"]
+        assert tokenize("考IELTS口语") == ["考", "IELTS", "口", "语"]
 
-    @given(st.text(alphabet="ab 汉字，。x3", max_size=30),
-           st.sampled_from(list(TokenizeMode)))
-    def test_idempotent_on_token_texts(self, s, mode):
-        once = tokenize(s, mode)
-        again = tokenize(" ".join(once), mode)
-        assert once == again
+    @given(st.text(alphabet="ab 汉字，。x3", max_size=30))
+    def test_idempotent_on_token_texts(self, s):
+        once = tokenize(s)
+        assert tokenize(" ".join(once)) == once
+
+    @given(st.text())
+    def test_matches_char_loop_reference(self, s):
+        assert tokenize(s) == char_loop_tokenize(s)
 
 
 class TestTokenInvariants:
@@ -70,11 +90,21 @@ class TestLoadDialogues:
         with pytest.raises(ValueError, match="line 2.*incomplete"):
             load_dialogues(p, DataFormat.CANONICAL_JSONL)
 
-    def test_mixed_language_without_lang_errors(self, tmp_path):
+    def test_mixed_language_loads_as_either_lang(self, tmp_path):
+        record = {"history": ["hello there 世界"], "incomplete": "ok then"}
         p = tmp_path / "d.jsonl"
-        p.write_text(json.dumps({"history": ["hello there 世界"],
-                                 "incomplete": "ok then"}) + "\n")
-        with pytest.raises(ValueError, match="lang"):
+        p.write_text("".join(json.dumps({**record, **lang}) + "\n"
+                             for lang in ({}, {"lang": "zh"}, {"lang": "en"})))
+        loaded = [[u.tokens for u in (*d.history, d.incomplete)]
+                  for d in load_dialogues(p, DataFormat.CANONICAL_JSONL)]
+        assert loaded[0] == [("hello", "there", "世", "界"), ("ok", "then")]
+        assert loaded[0] == loaded[1] == loaded[2]
+
+    @pytest.mark.parametrize("lang", [[], {}, 1, "fr"], ids=["list", "map", "int", "fr"])
+    def test_bad_lang_names_line(self, tmp_path, lang):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"history": [], "incomplete": "B", "lang": lang}) + "\n")
+        with pytest.raises(ValueError, match="line 1: field 'lang' must be 'zh' or 'en'"):
             load_dialogues(p, DataFormat.CANONICAL_JSONL)
 
     def test_lang_field_selects_mode(self, tmp_path):
@@ -95,11 +125,10 @@ class TestLoadDialogues:
             dialogues = load_dialogues(p, DataFormat.CANONICAL_JSONL)
         assert len(dialogues) == len(records)
         for d, rec in zip(dialogues, records):
-            mode = MODE_BY_LANG[rec["lang"]]
             fields = [*rec["history"], rec["incomplete"], rec["rewritten"]]
             utts = [*d.history, d.incomplete, d.rewritten]
             for u, field in zip(utts, fields, strict=True):
-                assert u.tokens == tuple(tokenize(field, mode))
+                assert u.tokens == tuple(tokenize(field))
                 assert all(type(t) is str for t in u.tokens)
 
 
@@ -131,10 +160,9 @@ class TestBuildInputSequence:
         assert seq.incomplete_range == (1, 3)
 
     def test_table1_incomplete_range_covers_7_tokens(self):
-        mode = TokenizeMode.CHAR_CJK
-        h1 = Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", mode, 0)
-        h2 = Utterance.from_text("史密斯关心菜肴的类型吗？", mode, 1)
-        inc = Utterance.from_text("不，他不关心。", mode, 2)
+        h1 = Utterance.from_text("史密斯需要在附近找一家昂贵的餐馆。", speaker_turn=0)
+        h2 = Utterance.from_text("史密斯关心菜肴的类型吗？", speaker_turn=1)
+        inc = Utterance.from_text("不，他不关心。", speaker_turn=2)
         d = Dialogue((h1, h2), inc)
         q = build_query(inc, PronounLexicon.default("zh"), None, unify=True)
         seq = build_input_sequence(q, d)

@@ -3,17 +3,14 @@ from typing import Sequence
 
 import pytest
 
-from iurkit.datamodel import TokenizeMode, Utterance
+from iurkit.datamodel import Utterance
 from iurkit.querygen import (DependencyParse, KindSummary, MarkerKind,
                              PronounLexicon, build_query, coref_from_gold,
                              detect_ellipsis, match_coref, read_conllu)
 
-ZH = TokenizeMode.CHAR_CJK
-EN = TokenizeMode.WHITESPACE_PUNCT
 
-
-def utt(text, mode=ZH):
-    return Utterance.from_text(text, mode)
+def utt(text):
+    return Utterance.from_text(text)
 
 
 @pytest.fixture
@@ -29,11 +26,11 @@ class TestLexicon:
     def test_from_file_with_comments(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("# pronouns\n他\n她  # she\n\n", encoding="utf-8")
-        lex = PronounLexicon.from_file(p, ZH)
+        lex = PronounLexicon.from_file(p)
         assert ("他",) in lex.entries and ("她",) in lex.entries
 
     def test_longest_first(self):
-        lex = PronounLexicon.from_surface_forms(["这", "这样"], ZH)
+        lex = PronounLexicon.from_surface_forms(["这", "这样"])
         assert lex.longest_first()[0] == ("这", "样")
 
 
@@ -47,13 +44,13 @@ class TestMatchCoref:
         assert match_coref(utt("李明曾经是"), zh_lexicon) is None
 
     def test_multiple_matches_left_to_right(self):
-        lex = PronounLexicon.from_surface_forms(["她"], ZH)
+        lex = PronounLexicon.from_surface_forms(["她"])
         q = match_coref(utt("她说她来"), lex)
         assert q.texts() == ["[COREF]", "说", "[COREF]", "来"]
         assert [p for p, _ in q.markers] == [0, 2]
 
     def test_longest_entry_wins(self):
-        lex = PronounLexicon.from_surface_forms(["这", "这样"], ZH)
+        lex = PronounLexicon.from_surface_forms(["这", "这样"])
         q = match_coref(utt("这样好"), lex)
         assert q.texts() == ["[COREF]", "好"]
 
@@ -219,7 +216,7 @@ def heuristic_parse(incomplete: Utterance, verbs: Sequence[str]) -> DependencyPa
 
 class TestHeuristicParse:
     def test_sv_structure(self):
-        inc = Utterance.from_text("Li was", EN)
+        inc = Utterance.from_text("Li was")
         parse = heuristic_parse(inc, ["was", "is"])
         assert "nsubj" in parse.deprels
         assert "obj" not in parse.deprels

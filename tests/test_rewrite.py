@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
-                              build_input_sequence)
+from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
 from iurkit.rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
                             decode, decode_labels, merge_matrices,
@@ -16,15 +15,11 @@ from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, make_corpus
 
-ZH = TokenizeMode.CHAR_CJK
-EN = TokenizeMode.WHITESPACE_PUNCT
-
-
 def zh_dialogue(histories, inc, rew=None, eid="x"):
-    hs = tuple(Utterance.from_text(h, ZH, i) for i, h in enumerate(histories))
+    hs = tuple(Utterance.from_text(h, speaker_turn=i) for i, h in enumerate(histories))
     n = len(hs)
-    return Dialogue(hs, Utterance.from_text(inc, ZH, n),
-                    Utterance.from_text(rew, ZH, n) if rew else None, eid)
+    return Dialogue(hs, Utterance.from_text(inc, speaker_turn=n),
+                    Utterance.from_text(rew, speaker_turn=n) if rew else None, eid)
 
 
 def flat_parse(utterance):
@@ -364,7 +359,7 @@ class TestRewritePipeline:
     def test_supervision_round_trip_corpus(self):
         # gold matrices decoded back through the span machinery must
         # reproduce every synthetic rewritten utterance
-        lex = PronounLexicon.from_surface_forms(PRONOUNS, EN)
+        lex = PronounLexicon.from_surface_forms(PRONOUNS)
         for ex in make_corpus(40, seed=2):
             q = build_query(ex.dialogue.incomplete, lex, ex.parse, unify=True)
             inp = build_input_sequence(q, ex.dialogue)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
-                              build_input_sequence)
+from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, OpHead, ScoreGrid, TrainConfig,
@@ -19,12 +18,9 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, VOCAB, make_corpus
 
-EN = TokenizeMode.WHITESPACE_PUNCT
-
-
 @pytest.fixture(scope="module")
 def en_lexicon():
-    return PronounLexicon.from_surface_forms(PRONOUNS, EN)
+    return PronounLexicon.from_surface_forms(PRONOUNS)
 
 
 def prepare(ex, lexicon):

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import (Dialogue, TokenizeMode, Utterance,
-                              build_input_sequence)
+from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts
 from iurkit.supervision import (AddedSpan, EditMatrix, EditOp,
                                 build_edit_matrix, diff_spans, lcs_align,
                                 locate_in_context)
-
-ZH = TokenizeMode.CHAR_CJK
-
 
 def brute_force_lcs_len(a, b):
     """Exhaustive enumeration over all subsequences of the shorter sequence."""
@@ -61,10 +57,10 @@ class TestLcsAlign:
 
 
 def zh_dialogue(histories, inc, rew=None, eid="x"):
-    hs = tuple(Utterance.from_text(h, ZH, i) for i, h in enumerate(histories))
+    hs = tuple(Utterance.from_text(h, speaker_turn=i) for i, h in enumerate(histories))
     n = len(hs)
-    return Dialogue(hs, Utterance.from_text(inc, ZH, n),
-                    Utterance.from_text(rew, ZH, n) if rew else None, eid)
+    return Dialogue(hs, Utterance.from_text(inc, speaker_turn=n),
+                    Utterance.from_text(rew, speaker_turn=n) if rew else None, eid)
 
 
 @pytest.fixture
@@ -101,28 +97,28 @@ class TestDiffSpans:
         assert list(ins.tokens) == ["菜", "肴", "的", "类", "型"]
 
     def test_identical_no_spans(self):
-        u = Utterance.from_text("考口语啊", ZH)
+        u = Utterance.from_text("考口语啊")
         spans, deletions = diff_spans(u, u, lcs_align(u.texts(), u.texts()))
         assert spans == [] and deletions == []
 
     def test_table9_example2_front_insert(self):
-        inc = Utterance.from_text("考口语啊", ZH)
-        rew = Utterance.from_text("雅思第一项考口语啊", ZH)
+        inc = Utterance.from_text("考口语啊")
+        rew = Utterance.from_text("雅思第一项考口语啊")
         spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         (span,) = spans
         assert span.cols == (0, 0)
         assert list(span.tokens) == ["雅", "思", "第", "一", "项"]
 
     def test_end_insert_goes_to_sentinel(self):
-        inc = Utterance.from_text("不想保留", ZH)
-        rew = Utterance.from_text("不想保留意见", ZH)
+        inc = Utterance.from_text("不想保留")
+        rew = Utterance.from_text("不想保留意见")
         spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
         (span,) = spans
         assert span.cols == (4, 4)  # sentinel column
 
     def test_pure_deletion_reported(self):
-        inc = Utterance.from_text("abc", TokenizeMode.WHITESPACE_PUNCT)
-        rew = Utterance.from_text("ac", TokenizeMode.WHITESPACE_PUNCT)
+        inc = Utterance.from_text("abc")
+        rew = Utterance.from_text("ac")
         inc = Utterance.from_texts(["a", "b", "c"])
         rew = Utterance.from_texts(["a", "c"])
         spans, deletions = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))

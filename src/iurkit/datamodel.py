@@ -157,11 +157,17 @@ def _parse_jsonl_record(line: str, lineno: int) -> Dialogue:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
+    if not isinstance(rec, dict):
+        raise ValueError(f"line {lineno}: record is not an object")
     for fname, ftype in (("history", list), ("incomplete", str)):
         if fname not in rec:
             raise ValueError(f"line {lineno}: missing field '{fname}'")
         if not isinstance(rec[fname], ftype):
             raise ValueError(f"line {lineno}: field '{fname}' has wrong type")
+    if not all(isinstance(t, str) for t in rec["history"]):
+        raise ValueError(f"line {lineno}: field 'history' must hold strings")
+    if not isinstance(rec.get("rewritten"), (str, type(None))):
+        raise ValueError(f"line {lineno}: field 'rewritten' has wrong type")
     if "lang" in rec and rec["lang"] not in ("zh", "en"):
         raise ValueError(f"line {lineno}: field 'lang' must be 'zh' or 'en'")
     history = tuple(Utterance.from_text(t, speaker_turn=turn)

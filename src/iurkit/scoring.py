@@ -227,24 +227,61 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # forward pieces
 
 
+# Rotary factors for positions 0..n-1, one table per rotary width, shared by
+# every ``_forward``/``_backward`` call and grown by doubling.
+_ROPE_FIRST_ROWS = 64
+_rope_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _rope_factors(pos, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of pos * omega_m, each repeated over pair m (full width)."""
+    omega = 10000.0 ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.multiply.outer(np.asarray(pos, dtype=np.float64), omega)
+    return np.repeat(np.cos(ang), 2, axis=-1), np.repeat(np.sin(ang), 2, axis=-1)
+
+
+def _build_rope_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    cos, sin = _rope_factors(np.arange(n), d)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def _rope_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached factors of width ``d`` for at least positions 0..n-1."""
+    table = _rope_tables.get(d)
+    if table is None or len(table[0]) < n:
+        rows = len(table[0]) if table is not None else _ROPE_FIRST_ROWS
+        while rows < n:
+            rows *= 2
+        table = _rope_tables[d] = _build_rope_table(d, rows)
+    return table
+
+
+def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+            inverse: bool = False) -> np.ndarray:
+    """v * cos + swap(v) * sin, where swap maps each pair (e, o) to (-o, e);
+    the inverse rotation subtracts. Per pair this is (e cos - o sin,
+    o cos + e sin) bit for bit, since -(o sin) is exact."""
+    out = np.empty_like(v)
+    np.negative(v[..., 1::2], out=out[..., 0::2])
+    out[..., 1::2] = v[..., 0::2]
+    out *= sin
+    return v * cos - out if inverse else v * cos + out
+
+
 def rope_rotate(v: np.ndarray, pos) -> np.ndarray:
     """Rotate consecutive pairs (2m, 2m+1) by angle pos * 10000^(-2m/d).
 
     ``pos`` may be a scalar or an array matching the leading shape of ``v``;
-    negative positions undo the corresponding forward rotation.
+    negative positions undo the corresponding forward rotation. Shares
+    ``_rotate`` with ``_forward``/``_backward``, which read the factors of
+    positions 0, 1, ... from a cached table instead of computing them.
     """
     v = np.asarray(v, dtype=np.float64)
     d = v.shape[-1]
     if d % 2:
         raise ValueError("rotary dimension must be even")
-    omega = 10000.0 ** (-2.0 * np.arange(d // 2) / d)
-    ang = np.multiply.outer(np.asarray(pos, dtype=np.float64), omega)
-    cos, sin = np.cos(ang), np.sin(ang)
-    even, odd = v[..., 0::2], v[..., 1::2]
-    out = np.empty_like(v)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    return _rotate(v, *_rope_factors(pos, d))
 
 
 def _mixer_forward(x: np.ndarray, p: MixerParams):
@@ -292,7 +329,8 @@ def _encode(input: InputSequence, params: EncoderParams,
     if params.mode == MODE_IMPORTED:
         if params.imported is None or example_id not in params.imported:
             raise ValueError(f"no imported vectors for example {example_id!r}")
-        h = np.asarray(params.imported[example_id], dtype=np.float64)
+        # C order: ``_forward`` slices rows of h, and matmul bits depend on layout
+        h = np.ascontiguousarray(params.imported[example_id], dtype=np.float64)
         if h.shape != (len(input.tokens), params.d_model):
             raise ValueError(
                 f"imported vectors for {example_id!r} have shape {h.shape}, "
@@ -327,49 +365,48 @@ def score_grid(q: np.ndarray, k: np.ndarray, row_positions, col_positions,
     return ScoreGrid(op=op, values=rq @ rk.T)
 
 
-def _row_col_indices(input: InputSequence) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(input.context_length)
-    cols = np.array(list(range(*input.incomplete_range)) + [input.sentinel_index])
-    return rows, cols
-
-
 def _forward(model: ModelParams, input: InputSequence,
              example_id: Optional[str] = None):
     """Raw score arrays per operation (rows = context, cols = incomplete
     positions + sentinel; positions are absolute indices) and the cache
     ``_backward`` reads. Only the context and column vectors are projected."""
     h, ids, mix_cache = _encode(input, model.encoder, example_id)
-    rows, cols = _row_col_indices(input)
-    hq, hk = h[rows], h[cols]
+    # rows are positions 0..ctx and columns ctx..T, so both rotations slice
+    # one table
+    ctx, n = input.context_length, len(h)
+    cos, sin = _rope_table(model.head.d_out, n)
+    row_rot, col_rot = (cos[:ctx], sin[:ctx]), (cos[ctx:n], sin[ctx:n])
+    hq, hk = h[:ctx], h[ctx:]
     values, rotated = {}, {}
     for op in _in_order(model.head.per_op):
         head = model.head.per_op[op]
-        rq = rope_rotate(hq @ head.wq.T + head.bq, rows)
-        rk = rope_rotate(hk @ head.wk.T + head.bk, cols)
+        rq = _rotate(hq @ head.wq.T + head.bq, *row_rot)
+        rk = _rotate(hk @ head.wk.T + head.bk, *col_rot)
         values[op] = rq @ rk.T
         rotated[op] = rq, rk
-    return values, (h, ids, mix_cache, rows, cols, hq, hk, rotated)
+    return values, (h, ids, mix_cache, ctx, row_rot, col_rot, hq, hk, rotated)
 
 
 def _backward(model: ModelParams, cache, dvalues: dict[EditOp, np.ndarray],
               grads: dict[str, np.ndarray]) -> None:
     """Accumulate into ``grads`` the gradients of a loss whose derivatives
     with respect to the ``_forward`` score arrays are ``dvalues``."""
-    h, ids, mix_cache, rows, cols, hq, hk, rotated = cache
+    h, ids, mix_cache, ctx, row_rot, col_rot, hq, hk, rotated = cache
     dh = np.zeros_like(h)
     for op in _in_order(dvalues):
         head = model.head.per_op[op]
         rq, rk = rotated[op]
         ds = dvalues[op]
-        dq = rope_rotate(ds @ rk, -rows)  # rotations are orthogonal: R^T = R(-pos)
-        dk = rope_rotate(ds.T @ rq, -cols)
+        # rotations are orthogonal: R^T = R(-pos)
+        dq = _rotate(ds @ rk, *row_rot, inverse=True)
+        dk = _rotate(ds.T @ rq, *col_rot, inverse=True)
         pre = f"head.{op.value}."
         grads[pre + "wq"] += dq.T @ hq
         grads[pre + "bq"] += dq.sum(axis=0)
         grads[pre + "wk"] += dk.T @ hk
         grads[pre + "bk"] += dk.sum(axis=0)
-        dh[rows] += dq @ head.wq
-        dh[cols] += dk @ head.wk
+        dh[:ctx] += dq @ head.wq
+        dh[ctx:] += dk @ head.wk
     if ids is not None:
         if mix_cache is not None:
             dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)

@@ -3,8 +3,10 @@ import math
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from iurkit.cli import RunConfig, main
+from iurkit.cli import RunConfig, _prepare, main
+from iurkit.scoring import encode, load_model, write_ctxvec
 from synthetic import make_corpus, write_corpus_files
 
 
@@ -400,6 +402,47 @@ class TestStrictHeaders:
                      "--vectors", str(vectors)]) == 1
         err = capsys.readouterr().err
         assert f"{vectors}: {message}" in err
+
+
+@pytest.fixture(scope="module")
+def vectors(corpus_dir, trained):
+    """The trained model's own contextual vectors of every dialogue."""
+    model, _ = load_model(trained)
+    examples, _ = _prepare(RunConfig.from_file(corpus_dir / "config.ini"))
+    path = corpus_dir / "vectors.ctxvec"
+    write_ctxvec(path, model.encoder.d_model,
+                 {ex.example_id: encode(ex.input, model.encoder) for ex in examples})
+    return path
+
+
+def _corrupt(data: bytes, kind: str, at: int, value: int) -> bytes:
+    """``data`` with one header byte set to ``value``, one payload bit
+    flipped, or cut short; ``at`` picks the place."""
+    body = data.index(b"\n") + 1
+    if kind == "header":
+        i = at % (body - 1)
+        return data[:i] + bytes([value]) + data[i + 1:]
+    if kind == "bit":
+        i = body + at % (len(data) - body)
+        return data[:i] + bytes([data[i] ^ (1 << value % 8)]) + data[i + 1:]
+    return data[:at % len(data)]
+
+
+@given(target=st.sampled_from(["model", "vectors"]),
+       kind=st.sampled_from(["header", "bit", "truncate"]),
+       at=st.integers(0, 2**32), value=st.integers(32, 126))
+@settings(max_examples=60, deadline=None)
+def test_corrupt_model_or_vectors_is_result_or_user_error(target, kind, at, value,
+                                                          corpus_dir, trained, vectors):
+    """A damaged model file or sidecar gives a rewrite or exit 1, never an
+    internal error (exit 2)."""
+    clean = vectors if target == "vectors" else trained
+    bad = corpus_dir / f"corrupt.{target}"
+    bad.write_bytes(_corrupt(clean.read_bytes(), kind, at, value))
+    files = ["--model", str(trained), "--vectors", str(bad)] if target == "vectors" \
+        else ["--model", str(bad)]
+    assert main(["rewrite", "--config", str(corpus_dir / "config.ini"), *files,
+                 "--out", str(corpus_dir / "corrupt.jsonl")]) in (0, 1)
 
 
 class TestFlagValidation:

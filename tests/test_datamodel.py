@@ -107,6 +107,21 @@ class TestLoadDialogues:
         with pytest.raises(ValueError, match="line 1: field 'lang' must be 'zh' or 'en'"):
             load_dialogues(p, DataFormat.CANONICAL_JSONL)
 
+    @pytest.mark.parametrize("record, message", [
+        (5, "record is not an object"),
+        (None, "record is not an object"),
+        ("history", "record is not an object"),
+        ({"history": [1], "incomplete": "a b", "rewritten": "a b"},
+         "field 'history' must hold strings"),
+        ({"history": [], "incomplete": "a b", "rewritten": 5},
+         "field 'rewritten' has wrong type"),
+    ], ids=["int", "null", "string", "history-int", "rewritten-int"])
+    def test_malformed_record_type_names_line(self, tmp_path, record, message):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"history": [], "incomplete": "a"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+            load_dialogues(p, DataFormat.CANONICAL_JSONL)
+
     def test_lang_field_selects_mode(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"history":[],"incomplete":"你好","lang":"zh"}\n')

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
+from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, OpHead, ScoreGrid, TrainConfig,
-                            TrainExample, _mixer_backward, _mixer_forward,
+                            TrainExample, _encode, _in_order, _loss_grad,
+                            _mixer_backward, _mixer_forward, _rope_table, _rotate,
                             build_vocab, circle_loss, encode, grad, init_model,
                             load_model, params_items, project, read_ctxvec,
                             rope_rotate, save_model, score_all, score_grid,
@@ -63,6 +65,67 @@ def small_model(small_set):
     return init_model(vocab, d_model=8, d_head=4, seed=0)
 
 
+def reference_rope_rotate(v, pos):
+    """Reference: the pair form with angles computed on every call."""
+    v = np.asarray(v, dtype=np.float64)
+    d = v.shape[-1]
+    omega = 10000.0 ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.multiply.outer(np.asarray(pos, dtype=np.float64), omega)
+    cos, sin = np.cos(ang), np.sin(ang)
+    even, odd = v[..., 0::2], v[..., 1::2]
+    out = np.empty_like(v)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def reference_forward(model, input, example_id=None):
+    """Reference: ``_forward`` with index arrays for the rows and columns."""
+    h, ids, mix_cache = _encode(input, model.encoder, example_id)
+    rows = np.arange(input.context_length)
+    cols = np.array(list(range(*input.incomplete_range)) + [input.sentinel_index])
+    hq, hk = h[rows], h[cols]
+    values, rotated = {}, {}
+    for op in _in_order(model.head.per_op):
+        head = model.head.per_op[op]
+        rq = reference_rope_rotate(hq @ head.wq.T + head.bq, rows)
+        rk = reference_rope_rotate(hk @ head.wk.T + head.bk, cols)
+        values[op] = rq @ rk.T
+        rotated[op] = rq, rk
+    return values, (h, ids, mix_cache, rows, cols, hq, hk, rotated)
+
+
+def reference_grad(model, ex):
+    """Reference: loss and gradients of one example through index arrays."""
+    values, (h, ids, mix_cache, rows, cols, hq, hk, rotated) = \
+        reference_forward(model, ex.input, ex.example_id)
+    loss, dvalues = _loss_grad(values, ex.gold)
+    grads = {name: np.zeros_like(a) for name, a in params_items(model)}
+    dh = np.zeros_like(h)
+    for op in _in_order(dvalues):
+        head = model.head.per_op[op]
+        rq, rk = rotated[op]
+        ds = dvalues[op]
+        dq = reference_rope_rotate(ds @ rk, -rows)
+        dk = reference_rope_rotate(ds.T @ rq, -cols)
+        pre = f"head.{op.value}."
+        grads[pre + "wq"] += dq.T @ hq
+        grads[pre + "bq"] += dq.sum(axis=0)
+        grads[pre + "wk"] += dk.T @ hk
+        grads[pre + "bk"] += dk.sum(axis=0)
+        dh[rows] += dq @ head.wq
+        dh[cols] += dk @ head.wk
+    if ids is not None:
+        if mix_cache is not None:
+            dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
+        np.add.at(grads["emb"], ids, dh)
+    return loss, grads
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 class TestRope:
     def test_d2_angle_equals_position(self):
         # with d=2 the single frequency is 10000^0 = 1, so the rotation
@@ -97,6 +160,85 @@ class TestRope:
         s1 = rope_rotate(q, i) @ rope_rotate(k, j)
         s2 = rope_rotate(q, i + delta) @ rope_rotate(k, j + delta)
         assert abs(s1 - s2) < 1e-9 * max(1.0, abs(s1))
+
+
+class TestRotaryTable:
+    """``_forward``/``_backward`` rotate by slicing one cached table per
+    rotary width; they must agree bit for bit with the index-array reference."""
+
+    @given(st.sampled_from([2, 4, 16, 64]), st.integers(0, 300), st.integers(0, 300),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_slice_equals_reference(self, d, a, length, inverse, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(length, d)) * 10.0 ** rng.integers(-3, 4, size=(length, d))
+        cos, sin = _rope_table(d, a + length)
+        pos = np.arange(a, a + length)
+        got = _rotate(v, cos[a:a + length], sin[a:a + length], inverse)
+        want = reference_rope_rotate(v, -pos if inverse else pos)
+        assert np.array_equal(bits(got), bits(want))
+
+    @given(st.sampled_from([2, 8, 16]), st.lists(st.integers(-2000, 2000), max_size=20),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rope_rotate_equals_reference(self, d, positions, seed):
+        v = np.random.default_rng(seed).normal(size=(len(positions), d))
+        assert np.array_equal(bits(rope_rotate(v, positions)),
+                              bits(reference_rope_rotate(v, positions)))
+        if positions:
+            assert np.array_equal(bits(rope_rotate(v[0], positions[0])),
+                                  bits(reference_rope_rotate(v[0], positions[0])))
+
+    @pytest.mark.parametrize("encoder", ["embedding", "mixer", "imported"])
+    def test_score_all_and_grad_bit_identical(self, encoder, small_set, long_set,
+                                              monkeypatch):
+        # an empty cache: the short inputs build the first table, the
+        # ~210-token ones grow it
+        monkeypatch.setattr(scoring, "_rope_tables", {})
+        examples = [replace(e, example_id=str(i))
+                    for i, e in enumerate(small_set + long_set[:6])]
+        assert max(len(e.input.tokens) for e in examples) > scoring._ROPE_FIRST_ROWS
+        model = init_model(build_vocab([e.input for e in examples]), d_model=32,
+                           d_head=16, seed=1, mixer=encoder == "mixer")
+        rng = np.random.default_rng(5)
+        for head in model.head.per_op.values():  # non-zero biases
+            head.bq[...] = rng.uniform(-0.5, 0.5, head.bq.shape)
+            head.bk[...] = rng.uniform(-0.5, 0.5, head.bk.shape)
+        if encoder == "imported":  # Fortran-order vectors, as the API allows
+            model = with_imported_vectors(model, {
+                e.example_id: np.asfortranarray(rng.normal(size=(len(e.input.tokens), 32)))
+                for e in examples})
+        for ex in examples:
+            want_values, _ = reference_forward(model, ex.input, ex.example_id)
+            for op, g in score_all(ex.input, model, ex.example_id).items():
+                assert np.array_equal(bits(g.values), bits(want_values[op]))
+            want_loss, want_grads = reference_grad(model, ex)
+            loss, grads = grad(model, [ex])
+            assert np.array_equal(bits(loss), bits(want_loss))
+            assert grads.keys() == want_grads.keys()
+            for name in grads:
+                assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
+        assert len(scoring._rope_tables[16][0]) > scoring._ROPE_FIRST_ROWS
+
+    def test_table_built_once_per_doubling(self, small_set, long_set, monkeypatch):
+        monkeypatch.setattr(scoring, "_rope_tables", {})
+        builds = []
+        build = scoring._build_rope_table
+        monkeypatch.setattr(scoring, "_build_rope_table",
+                            lambda d, n: builds.append((d, n)) or build(d, n))
+        model = init_model(build_vocab([e.input for e in small_set + long_set]),
+                           d_model=8, d_head=4, seed=0)
+        inputs = [(long_set[i % len(long_set)] if i % 2 else small_set[i % len(small_set)])
+                  .input for i in range(200)]
+        for inp in inputs:
+            score_all(inp, model)
+        longest = max(len(inp.tokens) for inp in inputs)
+        bound = math.ceil(math.log2(longest / scoring._ROPE_FIRST_ROWS)) + 1
+        assert {d for d, _ in builds} == {4}
+        assert 1 < len(builds) <= bound
+        cos, sin = scoring._rope_tables[4]
+        assert len(cos) >= longest
+        assert not cos.flags.writeable and not sin.flags.writeable
 
 
 class TestProject:

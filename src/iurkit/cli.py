@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -105,6 +106,10 @@ class RunConfig:
     def data_format(self) -> DataFormat:
         return DataFormat.CANONICAL_JSONL if self.format == "jsonl" else DataFormat.TAB_SEPARATED
 
+    @property
+    def separator(self) -> str:
+        return "" if self.lang == "zh" else " "
+
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.lr, batch_size=self.batch_size,
                            epochs=self.epochs, theta=self.theta, seed=self.seed,
@@ -118,15 +123,17 @@ class RunConfig:
     def load_parses(self) -> list[DependencyParse]:
         return read_conllu(self.parses) if self.parses else []
 
-    def parses_for(self, dialogues: list[Dialogue]) -> list[Optional[DependencyParse]]:
-        """The parse of each dialogue, by position; all None without a parses file."""
-        if not self.parses:
-            return [None] * len(dialogues)
-        parses = self.load_parses()
+    def load_inputs(self) -> tuple[PronounLexicon,
+                                   list[tuple[Dialogue, Optional[DependencyParse]]]]:
+        """The lexicon, and every dialogue of ``data`` with its parse, by
+        position; all parses are None without a parses file."""
+        dialogues = load_dialogues(self.data, self.data_format)
+        lexicon = self.load_lexicon()
+        parses = self.load_parses() if self.parses else [None] * len(dialogues)
         if len(parses) != len(dialogues):
             raise ValueError(f"{self.parses}: {len(parses)} parse sentences for "
                              f"{len(dialogues)} dialogues")
-        return parses
+        return lexicon, list(zip(dialogues, parses))
 
 
 class UserError(click.ClickException):
@@ -149,35 +156,32 @@ def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
     return [s.cols for s in spans if s.cols[0] < s.cols[1]]
 
 
+@contextmanager
+def _naming(dialogue: Dialogue):
+    """Re-raise a ValueError as a user error that names the example."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
+
+
 def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
                lexicon: PronounLexicon, cfg: RunConfig,
                use_gold: bool) -> QueryTemplate:
     gold = _gold_replace_intervals(dialogue) if use_gold else None
     if use_gold and not gold:
         gold = None  # fall back to the lexicon, then ellipsis detection
-    try:
+    with _naming(dialogue):
         return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
                            gold_replace_intervals=gold)
-    except ValueError as exc:
-        raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
-
-
-def _rewrite_record(dialogue: Dialogue, parse: Optional[DependencyParse],
-                    model: ModelParams, lexicon: PronounLexicon, cfg: RunConfig):
-    try:
-        return rewrite_one(dialogue, model, cfg.theta, lexicon, parse, cfg.unify)
-    except ValueError as exc:
-        raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
 
 
 def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport]]:
     """Training examples with their gold matrices, and each matrix's report."""
-    dialogues = load_dialogues(cfg.data, cfg.data_format)
-    lexicon = cfg.load_lexicon()
-    parses = cfg.parses_for(dialogues)
+    lexicon, inputs = cfg.load_inputs()
     use_gold = cfg.query_mode == "gold"
     examples, reports = [], []
-    for dlg, parse in zip(dialogues, parses):
+    for dlg, parse in inputs:
         if dlg.rewritten is None:
             raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
         query = _query_for(dlg, parse, lexicon, cfg, use_gold)
@@ -187,6 +191,14 @@ def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport
                                      example_id=dlg.example_id, dialogue=dlg))
         reports.append(report)
     return examples, reports
+
+
+def _write_jsonl(out_path: str, records: list[dict]) -> None:
+    """One JSON object per line to ``out_path`` ('-' = stdout)."""
+    with (nullcontext(sys.stdout) if out_path == "-"
+          else open(out_path, "w", encoding="utf-8")) as sink:
+        for rec in records:
+            sink.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def config_option(fn):
@@ -229,22 +241,15 @@ def cmd_build_supervision(config_path, data, out):
 def cmd_make_query(config_path, data, out_path, unify):
     """Emit each example's fused query template for inspection."""
     cfg = _load_config(config_path, data=data, unify=unify)
-    dialogues = load_dialogues(cfg.data, cfg.data_format)
-    lexicon = cfg.load_lexicon()
-    parses = cfg.parses_for(dialogues)
-    sep = "" if cfg.lang == "zh" else " "
-    sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
-    try:
-        for dlg, parse in zip(dialogues, parses):
-            query = _query_for(dlg, parse, lexicon, cfg, use_gold=False)
-            rec = {"id": dlg.example_id,
-                   "incomplete": dlg.incomplete.text(sep),
-                   "query": query.text(sep),
-                   "kind": query.kind_summary.value}
-            sink.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    lexicon, inputs = cfg.load_inputs()
+    results = []
+    for dlg, parse in inputs:
+        query = _query_for(dlg, parse, lexicon, cfg, use_gold=False)
+        results.append({"id": dlg.example_id,
+                        "incomplete": dlg.incomplete.text(cfg.separator),
+                        "query": query.text(cfg.separator),
+                        "kind": query.kind_summary.value})
+    _write_jsonl(out_path, results)
 
 
 @cli.command("train")
@@ -279,6 +284,8 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
 
 
 def _load_model_for_inference(cfg: RunConfig, vectors: Optional[str]) -> ModelParams:
+    if not Path(cfg.model).exists():
+        raise UserError(f"model file not found: {cfg.model}")
     model, _ = load_model(cfg.model)
     if vectors:
         d_model, records = read_ctxvec(vectors)
@@ -302,24 +309,14 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     """Rewrite every dialogue in the input JSONL."""
     cfg = _load_config(config_path, data=data, model=model_path, theta=theta,
                        unify=unify)
-    if not Path(cfg.model).exists():
-        raise UserError(f"model file not found: {cfg.model}")
     model = _load_model_for_inference(cfg, vectors)
-    dialogues = load_dialogues(cfg.data, cfg.data_format)
-    lexicon = cfg.load_lexicon()
-    parses = cfg.parses_for(dialogues)
-    sep = "" if cfg.lang == "zh" else " "
+    lexicon, inputs = cfg.load_inputs()
     results = []
-    for dlg, parse in zip(dialogues, parses):
-        out, _ = _rewrite_record(dlg, parse, model, lexicon, cfg)
-        results.append({"id": dlg.example_id, "rewritten": out.text(sep)})
-    sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
-    try:
-        for rec in results:
-            sink.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    for dlg, parse in inputs:
+        with _naming(dlg):
+            out, _ = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
+        results.append({"id": dlg.example_id, "rewritten": out.text(cfg.separator)})
+    _write_jsonl(out_path, results)
 
 
 @cli.command("evaluate")
@@ -354,15 +351,12 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
                        vectors, precise):
     """Dump decoding diagnostics (grids, labels, spans) for one example."""
     cfg = _load_config(config_path, data=data, model=model_path, theta=theta)
-    if not Path(cfg.model).exists():
-        raise UserError(f"model file not found: {cfg.model}")
     model = _load_model_for_inference(cfg, vectors)
-    dialogues = load_dialogues(cfg.data, cfg.data_format)
-    lexicon = cfg.load_lexicon()
-    parses = cfg.parses_for(dialogues)
-    for dlg, parse in zip(dialogues, parses):
+    lexicon, inputs = cfg.load_inputs()
+    for dlg, parse in inputs:
         if dlg.example_id == example_id:
-            _, diag = _rewrite_record(dlg, parse, model, lexicon, cfg)
+            with _naming(dlg):
+                _, diag = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
             click.echo(diag.to_json(precise=precise))
             return
     raise UserError(f"example id {example_id!r} not found in {cfg.data}")

@@ -31,9 +31,6 @@ from .supervision import EditMatrix, EditOp
 
 UNK_ID = 0
 
-MODE_TRAINABLE = "trainable"
-MODE_IMPORTED = "imported"
-
 
 class TrainingDiverged(ValueError):
     """The loss became non-finite: a hyperparameter problem, not a bug."""
@@ -63,7 +60,7 @@ class EncoderParams:
     vocab: dict[str, int]
     embedding: np.ndarray  # (|V|, d_model)
     mixer: Optional[MixerParams] = None
-    mode: str = MODE_TRAINABLE
+    # when set, ``encode`` serves these vectors instead of the embedding
     imported: Optional[dict[str, np.ndarray]] = None
 
     def __post_init__(self):
@@ -170,35 +167,45 @@ def build_vocab(inputs: Iterable[InputSequence]) -> dict[str, int]:
     return {t: i for i, t in enumerate(reserved + extra)}
 
 
+def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
+                 d_ff: Optional[int], fill) -> ModelParams:
+    """The one statement of the model's tensors and their shapes. Every
+    weight is ``fill(*shape)``, called in this order; biases start at zero."""
+    for name, width in (("d_model", d_model), ("d_head", d_head)):
+        if width <= 0 or width % 2:
+            raise ValueError(f"{name} must be positive and even")
+    embedding = fill(len(vocab), d_model)
+    mix = None
+    if mixer:
+        d_ff = 2 * d_model if d_ff is None else d_ff
+        if d_ff <= 0:
+            raise ValueError("d_ff must be positive")
+        mix = MixerParams(wq=fill(d_model, d_model), wk=fill(d_model, d_model),
+                          wv=fill(d_model, d_model), wo=fill(d_model, d_model),
+                          w1=fill(d_model, d_ff), b1=np.zeros(d_ff),
+                          w2=fill(d_ff, d_model), b2=np.zeros(d_model))
+    per_op = {}
+    for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
+        per_op[op] = OpHead(wq=fill(d_head, d_model), bq=np.zeros(d_head),
+                            wk=fill(d_head, d_model), bk=np.zeros(d_head))
+    enc = EncoderParams(vocab=dict(vocab), embedding=embedding, mixer=mix)
+    return ModelParams(encoder=enc, head=HeadParams(per_op))
+
+
 def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
                mixer: bool = False, d_ff: Optional[int] = None) -> ModelParams:
     """Uniform init scaled by 1/sqrt(d_model); biases zero; seed-controlled.
 
     ``d_head`` is the width of each operation's q/k projection, which the
-    rotary embedding rotates as a whole.
+    rotary embedding rotates as a whole. ``d_ff`` defaults to 2 * d_model.
     """
-    if d_head <= 0 or d_head % 2:
-        raise ValueError("d_head must be positive and even")
     rng = np.random.default_rng(seed)
-    s = 1.0 / np.sqrt(d_model)
 
     def u(*shape):
+        s = 1.0 / np.sqrt(d_model)  # after _build_model has checked d_model
         return _q32(rng.uniform(-s, s, size=shape))
 
-    embedding = u(len(vocab), d_model)
-    mix = None
-    if mixer:
-        d_ff = d_ff or 2 * d_model
-        mix = MixerParams(wq=u(d_model, d_model), wk=u(d_model, d_model),
-                          wv=u(d_model, d_model), wo=u(d_model, d_model),
-                          w1=u(d_model, d_ff), b1=np.zeros(d_ff),
-                          w2=u(d_ff, d_model), b2=np.zeros(d_model))
-    per_op = {}
-    for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
-        per_op[op] = OpHead(wq=u(d_head, d_model), bq=np.zeros(d_head),
-                            wk=u(d_head, d_model), bk=np.zeros(d_head))
-    enc = EncoderParams(vocab=dict(vocab), embedding=embedding, mixer=mix)
-    return ModelParams(encoder=enc, head=HeadParams(per_op))
+    return _build_model(vocab, d_model, d_head, mixer, d_ff, u)
 
 
 def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:
@@ -210,7 +217,7 @@ def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:
 def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Trainable tensors in a fixed order (the declared serialization order)."""
     items: list[tuple[str, np.ndarray]] = []
-    if model.encoder.mode == MODE_TRAINABLE:
+    if model.encoder.imported is None:
         items.append(("emb", model.encoder.embedding))
         mix = model.encoder.mixer
         if mix is not None:
@@ -326,8 +333,8 @@ def _encode(input: InputSequence, params: EncoderParams,
             example_id: Optional[str] = None):
     """``encode`` plus what the backward pass needs: the token ids (None for
     imported vectors) and the mixer cache (None without a mixer)."""
-    if params.mode == MODE_IMPORTED:
-        if params.imported is None or example_id not in params.imported:
+    if params.imported is not None:
+        if example_id not in params.imported:
             raise ValueError(f"no imported vectors for example {example_id!r}")
         # C order: ``_forward`` slices rows of h, and matmul bits depend on layout
         h = np.ascontiguousarray(params.imported[example_id], dtype=np.float64)
@@ -590,7 +597,7 @@ def save_model(path: str | Path, model: ModelParams,
     mix = model.encoder.mixer
     header = {
         "format": "iurkit-model", "version": 1,
-        "mode": model.encoder.mode,
+        "mode": "trainable" if model.encoder.imported is None else "imported",
         "d_model": model.encoder.d_model,
         "d_out": model.head.d_out,
         "has_mixer": mix is not None,
@@ -638,30 +645,42 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         header = _read_header(fh, path)
         if header.get("format") != "iurkit-model" or header.get("version") != 1:
             raise ValueError(f"{path}: not an iurkit model file")
+        # older version-1 headers also carry "heads", which never changed the model
         _require(header, path, "mode", "d_model", "has_mixer", "vocab", "tensors")
         entries = header["tensors"]
         if not isinstance(entries, list) or not all(
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
                 and isinstance(e[1], list) for e in entries):
             raise ValueError(f"{path}: tensors must be a list of [name, shape] pairs")
-        tensors = {}
+        tensors, left = {}, _bytes_left(fh)
         for name, shape in entries:
             shape = [_count(n, path, f"a dimension of tensor {name!r}") for n in shape]
             size = 4 * math.prod(shape)
-            if size > _bytes_left(fh):
+            if size > left:
                 raise ValueError(f"{path}: truncated tensor {name}")
+            left -= size
             data = np.frombuffer(fh.read(size), dtype="<f4")
             if not np.isfinite(data).all():
                 raise ValueError(f"{path}: tensor {name!r} is not finite")
             tensors[name] = data.astype(np.float64).reshape(shape)
-        if fh.read(1):
+        if left:
             raise ValueError(f"{path}: trailing bytes after the last tensor")
     words = header["vocab"]
     if not (isinstance(words, list) and all(isinstance(t, str) for t in words)):
         raise ValueError(f"{path}: vocab must be a list of strings")
-    vocab = {t: i for i, t in enumerate(words)}
-    d = _count(header["d_model"], path, "d_model")
+    mode, has_mixer = header["mode"], header["has_mixer"]
+    if mode not in ("trainable", "imported"):
+        raise ValueError(f"{path}: mode must be 'trainable' or 'imported', got {mode!r}")
+    d_model = _count(header["d_model"], path, "d_model")
     d_out = _count(header.get("d_out"), path, "d_out")
+    d_ff = _count(header.get("d_ff"), path, "d_ff") if has_mixer else None
+    try:
+        model = _build_model({t: i for i, t in enumerate(words)}, d_model, d_out,
+                             has_mixer, d_ff, lambda *shape: np.zeros(shape))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if mode == "imported":  # the file holds the heads only
+        model = with_imported_vectors(model, {})
 
     def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in tensors:
@@ -669,26 +688,10 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         if tensors[name].shape != shape:
             raise ValueError(f"{path}: tensor {name!r} has shape "
                              f"{list(tensors[name].shape)}, expected {list(shape)}")
-        return tensors[name]
+        return tensors.pop(name)
 
-    if header["mode"] == MODE_TRAINABLE:
-        embedding = tensor("emb", (len(vocab), d))
-    else:
-        embedding = np.zeros((len(vocab), d))
-    mix = None
-    if header["has_mixer"]:
-        d_ff = _count(header.get("d_ff"), path, "d_ff")
-        shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-                  "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d), "b2": (d,)}
-        mix = MixerParams(**{n: tensor(f"mixer.{n}", s) for n, s in shapes.items()})
-    per_op = {}
-    shapes = {"wq": (d_out, d), "bq": (d_out,), "wk": (d_out, d), "bk": (d_out,)}
-    for op in (EditOp.PRE_INSERT, EditOp.SUBSTITUTE):
-        per_op[op] = OpHead(**{n: tensor(f"head.{op.value}.{n}", s)
-                               for n, s in shapes.items()})
-    enc = EncoderParams(vocab=vocab, embedding=embedding, mixer=mix, mode=header["mode"])
-    # older version-1 headers also carry "heads", which never changed the model
-    model = ModelParams(encoder=enc, head=HeadParams(per_op))
+    for name, a in params_items(model):
+        a[...] = tensor(name, a.shape)
     opt_state = None
     opt = header.get("optimizer")
     if opt is not None:
@@ -701,6 +704,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
                                  for n, a in params_items(model)},
                               v={n: tensor(f"adam.v.{n}", a.shape)
                                  for n, a in params_items(model)})
+    if tensors:
+        raise ValueError(f"{path}: unexpected tensor {next(iter(tensors))!r}")
     return model, opt_state
 
 
@@ -753,5 +758,5 @@ def with_imported_vectors(model: ModelParams,
     """A copy of ``model`` whose encoder serves the given contextual vectors."""
     enc = EncoderParams(vocab=model.encoder.vocab,
                         embedding=model.encoder.embedding,
-                        mixer=None, mode=MODE_IMPORTED, imported=records)
+                        mixer=None, imported=records)
     return ModelParams(encoder=enc, head=model.head)

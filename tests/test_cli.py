@@ -253,10 +253,12 @@ class TestParsesFile:
         cfg = _config_with_parses(corpus_dir, tmp_path,
                                   ["1\tword003\t0\troot\n2\tword005\t1\tdep"])
         cfg.write_text(cfg.read_text() + f"data = {tmp_path / 'd.jsonl'}\n")
-        assert main([command, "--config", str(cfg)]) == 1
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "example 'odd'" in err
         assert "parse form 'word005' at token 1 does not match utterance token 'word004'" in err
+        assert not out.exists()  # a failed record leaves no partial output
 
 
 class TestEvaluate:
@@ -323,6 +325,16 @@ def test_bad_config_value_is_user_error(key, value, corpus_dir, tmp_path, capsys
     assert str(cfg) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("d_model", [0, -2])
+def test_non_positive_d_model_is_user_error(d_model, corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text()
+                   + f"model = {tmp_path / 'm.bin'}\nd_model = {d_model}\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "error: d_model must be positive and even" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def _reshape(name, new_shape):
     """A header edit that gives tensor ``name`` the shape ``new_shape(shape)``."""
     return lambda h: {**h, "tensors": [[n, new_shape(s) if n == name else s]
@@ -354,16 +366,26 @@ class TestStrictHeaders:
          "tensor 'head.S.wq' has shape [8, 4], expected [4, 8]"),
         (_reshape("adam.m.head.I.wk", lambda s: s[::-1]), True,
          "tensor 'adam.m.head.I.wk' has shape [8, 4], expected [4, 8]"),
+        (lambda h: {**h, "mode": "trainablX"}, True,
+         "mode must be 'trainable' or 'imported', got 'trainablX'"),
+        (lambda h: {**h, "tensors": h["tensors"] + [["foo", [1]]]}, b"\0\0\0\0",
+         "unexpected tensor 'foo'"),
+        (lambda h: {**h, "optimizer": [1]}, True, "optimizer must be a JSON object"),
+        (lambda h: {**h, "d_model": 0}, True, "d_model must be positive and even"),
+        (lambda h: {**h, "has_mixer": True, "d_ff": 0}, True, "d_ff must be positive"),
     ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
             "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
             "optimizer-step", "1d-emb", "emb-rows-vs-vocab", "swapped-head-wq",
-            "swapped-adam-moment"])
+            "swapped-adam-moment", "misspelled-mode", "extra-tensor", "optimizer-list",
+            "zero-d_model", "zero-d_ff"])
     def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
                                     trained, tmp_path, capsys):
         header, tensors = trained.read_bytes().split(b"\n", 1)
         bad = tmp_path / "bad.bin"
+        # ``keep_tensors`` may also be bytes to append after the tensors
+        extra = keep_tensors if isinstance(keep_tensors, bytes) else b""
         bad.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n"
-                        + (tensors if keep_tensors else b""))
+                        + (tensors + extra if keep_tensors else b""))
         assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
                      "--model", str(bad)]) == 1
         err = capsys.readouterr().err
@@ -443,6 +465,30 @@ def test_corrupt_model_or_vectors_is_result_or_user_error(target, kind, at, valu
         else ["--model", str(bad)]
     assert main(["rewrite", "--config", str(corpus_dir / "config.ini"), *files,
                  "--out", str(corpus_dir / "corrupt.jsonl")]) in (0, 1)
+
+
+@given(kind=st.sampled_from(["set", "flip", "delete", "truncate"]),
+       at=st.integers(0, 2**32), value=st.integers(32, 126))
+@settings(max_examples=200, deadline=None)
+def test_corrupt_jsonl_is_result_or_user_error(kind, at, value, corpus_dir, trained):
+    """A damaged dialogue file (one byte set to printable ASCII, one bit
+    flipped, one byte deleted, or the file cut short) gives a result or
+    exit 1 from every command that reads it, never exit 2."""
+    data = (corpus_dir / "data.jsonl").read_bytes()
+    i = at % len(data)
+    bad = corpus_dir / "corrupt-data.jsonl"
+    bad.write_bytes({"set": data[:i] + bytes([value]) + data[i + 1:],
+                     "flip": data[:i] + bytes([data[i] ^ (1 << value % 8)]) + data[i + 1:],
+                     "delete": data[:i] + data[i + 1:],
+                     "truncate": data[:i]}[kind])
+    common = ["--config", str(corpus_dir / "config.ini"), "--data", str(bad)]
+    out = corpus_dir / "corrupt-out"
+    out.mkdir(exist_ok=True)
+    for argv in (["rewrite", "--model", str(trained), "--out", str(out / "rewrite.jsonl")],
+                 ["build-supervision", "--out", str(out)],
+                 ["make-query", "--out", str(out / "queries.jsonl")],
+                 ["train", "--model", str(out / "model.bin"), "--epochs", "1"]):
+        assert main([*argv, *common]) in (0, 1), argv[0]
 
 
 class TestFlagValidation:

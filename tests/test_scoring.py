@@ -275,6 +275,15 @@ class TestVocabAndInit:
         with pytest.raises(ValueError):
             init_model(vocab, 8, 3)
 
+    @pytest.mark.parametrize("d_model, d_ff, message", [
+        (0, None, "d_model must be positive and even"),
+        (-2, None, "d_model must be positive and even"),
+        (8, 0, "d_ff must be positive")])
+    def test_bad_width_rejected_before_drawing(self, d_model, d_ff, message, small_set):
+        vocab = build_vocab([e.input for e in small_set])
+        with pytest.raises(ValueError, match=message):
+            init_model(vocab, d_model, 4, mixer=True, d_ff=d_ff)
+
     def test_unknown_token_maps_to_unk(self, small_model):
         ids = small_model.encoder.token_ids(["definitely-not-in-vocab"])
         assert ids.tolist() == [0]
@@ -513,6 +522,29 @@ class TestPersistence:
         again, _ = load_model(old)
         for (na, a), (nb, b) in zip(params_items(loaded), params_items(again)):
             assert na == nb and np.array_equal(a, b)
+
+    def test_imported_vector_model_round_trip(self, small_set, small_model, tmp_path):
+        """A model saved from ``with_imported_vectors`` holds its heads only;
+        loaded and given the same records back, it scores bit-equally."""
+        records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
+        imported = with_imported_vectors(small_model, records)
+        p = tmp_path / "imported.bin"
+        save_model(p, imported)
+        header = json.loads(p.read_bytes().split(b"\n", 1)[0])
+        assert header["mode"] == "imported"
+        assert [n for n, _ in header["tensors"]] == [n for n, _ in params_items(imported)]
+        assert all(n.startswith("head.") for n, _ in header["tensors"])
+        loaded, state = load_model(p)
+        assert state is None
+        with pytest.raises(ValueError, match="no imported vectors for example"):
+            encode(small_set[0].input, loaded.encoder, small_set[0].example_id)
+        again = with_imported_vectors(loaded, records)
+        for e in small_set:
+            g0 = score_all(e.input, imported, e.example_id)
+            g1 = score_all(e.input, again, e.example_id)
+            assert g0.keys() == g1.keys()
+            for op in g0:
+                assert np.array_equal(bits(g0[op].values), bits(g1[op].values))
 
     def test_resume_matches_uninterrupted(self, small_set, small_model, tmp_path):
         import copy

@@ -13,7 +13,8 @@ import logging
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -25,9 +26,9 @@ from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
 from .metrics import evaluate as evaluate_corpus
 from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
                        build_query, read_conllu)
-from .rewrite import rewrite as rewrite_one
-from .scoring import (AdamState, ModelParams, TrainConfig, TrainExample,
-                      build_vocab, init_model, load_model, read_ctxvec,
+from .rewrite import example_error, rewrite, rewrite_batch
+from .scoring import (INFERENCE_CHUNK, AdamState, ModelParams, TrainConfig,
+                      TrainExample, build_vocab, init_model, load_model, read_ctxvec,
                       save_model, train, with_imported_vectors)
 from .supervision import (SupervisionReport, aggregate_report,
                           build_edit_matrix, diff_spans, lcs_align)
@@ -156,24 +157,17 @@ def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
     return [s.cols for s in spans if s.cols[0] < s.cols[1]]
 
 
-@contextmanager
-def _naming(dialogue: Dialogue):
-    """Re-raise a ValueError as a user error that names the example."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UserError(f"example {dialogue.example_id!r}: {exc}") from exc
-
-
 def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
                lexicon: PronounLexicon, cfg: RunConfig,
                use_gold: bool) -> QueryTemplate:
     gold = _gold_replace_intervals(dialogue) if use_gold else None
     if use_gold and not gold:
         gold = None  # fall back to the lexicon, then ellipsis detection
-    with _naming(dialogue):
+    try:
         return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
                            gold_replace_intervals=gold)
+    except ValueError as exc:
+        raise example_error(dialogue, exc) from exc
 
 
 def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport]]:
@@ -311,12 +305,16 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
                        unify=unify)
     model = _load_model_for_inference(cfg, vectors)
     lexicon, inputs = cfg.load_inputs()
-    results = []
-    for dlg, parse in inputs:
-        with _naming(dlg):
-            out, _ = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
-        results.append({"id": dlg.example_id, "rewritten": out.text(cfg.separator)})
+    start, results = time.perf_counter(), []
+    for c0 in range(0, len(inputs), INFERENCE_CHUNK):
+        dialogues, parses = zip(*inputs[c0:c0 + INFERENCE_CHUNK])
+        batch = rewrite_batch(dialogues, model, cfg.theta, lexicon, parses, cfg.unify)
+        results += [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
+                    for dlg, (out, _) in zip(dialogues, batch)]
     _write_jsonl(out_path, results)
+    log.info("rewrote %d dialogues in %d chunks of up to %d in %.3f s", len(inputs),
+             math.ceil(len(inputs) / INFERENCE_CHUNK), INFERENCE_CHUNK,
+             time.perf_counter() - start)
 
 
 @cli.command("evaluate")
@@ -355,8 +353,7 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
     lexicon, inputs = cfg.load_inputs()
     for dlg, parse in inputs:
         if dlg.example_id == example_id:
-            with _naming(dlg):
-                _, diag = rewrite_one(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
+            _, diag = rewrite(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
             click.echo(diag.to_json(precise=precise))
             return
     raise UserError(f"example id {example_id!r} not found in {cfg.data}")

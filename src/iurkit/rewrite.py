@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import build_query
-from .scoring import score_all
+from .scoring import score_batch
 from .supervision import EditMatrix, EditOp, op_of
 
 # Substitute cells form rectangles (4-connected components); Pre-Insert
@@ -171,18 +171,45 @@ class Diagnostics:
         return json.dumps(obj, ensure_ascii=False)
 
 
-def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
-            unify: bool = True) -> tuple[Utterance, Diagnostics]:
-    """Full inference pipeline for one dialogue.
+def example_error(dialogue: Dialogue, exc: ValueError) -> ValueError:
+    """``exc`` with the id of the example it arose from in front."""
+    return ValueError(f"example {dialogue.example_id!r}: {exc}")
+
+
+def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
+                  parses: Optional[Sequence] = None, unify: bool = True
+                  ) -> list[tuple[Utterance, Diagnostics]]:
+    """Full inference pipeline for a batch of dialogues (``parses`` by
+    position), scored in one padded forward pass.
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. The returned diagnostics carry every intermediate.
+    application. Each dialogue's diagnostics carry every intermediate. The
+    results equal ``rewrite`` of each dialogue, and a ValueError names the
+    example it arose from.
     """
-    query = build_query(dialogue.incomplete, lexicon, parse, unify)
-    input_seq = build_input_sequence(query, dialogue)
-    grids = score_all(input_seq, model, example_id=dialogue.example_id)
-    matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
-    diag = Diagnostics(query_texts=query.texts(), input_texts=input_seq.texts(),
-                       grids=grids, matrix=matrix, spans=spans)
-    return output, diag
+    parses = [None] * len(dialogues) if parses is None else parses
+    queries, inputs = [], []
+    for dialogue, parse in zip(dialogues, parses):
+        try:
+            queries.append(build_query(dialogue.incomplete, lexicon, parse, unify))
+            inputs.append(build_input_sequence(queries[-1], dialogue))
+        except ValueError as exc:
+            raise example_error(dialogue, exc) from exc
+    batch = score_batch(inputs, model, [d.example_id for d in dialogues])
+    results = []
+    for dialogue, query, input_seq, grids in zip(dialogues, queries, inputs, batch):
+        try:
+            matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
+        except ValueError as exc:
+            raise example_error(dialogue, exc) from exc
+        results.append((output, Diagnostics(
+            query_texts=query.texts(), input_texts=input_seq.texts(),
+            grids=grids, matrix=matrix, spans=spans)))
+    return results
+
+
+def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
+            unify: bool = True) -> tuple[Utterance, Diagnostics]:
+    """``rewrite_batch`` of one dialogue."""
+    return rewrite_batch([dialogue], model, theta, lexicon, [parse], unify)[0]

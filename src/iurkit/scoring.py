@@ -88,13 +88,26 @@ class OpHead:
     bk: np.ndarray
 
 
-@dataclass
 class HeadParams:
-    per_op: dict[EditOp, OpHead]
+    """Each edit operation's ``OpHead``, held as one array per tensor that
+    stacks it over the operations in ``_in_order`` (leading axis), so one
+    call per side projects every operation. ``per_op`` hands out views of
+    those arrays: update them in place."""
+
+    def __init__(self, per_op: dict[EditOp, OpHead]):
+        self.ops = _in_order(per_op)
+        self.wq, self.bq, self.wk, self.bk = (
+            np.stack([getattr(per_op[op], name) for op in self.ops])
+            for name in ("wq", "bq", "wk", "bk"))
 
     @property
     def d_out(self) -> int:
-        return next(iter(self.per_op.values())).wq.shape[0]
+        return self.bq.shape[1]
+
+    @property
+    def per_op(self) -> dict[EditOp, OpHead]:
+        return {op: OpHead(self.wq[o], self.bq[o], self.wk[o], self.bk[o])
+                for o, op in enumerate(self.ops)}
 
 
 @dataclass
@@ -112,6 +125,13 @@ class ScoreGrid:
         self.values = np.asarray(self.values, dtype=np.float64)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("score grid must be finite")
+
+    @classmethod
+    def checked(cls, op: EditOp, values: np.ndarray) -> "ScoreGrid":
+        """A grid over float64 values the caller has already found finite."""
+        grid = object.__new__(cls)
+        grid.op, grid.values = op, values
+        return grid
 
 
 @dataclass
@@ -223,8 +243,7 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
         if mix is not None:
             for name in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"):
                 items.append((f"mixer.{name}", getattr(mix, name)))
-    for op in _in_order(model.head.per_op):
-        h = model.head.per_op[op]
+    for op, h in model.head.per_op.items():
         for name in ("wq", "bq", "wk", "bk"):
             items.append((f"head.{op.value}.{name}", getattr(h, name)))
     return items
@@ -233,6 +252,12 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # forward pieces
 
+
+# Inputs per padded forward pass when scoring many at once (``iurkit
+# rewrite``, ``train_em``). Larger chunks pay the per-call numpy cost less
+# often, but a chunk of ~200-row inputs then outgrows the CPU's L2 cache
+# and holds more memory (see ROADMAP item 1).
+INFERENCE_CHUNK = 8
 
 # Rotary factors for positions 0..n-1, one table per rotary width, shared by
 # every ``_forward``/``_backward`` call and grown by doubling.
@@ -273,7 +298,7 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     np.negative(v[..., 1::2], out=out[..., 0::2])
     out[..., 1::2] = v[..., 0::2]
     out *= sin
-    return v * cos - out if inverse else v * cos + out
+    return (np.subtract if inverse else np.add)(v * cos, out, out=out)
 
 
 def rope_rotate(v: np.ndarray, pos) -> np.ndarray:
@@ -360,8 +385,8 @@ def encode(input: InputSequence, params: EncoderParams,
 def project(h: np.ndarray, params: HeadParams, op: EditOp
             ) -> tuple[np.ndarray, np.ndarray]:
     """Affine q-side and k-side projections of every vector in ``h``."""
-    head = params.per_op[op]
-    return h @ head.wq.T + head.bq, h @ head.wk.T + head.bk
+    o = params.ops.index(op)
+    return h @ params.wq[o].T + params.bq[o], h @ params.wk[o].T + params.bk[o]
 
 
 def score_grid(q: np.ndarray, k: np.ndarray, row_positions, col_positions,
@@ -372,59 +397,104 @@ def score_grid(q: np.ndarray, k: np.ndarray, row_positions, col_positions,
     return ScoreGrid(op=op, values=rq @ rk.T)
 
 
-def _forward(model: ModelParams, input: InputSequence,
-             example_id: Optional[str] = None):
-    """Raw score arrays per operation (rows = context, cols = incomplete
-    positions + sentinel; positions are absolute indices) and the cache
-    ``_backward`` reads. Only the context and column vectors are projected."""
-    h, ids, mix_cache = _encode(input, model.encoder, example_id)
-    # rows are positions 0..ctx and columns ctx..T, so both rotations slice
-    # one table
-    ctx, n = input.context_length, len(h)
-    cos, sin = _rope_table(model.head.d_out, n)
-    row_rot, col_rot = (cos[:ctx], sin[:ctx]), (cos[ctx:n], sin[ctx:n])
-    hq, hk = h[:ctx], h[ctx:]
-    values, rotated = {}, {}
-    for op in _in_order(model.head.per_op):
-        head = model.head.per_op[op]
-        rq = _rotate(hq @ head.wq.T + head.bq, *row_rot)
-        rk = _rotate(hk @ head.wk.T + head.bk, *col_rot)
-        values[op] = rq @ rk.T
-        rotated[op] = rq, rk
-    return values, (h, ids, mix_cache, ctx, row_rot, col_rot, hq, hk, rotated)
+def _forward(model: ModelParams, inputs: Sequence[InputSequence],
+             example_ids: Sequence[Optional[str]], for_backward: bool = False):
+    """Raw scores of a batch of inputs, shape (n_ops, B, R, C) with the
+    operations in ``_in_order``; each input's score array per operation
+    (views of its cells); and the cache ``_backward`` reads.
+
+    Each input is encoded on its own. Input b's context rows fill
+    ``[:, b, :ctx_b]`` and its incomplete positions plus sentinel fill
+    ``[:, b, :, :T_b - ctx_b]``; positions are absolute indices, so its
+    columns rotate from ``ctx_b``. Bias and rotation run on the whole
+    batch, but every matmul runs on one input's own rows and columns, into
+    its place in the batch: BLAS may pick another kernel, and so round
+    differently, for another matrix shape. The padding stays zero, and a
+    batch of one has none. The mixer caches are kept only
+    ``for_backward``."""
+    encoded = []
+    for inp, ex_id in zip(inputs, example_ids):
+        h, ids, mix_cache = _encode(inp, model.encoder, ex_id)
+        encoded.append((h, ids, mix_cache if for_backward else None))
+    head, n_ops, batch = model.head, len(model.head.ops), len(encoded)
+    ctxs = [inp.context_length for inp in inputs]
+    widths = [len(h) - ctx for (h, _, _), ctx in zip(encoded, ctxs)]
+    rows, cols = max(ctxs), max(widths)
+    # column j of input b sits at position ctx_b + j; a batch of one has no
+    # padding to zero, and its columns are one slice of the table
+    alloc = np.empty if batch == 1 else np.zeros
+    at = slice(rows, rows + cols) if batch == 1 else \
+        np.arange(cols) + np.array(ctxs)[:, None]
+    pq = alloc((n_ops, batch, rows, head.d_out))
+    pk = alloc((n_ops, batch, cols, head.d_out))
+    for b, ((h, _, _), ctx) in enumerate(zip(encoded, ctxs)):
+        np.matmul(h[:ctx], head.wq.transpose(0, 2, 1), out=pq[:, b, :ctx])
+        np.matmul(h[ctx:], head.wk.transpose(0, 2, 1), out=pk[:, b, :len(h) - ctx])
+    pq += head.bq[:, None, None]
+    pk += head.bk[:, None, None]
+    cos, sin = _rope_table(head.d_out, rows + cols)
+    rq = _rotate(pq, cos[:rows], sin[:rows])
+    rk = _rotate(pk, cos[at], sin[at])
+    values, scores = alloc((n_ops, batch, rows, cols)), []
+    for b, (ctx, width) in enumerate(zip(ctxs, widths)):
+        cells = values[:, b, :ctx, :width]
+        np.matmul(rq[:, b, :ctx], rk[:, b, :width].swapaxes(-1, -2), out=cells)
+        scores.append(dict(zip(head.ops, cells)))
+    return values, scores, (encoded, ctxs, cos, sin, rq, rk)
 
 
-def _backward(model: ModelParams, cache, dvalues: dict[EditOp, np.ndarray],
+def _backward(model: ModelParams, cache,
+              dvalues: Sequence[dict[EditOp, np.ndarray]],
               grads: dict[str, np.ndarray]) -> None:
     """Accumulate into ``grads`` the gradients of a loss whose derivatives
-    with respect to the ``_forward`` score arrays are ``dvalues``."""
-    h, ids, mix_cache, ctx, row_rot, col_rot, hq, hk, rotated = cache
-    dh = np.zeros_like(h)
-    for op in _in_order(dvalues):
-        head = model.head.per_op[op]
-        rq, rk = rotated[op]
-        ds = dvalues[op]
-        # rotations are orthogonal: R^T = R(-pos)
-        dq = _rotate(ds @ rk, *row_rot, inverse=True)
-        dk = _rotate(ds.T @ rq, *col_rot, inverse=True)
-        pre = f"head.{op.value}."
-        grads[pre + "wq"] += dq.T @ hq
-        grads[pre + "bq"] += dq.sum(axis=0)
-        grads[pre + "wk"] += dk.T @ hk
-        grads[pre + "bk"] += dk.sum(axis=0)
-        dh[:ctx] += dq @ head.wq
-        dh[ctx:] += dk @ head.wk
-    if ids is not None:
-        if mix_cache is not None:
-            dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
-        np.add.at(grads["emb"], ids, dh)
+    with respect to each input's score arrays from ``_forward`` are
+    ``dvalues``, one input at a time."""
+    encoded, ctxs, cos, sin, rq_all, rk_all = cache
+    head = model.head
+    for b, ((h, ids, mix_cache), ctx, ds_of) in enumerate(zip(encoded, ctxs, dvalues)):
+        n = len(h)
+        row_rot, col_rot = (cos[:ctx], sin[:ctx]), (cos[ctx:n], sin[ctx:n])
+        hq, hk = h[:ctx], h[ctx:]
+        dh = np.zeros_like(h)
+        for o, op in enumerate(head.ops):
+            rq, rk = rq_all[o, b, :ctx], rk_all[o, b, :n - ctx]
+            ds = ds_of[op]
+            # rotations are orthogonal: R^T = R(-pos)
+            dq = _rotate(ds @ rk, *row_rot, inverse=True)
+            dk = _rotate(ds.T @ rq, *col_rot, inverse=True)
+            pre = f"head.{op.value}."
+            grads[pre + "wq"] += dq.T @ hq
+            grads[pre + "bq"] += dq.sum(axis=0)
+            grads[pre + "wk"] += dk.T @ hk
+            grads[pre + "bk"] += dk.sum(axis=0)
+            dh[:ctx] += dq @ head.wq[o]
+            dh[ctx:] += dk @ head.wk[o]
+        if ids is not None:
+            if mix_cache is not None:
+                dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
+            np.add.at(grads["emb"], ids, dh)
+
+
+def score_batch(inputs: Sequence[InputSequence], model: ModelParams,
+                example_ids: Optional[Sequence[Optional[str]]] = None
+                ) -> list[dict[EditOp, ScoreGrid]]:
+    """Both operations' grids for each input, from one ``_forward`` pass.
+    Raises on a non-finite score, naming the example."""
+    if not inputs:
+        return []
+    example_ids = [None] * len(inputs) if example_ids is None else example_ids
+    values, scores, _ = _forward(model, inputs, example_ids)
+    if not np.isfinite(values).all():
+        b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
+        raise ValueError(f"score grid of example {example_ids[b]!r} is not finite")
+    return [{op: ScoreGrid.checked(op, v) for op, v in per_op.items()}
+            for per_op in scores]
 
 
 def score_all(input: InputSequence, model: ModelParams,
               example_id: Optional[str] = None) -> dict[EditOp, ScoreGrid]:
-    """Both operations' grids for one input (see ``_forward``)."""
-    values, _ = _forward(model, input, example_id)
-    return {op: ScoreGrid(op=op, values=v) for op, v in values.items()}
+    """Both operations' grids for one input: a batch of one."""
+    return score_batch([input], model, [example_id])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +545,11 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
     parameter. Raises on a non-finite loss, naming the example."""
     grads = _zero_grads(model)
     total = 0.0
-    for ex in batch:
-        values, cache = _forward(model, ex.input, ex.example_id)
-        loss, dvalues = _loss_grad(values, ex.gold)
-        _backward(model, cache, dvalues, grads)
+    for ex in batch:  # one example per pass: see ROADMAP item 1
+        _, (scores,), cache = _forward(model, [ex.input], [ex.example_id],
+                                       for_backward=True)
+        loss, dvalues = _loss_grad(scores, ex.gold)
+        _backward(model, cache, [dvalues], grads)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite loss on example {ex.example_id!r}")
         total += loss
@@ -529,10 +600,13 @@ def train_em(model: ModelParams, examples: Sequence[TrainExample],
     from .rewrite import decode  # rewrite imports this module
 
     hits = 0
-    for ex in examples:
-        grids = score_all(ex.input, model, ex.example_id)
-        _, _, out = decode(grids, ex.input, ex.dialogue.incomplete, theta)
-        hits += out.texts() == ex.dialogue.rewritten.texts()
+    for c0 in range(0, len(examples), INFERENCE_CHUNK):
+        chunk = examples[c0:c0 + INFERENCE_CHUNK]
+        batch = score_batch([ex.input for ex in chunk], model,
+                            [ex.example_id for ex in chunk])
+        for ex, grids in zip(chunk, batch):
+            _, _, out = decode(grids, ex.input, ex.dialogue.incomplete, theta)
+            hits += out.texts() == ex.dialogue.rewritten.texts()
     return hits / len(examples)
 
 
@@ -654,6 +728,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
             raise ValueError(f"{path}: tensors must be a list of [name, shape] pairs")
         tensors, left = {}, _bytes_left(fh)
         for name, shape in entries:
+            if name in tensors:
+                raise ValueError(f"{path}: duplicate tensor {name!r}")
             shape = [_count(n, path, f"a dimension of tensor {name!r}") for n in shape]
             size = 4 * math.prod(shape)
             if size > left:
@@ -742,6 +818,8 @@ def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
             (id_len,) = struct.unpack("<I", read(4, "id length"))
             ex_id = read(id_len, "id").decode("utf-8")
             where = f"{path}: record {ex_id!r}"
+            if ex_id in records:
+                raise ValueError(f"{where}: duplicate id")
             (n,) = struct.unpack("<I", read(4, "position count"))
             vecs = np.frombuffer(read(4 * n * d_model, "vectors"), dtype="<f4") \
                 .astype(np.float64).reshape(n, d_model)

@@ -1,12 +1,17 @@
 import json
+import logging
 import math
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iurkit import cli
 from iurkit.cli import RunConfig, _prepare, main
-from iurkit.scoring import encode, load_model, write_ctxvec
+from iurkit.rewrite import rewrite
+from iurkit.scoring import (INFERENCE_CHUNK, encode, load_model, read_ctxvec,
+                            with_imported_vectors, write_ctxvec)
 from synthetic import make_corpus, write_corpus_files
 
 
@@ -407,6 +412,20 @@ class TestStrictHeaders:
                      "--model", str(bad)]) == 1
         assert f"{bad}: tensor {name!r} is not finite" in capsys.readouterr().err
 
+    def test_duplicate_tensor_names_file_and_tensor(self, corpus_dir, trained,
+                                                    tmp_path, capsys):
+        """A second ``emb`` entry with its payload no longer overwrites the first."""
+        header, tensors = trained.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        name, shape = header["tensors"][0]
+        header["tensors"].insert(0, [name, shape])
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n"
+                        + tensors[:4 * math.prod(shape)] + tensors)
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--model", str(bad)]) == 1
+        assert f"{bad}: duplicate tensor 'emb'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header, message", [
         (b"not json", "header is not JSON"),
         (b"[]", "header is not a JSON object"),
@@ -435,6 +454,100 @@ def vectors(corpus_dir, trained):
     write_ctxvec(path, model.encoder.d_model,
                  {ex.example_id: encode(ex.input, model.encoder) for ex in examples})
     return path
+
+
+def test_duplicate_vector_id_is_user_error(corpus_dir, trained, vectors, tmp_path,
+                                          capsys):
+    """A second record with id '0' no longer silently replaces the first."""
+    header, records = vectors.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    (id_len,) = struct.unpack("<I", records[:4])
+    (n,) = struct.unpack("<I", records[4 + id_len:8 + id_len])
+    first = records[:8 + id_len + 4 * n * header["d_model"]]
+    assert first[4:4 + id_len] == b"0"
+    bad = tmp_path / "dup.ctxvec"
+    bad.write_bytes(json.dumps({**header, "count": header["count"] + 1}).encode()
+                    + b"\n" + records + first)
+    out = tmp_path / "hyp.jsonl"
+    assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                 "--vectors", str(bad), "--out", str(out)]) == 1
+    assert f"{bad}: record '0': duplicate id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestRewriteChunks:
+    """``iurkit rewrite`` scores ``INFERENCE_CHUNK`` dialogues per forward
+    pass; its output is that of rewriting each dialogue on its own."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, INFERENCE_CHUNK])
+    @pytest.mark.parametrize("imported", [False, True])
+    def test_output_equals_per_dialogue_rewrite(self, chunk, imported, corpus_dir,
+                                                trained, vectors, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "INFERENCE_CHUNK", chunk)
+        cfg = RunConfig.from_file(corpus_dir / "config.ini")
+        lexicon, inputs = cfg.load_inputs()
+        assert len(inputs) > INFERENCE_CHUNK
+        model, _ = load_model(trained)
+        flags = []
+        if imported:
+            model = with_imported_vectors(model, read_ctxvec(vectors)[1])
+            flags = ["--vectors", str(vectors)]
+        want = "".join(json.dumps({"id": dlg.example_id, "rewritten": rewrite(
+            dlg, model, cfg.theta, lexicon, parse)[0].text(" ")}) + "\n"
+            for dlg, parse in inputs)
+        out = tmp_path / "hyp.jsonl"
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"), *flags,
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_missing_vectors_mid_chunk_names_example(self, corpus_dir, trained, vectors,
+                                                     tmp_path, capsys):
+        d_model, records = read_ctxvec(vectors)
+        del records["3"]
+        partial = tmp_path / "partial.ctxvec"
+        write_ctxvec(partial, d_model, records)
+        out = tmp_path / "hyp.jsonl"
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--vectors", str(partial), "--out", str(out)]) == 1
+        assert "no imported vectors for example '3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_form_mismatch_mid_chunk_names_example(self, corpus_dir, trained, tmp_path,
+                                                   capsys):
+        blocks = _parse_blocks(corpus_dir)
+        blocks[3] = blocks[3].replace("\tword131\t", "\tword999\t")
+        cfg = _config_with_parses(corpus_dir, tmp_path, blocks)
+        out = tmp_path / "hyp.jsonl"
+        assert main(["rewrite", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "example '3': parse form 'word999' at token 0 does not match" in err
+        assert not out.exists()
+
+    def test_empty_data_file(self, corpus_dir, trained, tmp_path):
+        (tmp_path / "empty.jsonl").write_text("")
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text((corpus_dir / "config.ini").read_text()
+                       + f"data = {tmp_path / 'empty.jsonl'}\nparses =\n")
+        out = tmp_path / "hyp.jsonl"
+        assert main(["rewrite", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text() == ""
+
+    def test_logs_counts_and_wall_time_at_info(self, corpus_dir, trained, tmp_path,
+                                               caplog):
+        caplog.set_level(logging.INFO, logger="iurkit")
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
+        [record] = [r for r in caplog.records if r.name == "iurkit"]
+        assert record.levelno == logging.INFO
+        chunks = -(-10 // INFERENCE_CHUNK)
+        assert re.fullmatch(rf"rewrote 10 dialogues in {chunks} chunks of up to "
+                            rf"{INFERENCE_CHUNK} in \d+\.\d{{3}} s", record.getMessage())
+
+    def test_quiet_at_default_level(self, corpus_dir, trained, tmp_path, caplog, capsys):
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
+        assert not [r for r in caplog.records if r.name == "iurkit"]
+        assert capsys.readouterr().err == ""
 
 
 def _corrupt(data: bytes, kind: str, at: int, value: int) -> bytes:

@@ -11,12 +11,13 @@ from iurkit.querygen import PronounLexicon, build_query
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, OpHead, ScoreGrid, TrainConfig,
-                            TrainExample, _encode, _in_order, _loss_grad,
+                            TrainExample, _encode, _forward, _in_order, _loss_grad,
                             _mixer_backward, _mixer_forward, _rope_table, _rotate,
-                            build_vocab, circle_loss, encode, grad, init_model,
-                            load_model, params_items, project, read_ctxvec,
-                            rope_rotate, save_model, score_all, score_grid,
-                            train, with_imported_vectors, write_ctxvec)
+                            build_vocab, circle_loss, encode, grad,
+                            init_model, load_model, params_items, project,
+                            read_ctxvec, rope_rotate, save_model, score_all,
+                            score_batch, score_grid, train, with_imported_vectors,
+                            write_ctxvec)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, VOCAB, make_corpus
 
@@ -126,6 +127,27 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def mixed_lengths(small_set, long_set):
+    """The short inputs, then six ~210-token ones, with distinct ids."""
+    return [replace(e, example_id=str(i)) for i, e in enumerate(small_set + long_set[:6])]
+
+
+def bit_test_model(encoder, examples, order="F", d_head=16):
+    """A d_model 32 model with non-zero biases; ``imported`` serves random
+    vectors for every example, in ``order`` (Fortran order, as the API allows)."""
+    model = init_model(build_vocab([e.input for e in examples]), d_model=32,
+                       d_head=d_head, seed=1, mixer=encoder == "mixer")
+    rng = np.random.default_rng(5)
+    for head in model.head.per_op.values():  # views: updates reach the model
+        head.bq[...] = rng.uniform(-0.5, 0.5, head.bq.shape)
+        head.bk[...] = rng.uniform(-0.5, 0.5, head.bk.shape)
+    if encoder == "imported":
+        model = with_imported_vectors(model, {
+            e.example_id: np.asarray(rng.normal(size=(len(e.input.tokens), 32)), order=order)
+            for e in examples})
+    return model
+
+
 class TestRope:
     def test_d2_angle_equals_position(self):
         # with d=2 the single frequency is 10000^0 = 1, so the rotation
@@ -195,19 +217,9 @@ class TestRotaryTable:
         # an empty cache: the short inputs build the first table, the
         # ~210-token ones grow it
         monkeypatch.setattr(scoring, "_rope_tables", {})
-        examples = [replace(e, example_id=str(i))
-                    for i, e in enumerate(small_set + long_set[:6])]
+        examples = mixed_lengths(small_set, long_set)
         assert max(len(e.input.tokens) for e in examples) > scoring._ROPE_FIRST_ROWS
-        model = init_model(build_vocab([e.input for e in examples]), d_model=32,
-                           d_head=16, seed=1, mixer=encoder == "mixer")
-        rng = np.random.default_rng(5)
-        for head in model.head.per_op.values():  # non-zero biases
-            head.bq[...] = rng.uniform(-0.5, 0.5, head.bq.shape)
-            head.bk[...] = rng.uniform(-0.5, 0.5, head.bk.shape)
-        if encoder == "imported":  # Fortran-order vectors, as the API allows
-            model = with_imported_vectors(model, {
-                e.example_id: np.asfortranarray(rng.normal(size=(len(e.input.tokens), 32)))
-                for e in examples})
+        model = bit_test_model(encoder, examples)
         for ex in examples:
             want_values, _ = reference_forward(model, ex.input, ex.example_id)
             for op, g in score_all(ex.input, model, ex.example_id).items():
@@ -239,6 +251,50 @@ class TestRotaryTable:
         cos, sin = scoring._rope_tables[4]
         assert len(cos) >= longest
         assert not cos.flags.writeable and not sin.flags.writeable
+
+
+class TestBatchedScoring:
+    """``_forward`` scores a padded batch. Every input's cells must equal the
+    per-example reference bit for bit, whatever else shares its batch."""
+
+    # a 64-wide head makes a padded score matmul big enough for BLAS to
+    # switch kernels, which rounds differently
+    @pytest.mark.parametrize("d_head", [16, 64])
+    @pytest.mark.parametrize("encoder, order", [
+        ("embedding", "C"), ("mixer", "C"), ("imported", "C"), ("imported", "F")])
+    def test_batches_bit_identical_to_reference(self, encoder, order, d_head, small_set,
+                                                long_set):
+        examples = mixed_lengths(small_set, long_set)
+        # short and long inputs side by side in the batches below
+        examples = [examples[i] for i in np.random.default_rng(3).permutation(len(examples))]
+        model = bit_test_model(encoder, examples, order, d_head)
+        want = {ex.example_id: reference_forward(model, ex.input, ex.example_id)[0]
+                for ex in examples}
+        for size in (1, 2, 5, len(examples)):
+            for c0 in range(0, len(examples), size):
+                chunk = examples[c0:c0 + size]
+                inputs, ids = [e.input for e in chunk], [e.example_id for e in chunk]
+                values, per_input, _ = _forward(model, inputs, ids)
+                rows = max(inp.context_length for inp in inputs)
+                assert values.shape[:3] == (2, len(chunk), rows)
+                for ex, scores, grids in zip(chunk, per_input,
+                                             score_batch(inputs, model, ids)):
+                    for op, v in want[ex.example_id].items():
+                        assert np.array_equal(bits(scores[op]), bits(v))
+                        assert np.array_equal(bits(grids[op].values), bits(v))
+
+    def test_empty_batch(self, small_model):
+        assert score_batch([], small_model) == []
+
+    def test_non_finite_score_names_example(self, small_set, small_model):
+        records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
+        records[small_set[2].example_id] = records[small_set[2].example_id] * 1e200
+        model = with_imported_vectors(small_model, records)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"score grid of example "
+                                                 rf"'{small_set[2].example_id}' is not finite"):
+                score_batch([e.input for e in small_set], model,
+                            [e.example_id for e in small_set])
 
 
 class TestProject:
@@ -625,6 +681,17 @@ class TestCtxVec:
         p = tmp_path / "v.ctxvec"
         write_ctxvec(p, 4, {"a": np.ones((2, 4)), "b": np.full((2, 4), np.nan)})
         with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
+            read_ctxvec(p)
+
+    def test_rejects_duplicate_id(self, tmp_path):
+        """Two records with one id: the second no longer silently wins."""
+        p = tmp_path / "v.ctxvec"
+        records = []
+        for vecs in (np.ones((3, 4)), np.zeros((2, 4))):
+            write_ctxvec(p, 4, {"a": vecs})
+            records.append(p.read_bytes().split(b"\n", 1)[1])
+        p.write_bytes(b'{"d_model": 4, "count": 2}\n' + b"".join(records))
+        with pytest.raises(ValueError, match=r"v\.ctxvec: record 'a': duplicate id"):
             read_ctxvec(p)
 
     def test_rejects_wrong_width(self, tmp_path):

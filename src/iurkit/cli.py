@@ -22,7 +22,7 @@ from typing import Optional
 import click
 
 from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
-                        load_dialogues)
+                        load_dialogues, read_text)
 from .metrics import evaluate as evaluate_corpus
 from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
                        build_query, read_conllu)
@@ -31,7 +31,7 @@ from .scoring import (INFERENCE_CHUNK, AdamState, ModelParams, TrainConfig,
                       TrainExample, build_vocab, init_model, load_model, read_ctxvec,
                       save_model, train, with_imported_vectors)
 from .supervision import (SupervisionReport, aggregate_report,
-                          build_edit_matrix, diff_spans, lcs_align)
+                          build_edit_matrix, diff_spans)
 
 log = logging.getLogger("iurkit")
 
@@ -67,7 +67,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         cfg = cls()
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -149,20 +149,13 @@ def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
     return cfg
 
 
-def _gold_replace_intervals(dialogue: Dialogue) -> list[tuple[int, int]]:
-    if dialogue.rewritten is None:
-        return []
-    alignment = lcs_align(dialogue.incomplete.texts(), dialogue.rewritten.texts())
-    spans, _ = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
-    return [s.cols for s in spans if s.cols[0] < s.cols[1]]
-
-
 def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
                lexicon: PronounLexicon, cfg: RunConfig,
                use_gold: bool) -> QueryTemplate:
-    gold = _gold_replace_intervals(dialogue) if use_gold else None
-    if use_gold and not gold:
-        gold = None  # fall back to the lexicon, then ellipsis detection
+    gold = None
+    if use_gold:  # the substituted intervals of the gold rewrite
+        spans, _ = diff_spans(dialogue.incomplete, dialogue.rewritten)
+        gold = [s.cols for s in spans if s.cols[0] < s.cols[1]]
     try:
         return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
                            gold_replace_intervals=gold)
@@ -325,7 +318,7 @@ def cmd_evaluate(hyp, ref, as_json):
     """Score a hypothesis file against a reference file (one utterance per line)."""
 
     def read(path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         return [Utterance.from_text(line) for line in lines]
 
     hyps, refs = read(hyp), read(ref)

@@ -124,6 +124,18 @@ def tokenize(text: str) -> list[str]:
     return _WORD_SPLIT.findall(text)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file with newlines translated, as ``Path.read_text``
+    gives it; bytes that are not UTF-8 are a ValueError naming file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class DataFormat(Enum):
     CANONICAL_JSONL = "jsonl"
     TAB_SEPARATED = "tsv"
@@ -138,17 +150,15 @@ def load_dialogues(path: str | Path, format: DataFormat) -> list[Dialogue]:
     records raise ValueError naming the line number and field.
     """
     dialogues: list[Dialogue] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if format is DataFormat.CANONICAL_JSONL:
-                dialogues.append(_parse_jsonl_record(line, lineno))
-            elif format is DataFormat.TAB_SEPARATED:
-                dialogues.append(_parse_tsv_record(line, lineno))
-            else:
-                raise ValueError(f"unknown data format: {format}")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        if format is DataFormat.CANONICAL_JSONL:
+            dialogues.append(_parse_jsonl_record(line, lineno))
+        elif format is DataFormat.TAB_SEPARATED:
+            dialogues.append(_parse_tsv_record(line, lineno))
+        else:
+            raise ValueError(f"unknown data format: {format}")
     return dialogues
 
 

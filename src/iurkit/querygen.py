@@ -1,10 +1,11 @@
 """Query-template construction from the incomplete utterance.
 
-A template is the incomplete utterance with marker slots: pronoun and
-referential-NP matches become [COREF] slots; when no pronoun matches, a
-dependency parse decides where [ELLIP] slots go (missing object -> end,
-missing subject -> beginning, otherwise both ends). Markers can be
-rendered as the unified [UNK] token.
+A template is the incomplete utterance with a marker at each slot, a
+half-open token interval: [COREF] replaces a non-empty slot (a pronoun or
+referential-NP match, or a gold substitution target), [ELLIP] fills an
+empty one. Without coreference slots a dependency parse places the
+[ELLIP] slots (missing object -> end, missing subject -> beginning,
+otherwise both ends). Markers can be written as the unified [UNK] token.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .datamodel import (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, TokenizeMode,
-                        Utterance, tokenize)
+                        Utterance, read_text, tokenize)
 
-# DEPREL labels treated as subject/object evidence; configurable because
-# different parsers label these differently.
+# DEPREL labels treated as subject/object evidence (UD and Chinese
+# treebank spellings).
 SUBJECT_LABELS = frozenset({"nsubj", "nsubj:pass", "csubj", "SBV"})
 OBJECT_LABELS = frozenset({"obj", "dobj", "iobj", "obl:obj", "VOB", "IOB"})
 
@@ -44,12 +45,17 @@ class PronounLexicon:
     """Surface forms matched as exact token subsequences, longest first."""
 
     entries: tuple[tuple[str, ...], ...]
+    _forms: frozenset = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("pronoun lexicon must be non-empty")
         if any(len(e) == 0 or any(not t for t in e) for e in self.entries):
             raise ValueError("lexicon entries must be non-empty token sequences")
+        object.__setattr__(self, "_forms", frozenset(self.entries))
+        object.__setattr__(self, "_lengths",
+                           tuple(sorted({len(e) for e in self.entries}, reverse=True)))
 
     @classmethod
     def from_surface_forms(cls, forms: Sequence[str]) -> "PronounLexicon":
@@ -60,20 +66,16 @@ class PronounLexicon:
     def from_file(cls, path: str | Path,
                   mode: Optional[TokenizeMode] = None) -> "PronounLexicon":
         """``mode`` is unused; see the note on ``datamodel.Role``."""
-        forms = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                forms.append(line)
-        return cls.from_surface_forms(forms)
+        forms = [line.split("#", 1)[0] for line in read_text(path).splitlines()]
+        try:
+            return cls.from_surface_forms(forms)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls, lang: str) -> "PronounLexicon":
         forms = DEFAULT_PRONOUNS_ZH if lang == "zh" else DEFAULT_PRONOUNS_EN
         return cls.from_surface_forms(forms)
-
-    def longest_first(self) -> list[tuple[str, ...]]:
-        return sorted(self.entries, key=lambda e: (-len(e), e))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
             raise ValueError(f"{path}: sentence {len(parses) + 1}: {exc}") from exc
         rows.clear()
 
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             flush()
             continue
@@ -168,99 +170,86 @@ class QueryTemplate:
     def text(self, sep: str = "") -> str:
         return sep.join(self.texts())
 
-    def unify(self) -> "QueryTemplate":
-        """Render every marker token as [UNK]; marker kinds stay in metadata."""
-        marker_positions = {p for p, _ in self.markers}
-        toks = tuple(UNK_TOKEN if i in marker_positions else t
-                     for i, t in enumerate(self.tokens))
-        return QueryTemplate(toks, self.markers, self.kind_summary, unified=True)
+
+def _template(incomplete: Utterance, slots: Sequence[tuple[int, int]],
+              unify: bool) -> Optional[QueryTemplate]:
+    """The incomplete utterance with a marker at each slot; None without slots.
+
+    ``slots`` are sorted, disjoint, half-open token intervals, all of one
+    kind: a non-empty ``(a, b)`` is replaced by one [COREF], an empty
+    ``(a, a)`` inserts one [ELLIP] before token ``a``. With ``unify`` every
+    marker is written as [UNK]; its kind stays in ``markers``.
+    """
+    texts, out, markers, done = incomplete.tokens, [], [], 0
+    for a, b in slots:
+        if not done <= a <= b <= len(texts):
+            raise ValueError(f"slot {(a, b)} is unsorted, overlapping or out of range "
+                             f"for {len(texts)} tokens")
+        out += texts[done:a]
+        markers.append((len(out), MarkerKind.COREF if a < b else MarkerKind.ELLIP))
+        out.append(UNK_TOKEN if unify else COREF_TOKEN if a < b else ELLIP_TOKEN)
+        done = b
+    if not markers:
+        return None
+    summary = (KindSummary.COREF_ONLY if markers[0][1] is MarkerKind.COREF
+               else KindSummary.ELLIPSIS_ONLY)
+    return QueryTemplate((*out, *texts[done:]), tuple(markers), summary, unified=unify)
+
+
+def _lexicon_slots(incomplete: Utterance, lexicon: PronounLexicon) -> list[tuple[int, int]]:
+    """Lexicon matches, left to right without overlap, the longest entry
+    first at each start (at most one entry of each length can match there)."""
+    texts, slots, i = incomplete.tokens, [], 0
+    while i < len(texts):
+        k = next((k for k in lexicon._lengths
+                  if i + k <= len(texts) and texts[i:i + k] in lexicon._forms), 0)
+        if k:
+            slots.append((i, i + k))
+        i += k or 1
+    return slots
+
+
+def _gold_slots(replace_intervals: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
+    for a, b in replace_intervals:
+        if not a < b:
+            raise ValueError(f"gold interval {(a, b)} is empty")
+    return replace_intervals
+
+
+def _ellipsis_slots(incomplete: Utterance, parse: DependencyParse) -> list[tuple[int, int]]:
+    if len(parse) != len(incomplete):
+        raise ValueError(
+            f"parse length {len(parse)} does not match utterance length {len(incomplete)}")
+    for i, (form, text) in enumerate(zip(parse.forms, incomplete.tokens)):
+        if form != text:
+            raise ValueError(f"parse form {form!r} at token {i} does not match "
+                             f"utterance token {text!r}")
+    has_subj = any(d in SUBJECT_LABELS for d in parse.deprels)
+    has_obj = any(d in OBJECT_LABELS for d in parse.deprels)
+    n = len(incomplete)  # a full S-V-O also gets markers at both ends
+    return [(0, 0)] * (not has_subj or has_obj) + [(n, n)] * (not has_obj or has_subj)
 
 
 def match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[QueryTemplate]:
-    """Replace lexicon matches with [COREF] markers; None when nothing matches.
-
-    Scanning is left to right, non-overlapping, longest entry first at each
-    start position.
-    """
-    texts = incomplete.texts()
-    entries = lexicon.longest_first()
-    out: list[str] = []
-    markers: list[tuple[int, MarkerKind]] = []
-    i = 0
-    while i < len(texts):
-        hit = None
-        for entry in entries:
-            if tuple(texts[i:i + len(entry)]) == entry:
-                hit = entry
-                break
-        if hit is not None:
-            markers.append((len(out), MarkerKind.COREF))
-            out.append(COREF_TOKEN)
-            i += len(hit)
-        else:
-            out.append(texts[i])
-            i += 1
-    if not markers:
-        return None
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+    """Replace lexicon matches (left to right, non-overlapping, longest entry
+    first at each start position) with [COREF]; None when nothing matches."""
+    return _template(incomplete, _lexicon_slots(incomplete, lexicon), False)
 
 
 def coref_from_gold(incomplete: Utterance,
                     replace_intervals: Sequence[tuple[int, int]]) -> Optional[QueryTemplate]:
-    """Training-time variant: marker slots come from gold substitution targets.
-
-    ``replace_intervals`` are half-open token intervals of the incomplete
-    utterance known (from supervision) to be substituted.
-    """
-    if not replace_intervals:
-        return None
-    texts = incomplete.texts()
-    replaced = sorted(replace_intervals)
-    out: list[str] = []
-    markers: list[tuple[int, MarkerKind]] = []
-    i = 0
-    while i < len(texts):
-        interval = next((iv for iv in replaced if iv[0] == i), None)
-        if interval is not None:
-            markers.append((len(out), MarkerKind.COREF))
-            out.append(COREF_TOKEN)
-            i = interval[1]
-        else:
-            out.append(texts[i])
-            i += 1
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+    """Training-time variant: [COREF] replaces each gold substitution target,
+    a sorted, disjoint, non-empty half-open token interval; None without any."""
+    return _template(incomplete, _gold_slots(replace_intervals), False)
 
 
-def detect_ellipsis(incomplete: Utterance, parse: DependencyParse,
-                    subject_labels: frozenset[str] = SUBJECT_LABELS,
-                    object_labels: frozenset[str] = OBJECT_LABELS) -> QueryTemplate:
+def detect_ellipsis(incomplete: Utterance, parse: DependencyParse) -> QueryTemplate:
     """Place [ELLIP] markers according to the parse's S-V-O completeness.
 
     Missing object -> marker appended; missing subject -> marker prepended;
     missing both, or missing neither, -> markers at both ends.
     """
-    if len(parse) != len(incomplete):
-        raise ValueError(
-            f"parse length {len(parse)} does not match utterance length {len(incomplete)}")
-    texts = incomplete.texts()
-    for i, (form, text) in enumerate(zip(parse.forms, texts)):
-        if form != text:
-            raise ValueError(f"parse form {form!r} at token {i} does not match "
-                             f"utterance token {text!r}")
-    has_subj = any(d in subject_labels for d in parse.deprels)
-    has_obj = any(d in object_labels for d in parse.deprels)
-    at_begin = not has_subj or (has_subj and has_obj)
-    at_end = not has_obj or (has_subj and has_obj)
-    markers: list[tuple[int, MarkerKind]] = []
-    out: list[str] = []
-    if at_begin:
-        markers.append((0, MarkerKind.ELLIP))
-        out.append(ELLIP_TOKEN)
-    out.extend(texts)
-    if at_end:
-        markers.append((len(out), MarkerKind.ELLIP))
-        out.append(ELLIP_TOKEN)
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.ELLIPSIS_ONLY)
+    return _template(incomplete, _ellipsis_slots(incomplete, parse), False)
 
 
 def build_query(incomplete: Utterance, lexicon: PronounLexicon,
@@ -269,17 +258,15 @@ def build_query(incomplete: Utterance, lexicon: PronounLexicon,
                 ) -> QueryTemplate:
     """Coreference template if one fires, else the ellipsis template.
 
-    A successful coreference match suppresses ellipsis markers entirely.
-    When ``gold_replace_intervals`` is given (training time) the coreference
-    slots come from gold substitution targets instead of lexicon matches.
+    A coreference slot suppresses ellipsis markers entirely. Non-empty
+    ``gold_replace_intervals`` (training time) give the coreference slots
+    in place of lexicon matches.
     """
-    if gold_replace_intervals is not None:
-        template = coref_from_gold(incomplete, gold_replace_intervals)
-    else:
-        template = match_coref(incomplete, lexicon)
-    if template is None:
+    slots = (_gold_slots(gold_replace_intervals) if gold_replace_intervals
+             else _lexicon_slots(incomplete, lexicon))
+    if not slots:
         if parse is None:
             raise ValueError(
                 "no pronoun matched; supply a dependency parse for ellipsis detection")
-        template = detect_ellipsis(incomplete, parse)
-    return template.unify() if unify else template
+        slots = _ellipsis_slots(incomplete, parse)
+    return _template(incomplete, slots, unify)

@@ -816,7 +816,10 @@ def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
         for i in range(_count(header["count"], path, "count")):
             where = f"{path}: record {i}"
             (id_len,) = struct.unpack("<I", read(4, "id length"))
-            ex_id = read(id_len, "id").decode("utf-8")
+            try:
+                ex_id = read(id_len, "id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: id is not UTF-8 ({exc})") from None
             where = f"{path}: record {ex_id!r}"
             if ex_id in records:
                 raise ValueError(f"{where}: duplicate id")

@@ -127,10 +127,9 @@ def lcs_align(xs: Sequence[str], ys: Sequence[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def diff_spans(incomplete: Utterance, rewritten: Utterance,
-               alignment: Sequence[tuple[int, int]]
+def diff_spans(incomplete: Utterance, rewritten: Utterance
                ) -> tuple[list[AddedSpan], list[tuple[int, int]]]:
-    """Turn alignment gaps into added spans plus unexpressible deletions.
+    """Turn LCS-alignment gaps into added spans plus unexpressible deletions.
 
     Returns (spans, deleted_intervals); a deleted interval is a run of
     incomplete tokens skipped by the alignment with no rewritten tokens
@@ -138,12 +137,12 @@ def diff_spans(incomplete: Utterance, rewritten: Utterance,
     """
     spans: list[AddedSpan] = []
     deletions: list[tuple[int, int]] = []
-    boundaries = list(alignment) + [(len(incomplete), len(rewritten))]
-    rew_texts = rewritten.texts()
+    boundaries = lcs_align(incomplete.texts(), rewritten.texts())
+    boundaries.append((len(incomplete), len(rewritten)))
     prev_i, prev_j = 0, 0
     for ai, aj in boundaries:
         gap_inc = (prev_i, ai)
-        gap_rew = rew_texts[prev_j:aj]
+        gap_rew = rewritten.tokens[prev_j:aj]
         if gap_rew:
             spans.append(AddedSpan(tuple(gap_rew), gap_inc))
         elif gap_inc[0] < gap_inc[1]:
@@ -207,8 +206,7 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
-    alignment = lcs_align(dialogue.incomplete.texts(), dialogue.rewritten.texts())
-    spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten, alignment)
+    spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten)
     report = SupervisionReport(example_id=dialogue.example_id,
                                deletions=list(deletions))
     masks = {op: np.zeros((input.context_length, input.incomplete_length + 1), bool)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -177,6 +178,51 @@ class TestTrain:
         rc = main(["train", "--config", str(corpus_dir / "config.ini"),
                    "--model", str(missing), "--resume"])
         assert rc == 1
+
+
+def _sha256(*paths) -> str:
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+class TestGoldQueryMode:
+    """``query_mode = gold`` end to end. The lexicon lacks 'this' and 'that',
+    so coreference slots of those examples come only from the gold rewrite.
+    The digests pin the outputs of the earlier, loop-built templates."""
+
+    DIGESTS = {
+        "supervision": "cdafb10c21c6272668cb0c152f366811bbc8d365cb91aa9fe7f81af59e132b6a",
+        "model": "616f3397f7b15a729d9ab83403d9653186edc6e1a2f69d0f53ab01d5f9082e27",
+        "query --unify": "c4ab38515ced4ee2b630ff617586310700e453fd7ce0a03d79afce5f964a4ea0",
+        "query --no-unify": "0b57dc508c09620fe7fe35468249f98a0ff5b49b7d945394ec8f94a5dd89b674"}
+
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        examples = make_corpus(40, seed=5)
+        write_corpus_files(examples, tmp_path / "data.jsonl", tmp_path / "parses.conllu")
+        (tmp_path / "lexicon.txt").write_text("he\nshe\nit\nthey\n", encoding="utf-8")
+        cfg = tmp_path / "gold.ini"
+        cfg.write_text(f"data = {tmp_path / 'data.jsonl'}\n"
+                       f"parses = {tmp_path / 'parses.conllu'}\n"
+                       f"lexicon = {tmp_path / 'lexicon.txt'}\n"
+                       f"model = {tmp_path / 'model.bin'}\n"
+                       f"out = {tmp_path / 'out'}\n"
+                       "query_mode = gold\nd_model = 8\nd_head = 4\nlr = 0.001\n"
+                       "batch_size = 4\nepochs = 1\nseed = 3\n")
+        common = ["--config", str(cfg)]
+        assert main(["build-supervision", *common]) == 0
+        assert main(["train", *common]) == 0
+        for flag in ("--unify", "--no-unify"):
+            assert main(["make-query", *common, flag,
+                         "--out", str(tmp_path / f"query{flag}.jsonl")]) == 0
+        out = tmp_path / "out"
+        matrices = sorted((out / "matrices").iterdir(), key=lambda p: int(p.stem))
+        digests = {"supervision": _sha256(out / "report.json", *matrices),
+                   "model": _sha256(tmp_path / "model.bin", tmp_path / "model.bin.log.json"),
+                   "query --unify": _sha256(tmp_path / "query--unify.jsonl"),
+                   "query --no-unify": _sha256(tmp_path / "query--no-unify.jsonl")}
+        assert digests == self.DIGESTS
 
 
 class TestRewrite:
@@ -602,6 +648,69 @@ def test_corrupt_jsonl_is_result_or_user_error(kind, at, value, corpus_dir, trai
                  ["make-query", "--out", str(out / "queries.jsonl")],
                  ["train", "--model", str(out / "model.bin"), "--epochs", "1"]):
         assert main([*argv, *common]) in (0, 1), argv[0]
+
+
+def test_comments_only_lexicon_names_file(corpus_dir, tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("# pronouns to come\n\n", encoding="utf-8")
+    cfg = _config_with(corpus_dir, tmp_path, lexicon=lexicon)
+    assert main(["make-query", "--config", str(cfg), "--out", str(tmp_path / "q.jsonl")]) == 1
+    assert f"error: {lexicon}: pronoun lexicon must be non-empty" in capsys.readouterr().err
+
+
+def _config_with(corpus_dir, tmp_path, **keys):
+    cfg = tmp_path / "with.ini"
+    cfg.write_text((corpus_dir / "config.ini").read_text()
+                   + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return cfg
+
+
+def _bad_byte(path, lineno: int) -> None:
+    """Put the byte 0xff at the start of line ``lineno`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("target", ["data", "tsv", "lexicon", "parses", "config",
+                                    "hyp", "ref", "ctxvec"])
+def test_invalid_utf8_names_file_and_line(target, corpus_dir, trained, vectors, tmp_path,
+                                          capsys):
+    """Bytes that are not UTF-8 are a user error naming the file and the line
+    (or the sidecar record) that holds them."""
+    bad = tmp_path / f"bad.{target}"
+    where = f"{bad}: line 3: "
+    out = ["--out", str(tmp_path / "out.jsonl")]
+    if target == "ctxvec":  # the id of the first record, '0', becomes b"\xff"
+        header, records = vectors.read_bytes().split(b"\n", 1)
+        assert records[:5] == struct.pack("<I", 1) + b"0"
+        bad.write_bytes(header + b"\n" + records[:4] + b"\xff" + records[5:])
+        where = f"{bad}: record 0: id is not UTF-8"
+        argv = ["rewrite", "--config", str(corpus_dir / "config.ini"), "--vectors", str(bad),
+                *out]
+    elif target in ("hyp", "ref"):
+        good = tmp_path / "good.txt"
+        good.write_text("a b\nc d\ne f\n", encoding="utf-8")
+        bad.write_bytes(good.read_bytes())
+        _bad_byte(bad, 3)
+        argv = ["evaluate", *((bad, good) if target == "hyp" else (good, bad))]
+    elif target == "tsv":
+        bad.write_text("".join(f"word00{i} word01{i}\tit\tword00{i} word01{i}\n"
+                               for i in range(5)), encoding="utf-8")
+        _bad_byte(bad, 3)
+        cfg = _config_with(corpus_dir, tmp_path, data=bad, format="tsv", parses="")
+        argv = ["make-query", "--config", str(cfg), *out]
+    else:
+        source = {"data": "data.jsonl", "lexicon": "lexicon.txt",
+                  "parses": "parses.conllu", "config": "config.ini"}[target]
+        bad.write_bytes((corpus_dir / source).read_bytes())
+        _bad_byte(bad, 3)
+        cfg = bad if target == "config" else _config_with(corpus_dir, tmp_path,
+                                                          **{target: bad})
+        argv = ["make-query", "--config", str(cfg), *out]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "can't decode byte 0xff" in err
 
 
 class TestFlagValidation:

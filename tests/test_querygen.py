@@ -1,12 +1,14 @@
 import re
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import Utterance
-from iurkit.querygen import (DependencyParse, KindSummary, MarkerKind,
-                             PronounLexicon, build_query, coref_from_gold,
-                             detect_ellipsis, match_coref, read_conllu)
+from iurkit.datamodel import COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, Utterance
+from iurkit.querygen import (OBJECT_LABELS, SUBJECT_LABELS, DependencyParse,
+                             KindSummary, MarkerKind, PronounLexicon, QueryTemplate,
+                             build_query, coref_from_gold, detect_ellipsis,
+                             match_coref, read_conllu)
 
 
 def utt(text):
@@ -29,9 +31,15 @@ class TestLexicon:
         lex = PronounLexicon.from_file(p)
         assert ("他",) in lex.entries and ("她",) in lex.entries
 
+    def test_comments_only_file_is_named(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("# pronouns\n\n  # none yet\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: pronoun lexicon must be")):
+            PronounLexicon.from_file(p)
+
     def test_longest_first(self):
         lex = PronounLexicon.from_surface_forms(["这", "这样"])
-        assert lex.longest_first()[0] == ("这", "样")
+        assert match_coref(utt("这样"), lex).markers == ((0, MarkerKind.COREF),)
 
 
 class TestMatchCoref:
@@ -68,6 +76,28 @@ class TestCorefFromGold:
 
     def test_empty_intervals_returns_none(self):
         assert coref_from_gold(utt("abc"), []) is None
+
+    @pytest.mark.parametrize("intervals, named", [
+        ([(1, 1)], "gold interval (1, 1) is empty"),
+        ([(2, 1)], "gold interval (2, 1) is empty"),
+        ([(0, 2), (1, 3)], "slot (1, 3) is unsorted, overlapping or out of range"),
+        ([(0, 2), (0, 1)], "slot (0, 1) is unsorted, overlapping or out of range"),
+        ([(2, 3), (0, 1)], "slot (0, 1) is unsorted, overlapping or out of range"),
+        ([(1, 4)], "slot (1, 4) is unsorted, overlapping or out of range for 3 tokens"),
+        ([(-1, 1)], "slot (-1, 1) is unsorted, overlapping or out of range")])
+    @pytest.mark.parametrize("via", ["coref_from_gold", "build_query"])
+    def test_bad_interval_is_named(self, intervals, named, via):
+        inc = Utterance(("a", "b", "c"))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            if via == "coref_from_gold":
+                coref_from_gold(inc, intervals)
+            else:
+                build_query(inc, PronounLexicon.default("en"), None, True, intervals)
+
+    def test_adjacent_intervals(self):
+        q = coref_from_gold(Utterance(("a", "b", "c")), [(0, 1), (1, 3)])
+        assert q.texts() == ["[COREF]", "[COREF]"]
+        assert q.markers == ((0, MarkerKind.COREF), (1, MarkerKind.COREF))
 
 
 def parse_of(utterance, deprels):
@@ -220,3 +250,121 @@ class TestHeuristicParse:
         parse = heuristic_parse(inc, ["was", "is"])
         assert "nsubj" in parse.deprels
         assert "obj" not in parse.deprels
+
+
+# Reference copies of the loop-built templates that the slot placer
+# replaced, kept as an oracle for the property below.
+
+def ref_match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[QueryTemplate]:
+    texts = incomplete.texts()
+    entries = sorted(lexicon.entries, key=lambda e: (-len(e), e))
+    out: list[str] = []
+    markers: list[tuple[int, MarkerKind]] = []
+    i = 0
+    while i < len(texts):
+        hit = None
+        for entry in entries:
+            if tuple(texts[i:i + len(entry)]) == entry:
+                hit = entry
+                break
+        if hit is not None:
+            markers.append((len(out), MarkerKind.COREF))
+            out.append(COREF_TOKEN)
+            i += len(hit)
+        else:
+            out.append(texts[i])
+            i += 1
+    if not markers:
+        return None
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+
+
+def ref_coref_from_gold(incomplete: Utterance, replace_intervals: Sequence[tuple[int, int]]
+                        ) -> Optional[QueryTemplate]:
+    if not replace_intervals:
+        return None
+    texts = incomplete.texts()
+    replaced = sorted(replace_intervals)
+    out: list[str] = []
+    markers: list[tuple[int, MarkerKind]] = []
+    i = 0
+    while i < len(texts):
+        interval = next((iv for iv in replaced if iv[0] == i), None)
+        if interval is not None:
+            markers.append((len(out), MarkerKind.COREF))
+            out.append(COREF_TOKEN)
+            i = interval[1]
+        else:
+            out.append(texts[i])
+            i += 1
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+
+
+def ref_detect_ellipsis(incomplete: Utterance, parse: DependencyParse) -> QueryTemplate:
+    texts = incomplete.texts()
+    has_subj = any(d in SUBJECT_LABELS for d in parse.deprels)
+    has_obj = any(d in OBJECT_LABELS for d in parse.deprels)
+    at_begin = not has_subj or (has_subj and has_obj)
+    at_end = not has_obj or (has_subj and has_obj)
+    markers: list[tuple[int, MarkerKind]] = []
+    out: list[str] = []
+    if at_begin:
+        markers.append((0, MarkerKind.ELLIP))
+        out.append(ELLIP_TOKEN)
+    out.extend(texts)
+    if at_end:
+        markers.append((len(out), MarkerKind.ELLIP))
+        out.append(ELLIP_TOKEN)
+    return QueryTemplate(tuple(out), tuple(markers), KindSummary.ELLIPSIS_ONLY)
+
+
+def ref_unify(template: QueryTemplate) -> QueryTemplate:
+    marker_positions = {p for p, _ in template.markers}
+    toks = tuple(UNK_TOKEN if i in marker_positions else t
+                 for i, t in enumerate(template.tokens))
+    return QueryTemplate(toks, template.markers, template.kind_summary, unified=True)
+
+
+def fields_of(template: Optional[QueryTemplate]):
+    if template is None:
+        return None
+    return template.tokens, template.markers, template.kind_summary, template.unified
+
+
+ALPHABET = ["a", "b", "c"]
+DEPRELS = ["root", "dep", "nsubj", "SBV", "obj", "VOB"]
+
+
+@st.composite
+def query_inputs(draw):
+    tokens = draw(st.lists(st.sampled_from(ALPHABET), max_size=9))
+    entries = draw(st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3)
+                            .map(" ".join), min_size=1, max_size=5))
+    deprels = draw(st.lists(st.sampled_from(DEPRELS), min_size=len(tokens),
+                            max_size=len(tokens)))
+    parse = DependencyParse(tuple([0] + [1] * (len(tokens) - 1))[:len(tokens)],
+                            tuple(deprels), tuple(tokens))
+    gold, pos = [], 0  # disjoint, non-empty, possibly adjacent
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                                     max_size=4)):
+        if pos + gap + length > len(tokens):
+            break
+        gold.append((pos + gap, pos + gap + length))
+        pos += gap + length
+    return (Utterance(tuple(tokens)), PronounLexicon.from_surface_forms(entries),
+            parse, gold, draw(st.booleans()))
+
+
+@given(query_inputs())
+@settings(max_examples=300, deadline=None)
+def test_slot_placer_equals_loop_built_templates(case):
+    inc, lexicon, parse, gold, unify = case
+    assert fields_of(match_coref(inc, lexicon)) == fields_of(ref_match_coref(inc, lexicon))
+    assert fields_of(coref_from_gold(inc, gold)) == fields_of(ref_coref_from_gold(inc, gold))
+    assert fields_of(detect_ellipsis(inc, parse)) == fields_of(ref_detect_ellipsis(inc, parse))
+    for gold_arg in (None, gold):
+        # empty gold falls back to the lexicon, as the command line always did
+        want = (ref_coref_from_gold(inc, gold_arg) if gold_arg
+                else ref_match_coref(inc, lexicon)) or ref_detect_ellipsis(inc, parse)
+        got = build_query(inc, lexicon, parse, unify, gold_replace_intervals=gold_arg)
+        assert fields_of(got) == fields_of(ref_unify(want) if unify else want)

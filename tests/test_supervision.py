@@ -87,7 +87,7 @@ def prepared(dialogue, lexicon=None):
 class TestDiffSpans:
     def test_table1_spans(self, table1):
         inc, rew = table1.incomplete, table1.rewritten
-        spans, deletions = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
+        spans, deletions = diff_spans(inc, rew)
         assert deletions == []
         assert len(spans) == 2
         sub, ins = spans
@@ -98,13 +98,13 @@ class TestDiffSpans:
 
     def test_identical_no_spans(self):
         u = Utterance.from_text("考口语啊")
-        spans, deletions = diff_spans(u, u, lcs_align(u.texts(), u.texts()))
+        spans, deletions = diff_spans(u, u)
         assert spans == [] and deletions == []
 
     def test_table9_example2_front_insert(self):
         inc = Utterance.from_text("考口语啊")
         rew = Utterance.from_text("雅思第一项考口语啊")
-        spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
+        spans, _ = diff_spans(inc, rew)
         (span,) = spans
         assert span.cols == (0, 0)
         assert list(span.tokens) == ["雅", "思", "第", "一", "项"]
@@ -112,7 +112,7 @@ class TestDiffSpans:
     def test_end_insert_goes_to_sentinel(self):
         inc = Utterance.from_text("不想保留")
         rew = Utterance.from_text("不想保留意见")
-        spans, _ = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
+        spans, _ = diff_spans(inc, rew)
         (span,) = spans
         assert span.cols == (4, 4)  # sentinel column
 
@@ -121,7 +121,7 @@ class TestDiffSpans:
         rew = Utterance.from_text("ac")
         inc = Utterance.from_texts(["a", "b", "c"])
         rew = Utterance.from_texts(["a", "c"])
-        spans, deletions = diff_spans(inc, rew, lcs_align(inc.texts(), rew.texts()))
+        spans, deletions = diff_spans(inc, rew)
         assert spans == []
         assert deletions == [(1, 2)]
 

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -298,12 +298,12 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
                        unify=unify)
     model = _load_model_for_inference(cfg, vectors)
     lexicon, inputs = cfg.load_inputs()
-    start, results = time.perf_counter(), []
-    for c0 in range(0, len(inputs), INFERENCE_CHUNK):
-        dialogues, parses = zip(*inputs[c0:c0 + INFERENCE_CHUNK])
-        batch = rewrite_batch(dialogues, model, cfg.theta, lexicon, parses, cfg.unify)
-        results += [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
-                    for dlg, (out, _) in zip(dialogues, batch)]
+    start = time.perf_counter()
+    dialogues = [dlg for dlg, _ in inputs]
+    batch = rewrite_batch(dialogues, model, cfg.theta, lexicon,
+                          [parse for _, parse in inputs], cfg.unify)
+    results = [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
+               for dlg, (out, _) in zip(dialogues, batch)]
     _write_jsonl(out_path, results)
     log.info("rewrote %d dialogues in %d chunks of up to %d in %.3f s", len(inputs),
              math.ceil(len(inputs) / INFERENCE_CHUNK), INFERENCE_CHUNK,
@@ -358,10 +358,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (click.ClickException,) as exc:
+    except click.ClickException as exc:
         exc.show()
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except click.Abort:

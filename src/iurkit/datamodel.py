@@ -77,35 +77,43 @@ class Dialogue:
 class InputSequence:
     """query tokens + history tokens + incomplete tokens + one [END] sentinel.
 
-    ``tokens`` holds the token texts. Ranges are half-open ``(start, stop)``
-    intervals over ``tokens``; ``history_turns`` gives the sub-interval of
-    each history utterance so span search can respect utterance boundaries.
+    ``tokens`` holds the token texts; the first ``query_length`` are the
+    query and the first ``context_length`` the query plus history. Ranges
+    are half-open ``(start, stop)`` intervals over ``tokens``;
+    ``history_turns`` gives the sub-interval of each history utterance so
+    span search can respect utterance boundaries.
     """
 
     tokens: tuple[str, ...]
-    query_range: tuple[int, int]
-    history_range: tuple[int, int]
-    incomplete_range: tuple[int, int]
-    sentinel_index: int
+    query_length: int
+    context_length: int  # the score-grid rows
     history_turns: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        q, h, inc = self.query_range, self.history_range, self.incomplete_range
-        if not (0 == q[0] <= q[1] == h[0] <= h[1] == inc[0] <= inc[1]):
+        if not 0 <= self.query_length <= self.context_length < len(self.tokens):
             raise ValueError("ranges must be contiguous and ordered")
-        if self.sentinel_index != len(self.tokens) - 1 or inc[1] != self.sentinel_index:
-            raise ValueError("sentinel must be the final token")
-        if self.tokens[self.sentinel_index] != END_TOKEN:
+        if self.tokens[-1] != END_TOKEN:
             raise ValueError("final token must be the sentinel")
 
     @property
-    def context_length(self) -> int:
-        """Number of query+history tokens (the score-grid rows)."""
-        return self.history_range[1]
+    def query_range(self) -> tuple[int, int]:
+        return 0, self.query_length
+
+    @property
+    def history_range(self) -> tuple[int, int]:
+        return self.query_length, self.context_length
+
+    @property
+    def incomplete_range(self) -> tuple[int, int]:
+        return self.context_length, self.sentinel_index
+
+    @property
+    def sentinel_index(self) -> int:
+        return len(self.tokens) - 1
 
     @property
     def incomplete_length(self) -> int:
-        return self.incomplete_range[1] - self.incomplete_range[0]
+        return self.sentinel_index - self.context_length
 
     def texts(self) -> list[str]:
         return list(self.tokens)
@@ -147,18 +155,17 @@ def load_dialogues(path: str | Path, format: DataFormat) -> list[Dialogue]:
     JSONL records carry ``history`` (array of strings), ``incomplete``,
     optional ``rewritten``, and optional ``lang`` ("zh" | "en"; validated,
     not used). TSV columns are history..., incomplete, rewritten. Malformed
-    records raise ValueError naming the line number and field.
+    records raise ValueError naming the file, the line number and the field.
     """
+    parse = {DataFormat.CANONICAL_JSONL: _parse_jsonl_record,
+             DataFormat.TAB_SEPARATED: _parse_tsv_record}[DataFormat(format)]
     dialogues: list[Dialogue] = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        if format is DataFormat.CANONICAL_JSONL:
-            dialogues.append(_parse_jsonl_record(line, lineno))
-        elif format is DataFormat.TAB_SEPARATED:
-            dialogues.append(_parse_tsv_record(line, lineno))
-        else:
-            raise ValueError(f"unknown data format: {format}")
+        if line.strip():
+            try:
+                dialogues.append(parse(line, lineno))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     return dialogues
 
 
@@ -220,11 +227,5 @@ def build_input_sequence(query: "Utterance | object", dialogue: Dialogue) -> Inp
         turn_ranges.append((start, len(tokens)))
     h = len(tokens)
     tokens += dialogue.incomplete.texts()
-    inc = len(tokens)
     tokens.append(END_TOKEN)
-    return InputSequence(tokens=tuple(tokens),
-                         query_range=(0, q),
-                         history_range=(q, h),
-                         incomplete_range=(h, inc),
-                         sentinel_index=inc,
-                         history_turns=tuple(turn_ranges))
+    return InputSequence(tuple(tokens), q, h, tuple(turn_ranges))

@@ -37,7 +37,6 @@ class MarkerKind(Enum):
 class KindSummary(Enum):
     COREF_ONLY = "coref_only"
     ELLIPSIS_ONLY = "ellipsis_only"
-    NONE = "none"
 
 
 @dataclass(frozen=True)

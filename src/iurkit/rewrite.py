@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -178,15 +178,16 @@ def example_error(dialogue: Dialogue, exc: ValueError) -> ValueError:
 
 def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
                   parses: Optional[Sequence] = None, unify: bool = True
-                  ) -> list[tuple[Utterance, Diagnostics]]:
-    """Full inference pipeline for a batch of dialogues (``parses`` by
-    position), scored in one padded forward pass.
+                  ) -> Iterator[tuple[Utterance, Diagnostics]]:
+    """Full inference pipeline for any number of dialogues (``parses`` by
+    position), yielding each one's ``(output, diagnostics)`` in order.
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. Each dialogue's diagnostics carry every intermediate. The
-    results equal ``rewrite`` of each dialogue, and a ValueError names the
-    example it arose from.
+    application. Every query and input is built first; ``score_batch``
+    then streams the grids chunk by chunk. Each dialogue's diagnostics
+    carry every intermediate. The results equal ``rewrite`` of each
+    dialogue, and a ValueError names the example it arose from.
     """
     parses = [None] * len(dialogues) if parses is None else parses
     queries, inputs = [], []
@@ -197,19 +198,17 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
         except ValueError as exc:
             raise example_error(dialogue, exc) from exc
     batch = score_batch(inputs, model, [d.example_id for d in dialogues])
-    results = []
     for dialogue, query, input_seq, grids in zip(dialogues, queries, inputs, batch):
         try:
             matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
         except ValueError as exc:
             raise example_error(dialogue, exc) from exc
-        results.append((output, Diagnostics(
+        yield output, Diagnostics(
             query_texts=query.texts(), input_texts=input_seq.texts(),
-            grids=grids, matrix=matrix, spans=spans)))
-    return results
+            grids=grids, matrix=matrix, spans=spans)
 
 
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
             unify: bool = True) -> tuple[Utterance, Diagnostics]:
     """``rewrite_batch`` of one dialogue."""
-    return rewrite_batch([dialogue], model, theta, lexicon, [parse], unify)[0]
+    return next(rewrite_batch([dialogue], model, theta, lexicon, [parse], unify))

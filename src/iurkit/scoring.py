@@ -22,7 +22,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -253,10 +253,9 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # forward pieces
 
 
-# Inputs per padded forward pass when scoring many at once (``iurkit
-# rewrite``, ``train_em``). Larger chunks pay the per-call numpy cost less
-# often, but a chunk of ~200-row inputs then outgrows the CPU's L2 cache
-# and holds more memory (see ROADMAP item 1).
+# Inputs per padded forward pass in ``score_batch``. Larger chunks pay the
+# per-call numpy cost less often, but a chunk of ~200-row inputs then
+# outgrows the CPU's L2 cache and holds more memory.
 INFERENCE_CHUNK = 8
 
 # Rotary factors for positions 0..n-1, one table per rotary width, shared by
@@ -477,24 +476,26 @@ def _backward(model: ModelParams, cache,
 
 def score_batch(inputs: Sequence[InputSequence], model: ModelParams,
                 example_ids: Optional[Sequence[Optional[str]]] = None
-                ) -> list[dict[EditOp, ScoreGrid]]:
-    """Both operations' grids for each input, from one ``_forward`` pass.
-    Raises on a non-finite score, naming the example."""
-    if not inputs:
-        return []
+                ) -> Iterator[dict[EditOp, ScoreGrid]]:
+    """Both operations' grids for each input, in order. ``_forward`` scores
+    consecutive chunks of at most ``INFERENCE_CHUNK`` inputs, so the score
+    arrays in memory are one chunk's whatever the number of inputs. Raises
+    on a non-finite score, naming the example."""
     example_ids = [None] * len(inputs) if example_ids is None else example_ids
-    values, scores, _ = _forward(model, inputs, example_ids)
-    if not np.isfinite(values).all():
-        b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
-        raise ValueError(f"score grid of example {example_ids[b]!r} is not finite")
-    return [{op: ScoreGrid.checked(op, v) for op, v in per_op.items()}
-            for per_op in scores]
+    for c0 in range(0, len(inputs), INFERENCE_CHUNK):
+        ids = example_ids[c0:c0 + INFERENCE_CHUNK]
+        values, scores, _ = _forward(model, inputs[c0:c0 + INFERENCE_CHUNK], ids)
+        if not np.isfinite(values).all():
+            b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
+            raise ValueError(f"score grid of example {ids[b]!r} is not finite")
+        for per_op in scores:
+            yield {op: ScoreGrid.checked(op, v) for op, v in per_op.items()}
 
 
 def score_all(input: InputSequence, model: ModelParams,
               example_id: Optional[str] = None) -> dict[EditOp, ScoreGrid]:
     """Both operations' grids for one input: a batch of one."""
-    return score_batch([input], model, [example_id])[0]
+    return next(score_batch([input], model, [example_id]))
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +600,11 @@ def train_em(model: ModelParams, examples: Sequence[TrainExample],
              theta: float) -> float:
     from .rewrite import decode  # rewrite imports this module
 
-    hits = 0
-    for c0 in range(0, len(examples), INFERENCE_CHUNK):
-        chunk = examples[c0:c0 + INFERENCE_CHUNK]
-        batch = score_batch([ex.input for ex in chunk], model,
-                            [ex.example_id for ex in chunk])
-        for ex, grids in zip(chunk, batch):
-            _, _, out = decode(grids, ex.input, ex.dialogue.incomplete, theta)
-            hits += out.texts() == ex.dialogue.rewritten.texts()
-    return hits / len(examples)
+    batch = score_batch([ex.input for ex in examples], model,
+                        [ex.example_id for ex in examples])
+    return sum(decode(grids, ex.input, ex.dialogue.incomplete, theta)[2].texts()
+               == ex.dialogue.rewritten.texts()
+               for ex, grids in zip(examples, batch)) / len(examples)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported below

@@ -8,11 +8,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit import cli
+from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
-from iurkit.rewrite import rewrite
-from iurkit.scoring import (INFERENCE_CHUNK, encode, load_model, read_ctxvec,
-                            with_imported_vectors, write_ctxvec)
+from iurkit.rewrite import rewrite, rewrite_batch
+from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
+                            load_model, read_ctxvec, save_model, score_batch,
+                            train_em, with_imported_vectors, write_ctxvec)
 from synthetic import make_corpus, write_corpus_files
 
 
@@ -523,13 +524,14 @@ def test_duplicate_vector_id_is_user_error(corpus_dir, trained, vectors, tmp_pat
 
 class TestRewriteChunks:
     """``iurkit rewrite`` scores ``INFERENCE_CHUNK`` dialogues per forward
-    pass; its output is that of rewriting each dialogue on its own."""
+    pass (in ``score_batch``); its output is that of rewriting each
+    dialogue on its own."""
 
     @pytest.mark.parametrize("chunk", [1, 3, INFERENCE_CHUNK])
     @pytest.mark.parametrize("imported", [False, True])
     def test_output_equals_per_dialogue_rewrite(self, chunk, imported, corpus_dir,
                                                 trained, vectors, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "INFERENCE_CHUNK", chunk)
+        monkeypatch.setattr(scoring, "INFERENCE_CHUNK", chunk)
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
         lexicon, inputs = cfg.load_inputs()
         assert len(inputs) > INFERENCE_CHUNK
@@ -594,6 +596,57 @@ class TestRewriteChunks:
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0
         assert not [r for r in caplog.records if r.name == "iurkit"]
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("caller", ["score_batch", "rewrite_batch", "train_em",
+                                    "iurkit rewrite"])
+def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
+    """Whatever the number of inputs, every public caller scores them in
+    consecutive ``_forward`` passes of at most ``INFERENCE_CHUNK``."""
+    n = 2 * INFERENCE_CHUNK + 1
+    write_corpus_files(make_corpus(n, seed=4), tmp_path / "d.jsonl",
+                       tmp_path / "p.conllu", tmp_path / "lex.txt")
+    config = tmp_path / "c.ini"
+    config.write_text(f"data = {tmp_path / 'd.jsonl'}\nparses = {tmp_path / 'p.conllu'}\n"
+                      f"lexicon = {tmp_path / 'lex.txt'}\nmodel = {tmp_path / 'm.bin'}\n"
+                      "lang = en\n")
+    cfg = RunConfig.from_file(config)
+    examples, _ = _prepare(cfg)
+    model = init_model(build_vocab(ex.input for ex in examples), 8, 4, seed=0)
+    save_model(cfg.model, model)
+    sizes, forward = [], scoring._forward
+
+    def recording_forward(model, inputs, *args, **kwargs):
+        sizes.append(len(inputs))
+        return forward(model, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "_forward", recording_forward)
+    if caller == "score_batch":
+        assert len(list(score_batch([ex.input for ex in examples], model))) == n
+    elif caller == "rewrite_batch":
+        lexicon, inputs = cfg.load_inputs()
+        assert len(list(rewrite_batch([d for d, _ in inputs], model, cfg.theta, lexicon,
+                                      [p for _, p in inputs]))) == n
+    elif caller == "train_em":
+        train_em(model, examples, cfg.theta)
+    else:
+        out = tmp_path / "hyp.jsonl"
+        assert main(["rewrite", "--config", str(config), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == n
+    assert sizes == [INFERENCE_CHUNK, INFERENCE_CHUNK, 1]
+
+
+@pytest.mark.parametrize("fmt, record, message", [
+    ("jsonl", '{"history": [], "incomplete": "a"', "invalid JSON"),
+    ("tsv", "one column", "need at least incomplete and rewritten columns")],
+    ids=["jsonl", "tsv"])
+def test_bad_data_record_names_file_and_line(fmt, record, message, tmp_path, capsys):
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_text(record + "\n")
+    config = tmp_path / "c.ini"
+    config.write_text(f"format = {fmt}\nlang = en\n")
+    assert main(["make-query", "--config", str(config), "--data", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: {message}")
 
 
 def _corrupt(data: bytes, kind: str, at: int, value: int) -> bytes:

@@ -119,7 +119,7 @@ class TestLoadDialogues:
     def test_malformed_record_type_names_line(self, tmp_path, record, message):
         p = tmp_path / "d.jsonl"
         p.write_text('{"history": [], "incomplete": "a"}\n' + json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: {message}$"):
             load_dialogues(p, DataFormat.CANONICAL_JSONL)
 
     def test_lang_field_selects_mode(self, tmp_path):

@@ -284,7 +284,7 @@ class TestBatchedScoring:
                         assert np.array_equal(bits(grids[op].values), bits(v))
 
     def test_empty_batch(self, small_model):
-        assert score_batch([], small_model) == []
+        assert list(score_batch([], small_model)) == []
 
     def test_non_finite_score_names_example(self, small_set, small_model):
         records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
@@ -293,8 +293,24 @@ class TestBatchedScoring:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=rf"score grid of example "
                                                  rf"'{small_set[2].example_id}' is not finite"):
-                score_batch([e.input for e in small_set], model,
-                            [e.example_id for e in small_set])
+                list(score_batch([e.input for e in small_set], model,
+                                 [e.example_id for e in small_set]))
+
+    def test_non_finite_score_in_a_later_chunk_names_example(self, long_set,
+                                                            small_model):
+        examples = long_set[:scoring.INFERENCE_CHUNK + 2]
+        bad = examples[-1].example_id
+        records = {e.example_id: encode(e.input, small_model.encoder) for e in examples}
+        records[bad] = records[bad] * 1e200
+        model = with_imported_vectors(small_model, records)
+        grids = score_batch([e.input for e in examples], model,
+                            [e.example_id for e in examples])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(scoring.INFERENCE_CHUNK):  # the first chunk is finite
+                next(grids)
+            with pytest.raises(ValueError,
+                               match=rf"score grid of example '{bad}' is not finite"):
+                next(grids)
 
 
 class TestProject:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -184,21 +186,24 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. Every query and input is built first; ``score_batch``
-    then streams the grids chunk by chunk. Each dialogue's diagnostics
-    carry every intermediate. The results equal ``rewrite`` of each
-    dialogue, and a ValueError names the example it arose from.
+    application. Queries and inputs are built as ``score_batch`` takes
+    them, so only one chunk's are held at a time. Each dialogue's
+    diagnostics carry every intermediate. The results equal ``rewrite``
+    of each dialogue, and a ValueError names the example it arose from.
     """
-    parses = [None] * len(dialogues) if parses is None else parses
-    queries, inputs = [], []
-    for dialogue, parse in zip(dialogues, parses):
-        try:
-            queries.append(build_query(dialogue.incomplete, lexicon, parse, unify))
-            inputs.append(build_input_sequence(queries[-1], dialogue))
-        except ValueError as exc:
-            raise example_error(dialogue, exc) from exc
-    batch = score_batch(inputs, model, [d.example_id for d in dialogues])
-    for dialogue, query, input_seq, grids in zip(dialogues, queries, inputs, batch):
+    built = deque()  # (dialogue, query, input) awaiting their grids
+
+    def inputs():
+        for dialogue, parse in zip(dialogues, repeat(None) if parses is None else parses):
+            try:
+                query = build_query(dialogue.incomplete, lexicon, parse, unify)
+                built.append((dialogue, query, build_input_sequence(query, dialogue)))
+            except ValueError as exc:
+                raise example_error(dialogue, exc) from exc
+            yield built[-1][2]
+
+    for grids in score_batch(inputs(), model, (d.example_id for d in dialogues)):
+        dialogue, query, input_seq = built.popleft()
         try:
             matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
         except ValueError as exc:

@@ -21,6 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -257,6 +258,9 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # per-call numpy cost less often, but a chunk of ~200-row inputs then
 # outgrows the CPU's L2 cache and holds more memory.
 INFERENCE_CHUNK = 8
+# Input tokens per padded forward and backward pass in ``grad``: enough for
+# a batch of short inputs, two ~200-token ones at a time.
+TRAIN_CHUNK_TOKENS = 512
 
 # Rotary factors for positions 0..n-1, one table per rotary width, shared by
 # every ``_forward``/``_backward`` call and grown by doubling.
@@ -432,35 +436,37 @@ def _forward(model: ModelParams, inputs: Sequence[InputSequence],
     pq += head.bq[:, None, None]
     pk += head.bk[:, None, None]
     cos, sin = _rope_table(head.d_out, rows + cols)
-    rq = _rotate(pq, cos[:rows], sin[:rows])
-    rk = _rotate(pk, cos[at], sin[at])
+    row_rot, col_rot = (cos[:rows], sin[:rows]), (cos[at], sin[at])
+    rq, rk = _rotate(pq, *row_rot), _rotate(pk, *col_rot)
     values, scores = alloc((n_ops, batch, rows, cols)), []
     for b, (ctx, width) in enumerate(zip(ctxs, widths)):
         cells = values[:, b, :ctx, :width]
         np.matmul(rq[:, b, :ctx], rk[:, b, :width].swapaxes(-1, -2), out=cells)
         scores.append(dict(zip(head.ops, cells)))
-    return values, scores, (encoded, ctxs, cos, sin, rq, rk)
+    return values, scores, (encoded, ctxs, widths, row_rot, col_rot, rq, rk)
 
 
-def _backward(model: ModelParams, cache,
-              dvalues: Sequence[dict[EditOp, np.ndarray]],
+def _backward(model: ModelParams, cache, dvalues: np.ndarray,
               grads: dict[str, np.ndarray]) -> None:
     """Accumulate into ``grads`` the gradients of a loss whose derivatives
-    with respect to each input's score arrays from ``_forward`` are
-    ``dvalues``, one input at a time."""
-    encoded, ctxs, cos, sin, rq_all, rk_all = cache
+    with respect to ``_forward``'s padded scores are ``dvalues``. The
+    score matmuls write into padded arrays, so the inverse rotation runs
+    once over the batch; the rest runs per input, in batch order."""
+    encoded, ctxs, widths, row_rot, col_rot, rq, rk = cache
     head = model.head
-    for b, ((h, ids, mix_cache), ctx, ds_of) in enumerate(zip(encoded, ctxs, dvalues)):
-        n = len(h)
-        row_rot, col_rot = (cos[:ctx], sin[:ctx]), (cos[ctx:n], sin[ctx:n])
+    gq, gk = np.zeros_like(rq), np.zeros_like(rk)
+    for b, (ctx, width) in enumerate(zip(ctxs, widths)):
+        ds = dvalues[:, b, :ctx, :width]
+        np.matmul(ds, rk[:, b, :width], out=gq[:, b, :ctx])
+        np.matmul(ds.swapaxes(-1, -2), rq[:, b, :ctx], out=gk[:, b, :width])
+    # rotations are orthogonal: R^T = R(-pos)
+    dq_all = _rotate(gq, *row_rot, inverse=True)
+    dk_all = _rotate(gk, *col_rot, inverse=True)
+    for b, ((h, ids, mix_cache), ctx, width) in enumerate(zip(encoded, ctxs, widths)):
         hq, hk = h[:ctx], h[ctx:]
         dh = np.zeros_like(h)
         for o, op in enumerate(head.ops):
-            rq, rk = rq_all[o, b, :ctx], rk_all[o, b, :n - ctx]
-            ds = ds_of[op]
-            # rotations are orthogonal: R^T = R(-pos)
-            dq = _rotate(ds @ rk, *row_rot, inverse=True)
-            dk = _rotate(ds.T @ rq, *col_rot, inverse=True)
+            dq, dk = dq_all[o, b, :ctx], dk_all[o, b, :width]
             pre = f"head.{op.value}."
             grads[pre + "wq"] += dq.T @ hq
             grads[pre + "bq"] += dq.sum(axis=0)
@@ -474,22 +480,25 @@ def _backward(model: ModelParams, cache,
             np.add.at(grads["emb"], ids, dh)
 
 
-def score_batch(inputs: Sequence[InputSequence], model: ModelParams,
-                example_ids: Optional[Sequence[Optional[str]]] = None
+def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
+                example_ids: Optional[Iterable[Optional[str]]] = None
                 ) -> Iterator[dict[EditOp, ScoreGrid]]:
     """Both operations' grids for each input, in order. ``_forward`` scores
-    consecutive chunks of at most ``INFERENCE_CHUNK`` inputs, so the score
-    arrays in memory are one chunk's whatever the number of inputs. Raises
-    on a non-finite score, naming the example."""
-    example_ids = [None] * len(inputs) if example_ids is None else example_ids
-    for c0 in range(0, len(inputs), INFERENCE_CHUNK):
-        ids = example_ids[c0:c0 + INFERENCE_CHUNK]
-        values, scores, _ = _forward(model, inputs[c0:c0 + INFERENCE_CHUNK], ids)
+    consecutive chunks of at most ``INFERENCE_CHUNK`` inputs, each taken
+    from the iterables only when the stream reaches it, so the inputs and
+    score arrays in memory are one chunk's whatever the number of inputs.
+    Raises on a non-finite score, naming the example."""
+    inputs = iter(inputs)
+    example_ids = repeat(None) if example_ids is None else iter(example_ids)
+    while chunk := list(islice(inputs, INFERENCE_CHUNK)):
+        ids = list(islice(example_ids, len(chunk)))
+        values, scores, cache = _forward(model, chunk, ids)
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
             raise ValueError(f"score grid of example {ids[b]!r} is not finite")
         for per_op in scores:
             yield {op: ScoreGrid.checked(op, v) for op, v in per_op.items()}
+        del values, scores, cache  # not held while the next chunk is scored
 
 
 def score_all(input: InputSequence, model: ModelParams,
@@ -502,58 +511,82 @@ def score_all(input: InputSequence, model: ModelParams,
 # loss and gradients
 
 
-def _op_loss_grad(s: np.ndarray, pos_mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """log(1 + sum_pos e^-s) + log(1 + sum_neg e^s) and d/ds, overflow-safe."""
-    sp = s[pos_mask]
-    sn = s[~pos_mask]
-    t_pos = np.logaddexp.reduce(np.concatenate(([0.0], -sp))) if sp.size else 0.0
-    t_neg = np.logaddexp.reduce(np.concatenate(([0.0], sn))) if sn.size else 0.0
-    ds = np.zeros_like(s)
-    if sp.size:
-        ds[pos_mask] = -np.exp(-sp - t_pos)
-    if sn.size:
-        ds[~pos_mask] = np.exp(sn - t_neg)
-    return float(t_pos + t_neg), ds
-
-
-def _loss_grad(values: dict[EditOp, np.ndarray], gold: EditMatrix
-               ) -> tuple[float, dict[EditOp, np.ndarray]]:
-    """Total loss over the operations and its derivative per score array."""
-    total = 0.0
-    dvalues = {}
-    for op in _in_order(values):
-        s, positives = values[op], gold.mask(op)
-        if s.shape != positives.shape:
-            raise ValueError(f"grid shape {s.shape} does not match gold {positives.shape}")
-        loss, dvalues[op] = _op_loss_grad(s, positives)
-        total += loss
-    return total, dvalues
+def _circle_loss_grad(values: np.ndarray, ops: Sequence[EditOp],
+                      shapes: Sequence[tuple[int, ...]], golds: Sequence[EditMatrix]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each input's loss, summed over the operations of
+    log(1 + sum_pos e^-s) + log(1 + sum_neg e^s), and its derivative, for
+    padded scores (n_ops, B, R, C) in which input b fills the top-left
+    ``shapes[b]`` of each grid. Overflow-safe; padding is neither
+    positive nor negative, and the sums and ``exp`` skip it."""
+    pos = np.zeros(values.shape, dtype=bool)
+    valid = np.zeros_like(pos)
+    for b, ((rows, cols), gold) in enumerate(zip(shapes, golds)):
+        for o, op in enumerate(ops):
+            if gold.mask(op).shape != (rows, cols):
+                raise ValueError(f"grid shape {(rows, cols)} does not match gold "
+                                 f"{gold.mask(op).shape}")
+            pos[o, b, :rows, :cols] = gold.mask(op)
+        valid[:, b, :rows, :cols] = True
+    signed = np.where(pos, -values, values)
+    flat = (*values.shape[:2], -1)
+    t_pos, t_neg = (np.logaddexp.reduce(signed.reshape(flat), axis=-1, initial=0.0,
+                                        where=mask.reshape(flat))
+                    for mask in (pos, valid & ~pos))
+    ds = np.zeros_like(values)
+    np.exp(signed - np.where(pos, t_pos[..., None, None], t_neg[..., None, None]),
+           out=ds, where=valid)
+    np.negative(ds, out=ds, where=pos)
+    return (t_pos + t_neg).sum(axis=0), ds
 
 
 def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
     """Total loss over both operations; labeled cells are the positives,
     every other in-range cell is a negative."""
-    return _loss_grad({op: g.values for op, g in grids.items()}, gold)[0]
+    ops = _in_order(grids)
+    values = np.stack([grids[op].values for op in ops])[:, None]
+    return float(_circle_loss_grad(values, ops, [values.shape[2:]], [gold])[0][0])
 
 
 def _zero_grads(model: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params_items(model)}
 
 
+def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExample]]:
+    """Consecutive runs of ``batch`` of at most ``TRAIN_CHUNK_TOKENS`` input
+    tokens in total; a longer input is a run of its own."""
+    c0, tokens = 0, 0
+    for i, ex in enumerate(batch):
+        tokens += len(ex.input.tokens)
+        if i > c0 and tokens > TRAIN_CHUNK_TOKENS:
+            yield batch[c0:i]
+            c0, tokens = i, len(ex.input.tokens)
+    if batch:
+        yield batch[c0:]
+
+
 def grad(model: ModelParams, batch: Sequence[TrainExample]
          ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over the batch and exact gradients for every trainable
-    parameter. Raises on a non-finite loss, naming the example."""
+    parameter, one padded forward and backward pass per token-bounded
+    chunk. Raises on a non-finite loss, naming the example."""
     grads = _zero_grads(model)
     total = 0.0
-    for ex in batch:  # one example per pass: see ROADMAP item 1
-        _, (scores,), cache = _forward(model, [ex.input], [ex.example_id],
-                                       for_backward=True)
-        loss, dvalues = _loss_grad(scores, ex.gold)
-        _backward(model, cache, [dvalues], grads)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss on example {ex.example_id!r}")
-        total += loss
+    ops = model.head.ops
+    for chunk in _token_chunks(batch):
+        values, scores, cache = _forward(model, [ex.input for ex in chunk],
+                                         [ex.example_id for ex in chunk],
+                                         for_backward=True)
+        losses, dvalues = _circle_loss_grad(values, ops,
+                                            [s[ops[0]].shape for s in scores],
+                                            [ex.gold for ex in chunk])
+        finite = np.isfinite(losses)
+        if not finite.all():
+            bad = chunk[int(np.argmin(finite))].example_id
+            raise TrainingDiverged(f"non-finite loss on example {bad!r}")
+        _backward(model, cache, dvalues, grads)
+        for loss in losses.tolist():
+            total += loss
     n = len(batch)
     for g in grads.values():
         g /= n

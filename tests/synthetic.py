@@ -11,7 +11,7 @@ expressible by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,21 @@ def make_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
 def make_corpus(n: int, seed: int = 0) -> list[SyntheticExample]:
     rng = np.random.default_rng(seed)
     return [make_example(rng, str(i)) for i in range(n)]
+
+
+def lengthen(ex, rng, turns=12, turn_len=16):
+    """Prepend distractor history turns (~200 context rows), drawn from
+    vocabulary words the dialogue does not use."""
+    d = ex.dialogue
+    used = {t for u in (*d.history, d.incomplete, d.rewritten) for t in u.texts()}
+    pool = [w for w in VOCAB if w not in used]
+    extra = tuple(Utterance.from_texts(list(rng.choice(pool, size=turn_len)), turn)
+                  for turn in range(turns))
+    history = extra + tuple(Utterance(u.tokens, u.speaker_turn + turns)
+                            for u in d.history)
+    n = len(history)
+    return replace(ex, dialogue=Dialogue(history, Utterance(d.incomplete.tokens, n),
+                                         Utterance(d.rewritten.tokens, n), d.example_id))
 
 
 def write_corpus_files(examples, data_path, conllu_path=None, lexicon_path=None):

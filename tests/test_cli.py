@@ -1,10 +1,12 @@
 import hashlib
+import importlib
 import json
 import logging
 import math
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,10 @@ from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
-from synthetic import make_corpus, write_corpus_files
+from synthetic import lengthen, make_corpus, write_corpus_files
+
+# the package's ``rewrite`` attribute is the function, not the module
+rewrite_module = importlib.import_module("iurkit.rewrite")
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +229,27 @@ class TestGoldQueryMode:
                    "query --unify": _sha256(tmp_path / "query--unify.jsonl"),
                    "query --no-unify": _sha256(tmp_path / "query--no-unify.jsonl")}
         assert digests == self.DIGESTS
+
+
+def test_mixer_training_on_mixed_lengths_matches_recorded_digest(tmp_path):
+    """``iurkit train`` with a mixer on short and ~210-token dialogues, so
+    that batches outgrow one token-bounded pass. The digest pins the model
+    of the earlier one-example-per-pass training loop."""
+    rng = np.random.default_rng(9)
+    examples = [lengthen(e, rng) if i % 2 else e
+                for i, e in enumerate(make_corpus(16, seed=13))]
+    write_corpus_files(examples, tmp_path / "data.jsonl", tmp_path / "parses.conllu",
+                       tmp_path / "lexicon.txt")
+    cfg = tmp_path / "mixer.ini"
+    cfg.write_text(f"data = {tmp_path / 'data.jsonl'}\n"
+                   f"parses = {tmp_path / 'parses.conllu'}\n"
+                   f"lexicon = {tmp_path / 'lexicon.txt'}\n"
+                   f"model = {tmp_path / 'model.bin'}\n"
+                   "mixer = true\nd_model = 16\nd_head = 8\nlr = 0.001\n"
+                   "batch_size = 8\nepochs = 3\nseed = 2\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert _sha256(tmp_path / "model.bin", tmp_path / "model.bin.log.json") == \
+        "5af8f519f4d42dd6854c4a255fa40ea422177d81aab07932235dc92cf12e3c56"
 
 
 class TestRewrite:
@@ -596,6 +622,24 @@ class TestRewriteChunks:
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0
         assert not [r for r in caplog.records if r.name == "iurkit"]
         assert capsys.readouterr().err == ""
+
+
+def test_rewrite_batch_builds_inputs_as_scoring_reaches_them(corpus_dir, trained,
+                                                              monkeypatch):
+    """Queries and inputs are built a chunk at a time, not all up front."""
+    cfg = RunConfig.from_file(corpus_dir / "config.ini")
+    lexicon, inputs = cfg.load_inputs()
+    assert len(inputs) > INFERENCE_CHUNK
+    built, build = [], rewrite_module.build_input_sequence
+    monkeypatch.setattr(rewrite_module, "build_input_sequence",
+                        lambda query, dlg: built.append(dlg) or build(query, dlg))
+    model, _ = load_model(trained)
+    stream = rewrite_batch([d for d, _ in inputs], model, cfg.theta, lexicon,
+                           [p for _, p in inputs])
+    next(stream)
+    assert built == [d for d, _ in inputs[:INFERENCE_CHUNK]]
+    assert len(list(stream)) == len(inputs) - 1
+    assert built == [d for d, _ in inputs]
 
 
 @pytest.mark.parametrize("caller", ["score_batch", "rewrite_batch", "train_em",

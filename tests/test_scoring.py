@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
+from iurkit.datamodel import build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, OpHead, ScoreGrid, TrainConfig,
-                            TrainExample, _encode, _forward, _in_order, _loss_grad,
-                            _mixer_backward, _mixer_forward, _rope_table, _rotate,
+                            TrainExample, TrainingDiverged, _encode, _forward,
+                            _in_order, _mixer_backward, _mixer_forward, _rope_table,
+                            _rotate,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
                             score_batch, score_grid, train, with_imported_vectors,
                             write_ctxvec)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
-from synthetic import PRONOUNS, VOCAB, make_corpus
+from synthetic import PRONOUNS, lengthen, make_corpus
 
 @pytest.fixture(scope="module")
 def en_lexicon():
@@ -37,21 +38,6 @@ def prepare(ex, lexicon):
 @pytest.fixture(scope="module")
 def small_set(en_lexicon):
     return [prepare(e, en_lexicon) for e in make_corpus(6, seed=11)]
-
-
-def lengthen(ex, rng, turns=12, turn_len=16):
-    """Prepend distractor history turns (~200 context rows), drawn from
-    vocabulary words the dialogue does not use."""
-    d = ex.dialogue
-    used = {t for u in (*d.history, d.incomplete, d.rewritten) for t in u.texts()}
-    pool = [w for w in VOCAB if w not in used]
-    extra = tuple(Utterance.from_texts(list(rng.choice(pool, size=turn_len)), turn)
-                  for turn in range(turns))
-    history = extra + tuple(Utterance(u.tokens, u.speaker_turn + turns)
-                            for u in d.history)
-    n = len(history)
-    return replace(ex, dialogue=Dialogue(history, Utterance(d.incomplete.tokens, n),
-                                         Utterance(d.rewritten.tokens, n), d.example_id))
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +82,31 @@ def reference_forward(model, input, example_id=None):
     return values, (h, ids, mix_cache, rows, cols, hq, hk, rotated)
 
 
-def reference_grad(model, ex):
-    """Reference: loss and gradients of one example through index arrays."""
+def reference_op_loss_grad(s, pos_mask):
+    """Reference: one operation's loss and d/ds through boolean indexing."""
+    sp = s[pos_mask]
+    sn = s[~pos_mask]
+    t_pos = np.logaddexp.reduce(np.concatenate(([0.0], -sp))) if sp.size else 0.0
+    t_neg = np.logaddexp.reduce(np.concatenate(([0.0], sn))) if sn.size else 0.0
+    ds = np.zeros_like(s)
+    if sp.size:
+        ds[pos_mask] = -np.exp(-sp - t_pos)
+    if sn.size:
+        ds[~pos_mask] = np.exp(sn - t_neg)
+    return float(t_pos + t_neg), ds
+
+
+def reference_grad(model, ex, grads=None):
+    """Reference: loss and gradients of one example through index arrays,
+    added into ``grads`` (fresh zeros when None)."""
     values, (h, ids, mix_cache, rows, cols, hq, hk, rotated) = \
         reference_forward(model, ex.input, ex.example_id)
-    loss, dvalues = _loss_grad(values, ex.gold)
-    grads = {name: np.zeros_like(a) for name, a in params_items(model)}
+    loss, dvalues = 0.0, {}
+    for op in _in_order(values):
+        op_loss, dvalues[op] = reference_op_loss_grad(values[op], ex.gold.mask(op))
+        loss += op_loss
+    if grads is None:
+        grads = {name: np.zeros_like(a) for name, a in params_items(model)}
     dh = np.zeros_like(h)
     for op in _in_order(dvalues):
         head = model.head.per_op[op]
@@ -121,6 +126,18 @@ def reference_grad(model, ex):
             dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
         np.add.at(grads["emb"], ids, dh)
     return loss, grads
+
+
+def reference_batch_grad(model, batch):
+    """Reference: the per-example training loop, one forward, loss and
+    backward per example, all adding into one set of gradients."""
+    grads = {name: np.zeros_like(a) for name, a in params_items(model)}
+    total = 0.0
+    for ex in batch:
+        total += reference_grad(model, ex, grads)[0]
+    for g in grads.values():
+        g /= len(batch)
+    return total / len(batch), grads
 
 
 def bits(a):
@@ -528,6 +545,70 @@ class TestGradients:
         assert abs(l1 - l2) < 1e-12
         for name in g1:
             assert np.allclose(g1[name], g2[name])
+
+
+class TestBatchedTraining:
+    """``grad`` runs one padded forward, loss and backward pass per run of
+    consecutive examples of at most ``TRAIN_CHUNK_TOKENS`` input tokens;
+    it must equal the per-example loop bit for bit."""
+
+    @pytest.mark.parametrize("encoder", ["embedding", "mixer", "imported"])
+    def test_grad_bit_identical_to_per_example_loop(self, encoder, small_set, long_set):
+        examples = mixed_lengths(small_set, long_set)
+        order = np.random.default_rng(4).permutation(len(examples))
+        examples = [examples[i] for i in order]
+        assert sum(len(e.input.tokens) for e in examples) > 2 * scoring.TRAIN_CHUNK_TOKENS
+        model = bit_test_model(encoder, examples)
+        for batch in (examples, examples[:5], examples[5:6]):
+            want_loss, want_grads = reference_batch_grad(model, batch)
+            loss, grads = grad(model, batch)
+            assert np.array_equal(bits(loss), bits(want_loss))
+            assert grads.keys() == want_grads.keys()
+            for name in grads:
+                assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
+
+    def test_passes_are_token_bounded_and_in_order(self, small_set, long_set, en_lexicon,
+                                                   monkeypatch):
+        oversized = prepare(lengthen(make_corpus(1, seed=8)[0], np.random.default_rng(1),
+                                     turns=40), en_lexicon)
+        assert len(oversized.input.tokens) > scoring.TRAIN_CHUNK_TOKENS
+        batch = small_set[:3] + long_set[:3] + [oversized] + small_set[3:] + long_set[3:5]
+        model = init_model(build_vocab([e.input for e in batch]), d_model=8, d_head=4)
+        passes, forward = [], scoring._forward
+
+        def recording_forward(model, inputs, *args, **kwargs):
+            assert kwargs == {"for_backward": True}
+            passes.append(list(inputs))
+            return forward(model, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(scoring, "_forward", recording_forward)
+        grad(model, batch)
+        assert [inp for p in passes for inp in p] == [e.input for e in batch]
+        assert [oversized.input] in passes
+        sizes = [[len(inp.tokens) for inp in p] for p in passes]
+        for p, later in zip(sizes, sizes[1:] + [None]):
+            assert len(p) == 1 or sum(p) <= scoring.TRAIN_CHUNK_TOKENS
+            if later is not None:  # a pass stops only where the next input would not fit
+                assert sum(p) + later[0] > scoring.TRAIN_CHUNK_TOKENS
+        assert len(passes) >= 4
+
+    def test_non_finite_loss_in_a_later_chunk_names_example(self, small_set, long_set,
+                                                            small_model):
+        # passes [long, long] and [long, short, short, short]: the bad
+        # example is inside the second
+        examples = long_set[:3] + [replace(e, example_id=f"s{i}")
+                                   for i, e in enumerate(small_set[:3])]
+        lengths = [len(e.input.tokens) for e in examples]
+        assert sum(lengths[:2]) <= scoring.TRAIN_CHUNK_TOKENS < sum(lengths[:3])
+        assert sum(lengths[2:]) <= scoring.TRAIN_CHUNK_TOKENS
+        bad = examples[3].example_id
+        records = {e.example_id: encode(e.input, small_model.encoder) for e in examples}
+        records[bad] = records[bad] * 1e200
+        model = with_imported_vectors(small_model, records)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged,
+                               match=rf"^non-finite loss on example '{bad}'$"):
+                grad(model, examples)
 
 
 class TestTraining:

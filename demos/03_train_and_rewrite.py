@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from synthetic import PRONOUNS, make_corpus
 
 from iurkit import (PronounLexicon, build_edit_matrix, build_input_sequence,
-                    build_query, evaluate, rewrite)
+                    build_query, evaluate)
+from iurkit.rewrite import rewrite
 from iurkit.scoring import (TrainConfig, TrainExample, build_vocab, init_model,
                             train, train_em)
 

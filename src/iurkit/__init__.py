@@ -9,12 +9,11 @@ evaluation.
 from .datamodel import (DataFormat, Dialogue, InputSequence, Utterance,
                         build_input_sequence, load_dialogues, tokenize)
 from .metrics import EvalResult, bleu, evaluate, exact_match, rouge_l, rouge_n
-from .querygen import (DependencyParse, KindSummary, MarkerKind,
-                       PronounLexicon, QueryTemplate, build_query,
-                       detect_ellipsis, match_coref, read_conllu)
+from .querygen import (DependencyParse, KindSummary, PronounLexicon,
+                       QueryTemplate, build_query, read_conllu)
 from .rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
                       decode_labels, merge_matrices, resolve_conflicts,
-                      rewrite, rewrite_batch)
+                      rewrite_batch)
 from .scoring import (AdamState, EncoderParams, HeadParams, ModelParams,
                       ScoreGrid, TrainConfig, TrainExample, TrainingLog,
                       build_vocab, circle_loss, encode, grad, init_model,

@@ -1,11 +1,11 @@
 """Query-template construction from the incomplete utterance.
 
-A template is the incomplete utterance with a marker at each slot, a
-half-open token interval: [COREF] replaces a non-empty slot (a pronoun or
-referential-NP match, or a gold substitution target), [ELLIP] fills an
-empty one. Without coreference slots a dependency parse places the
-[ELLIP] slots (missing object -> end, missing subject -> beginning,
-otherwise both ends). Markers can be written as the unified [UNK] token.
+``build_query`` is the one builder. A template is its tokens and its kind:
+the incomplete utterance with a marker at each slot, a half-open token
+interval. [COREF] replaces a non-empty slot (a pronoun or referential-NP
+match, or a gold substitution target); without one, a dependency parse
+places the empty slots that [ELLIP] fills. Markers can be written as the
+unified [UNK] token.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ DEFAULT_PRONOUNS_ZH = ["他", "她", "它", "他们", "她们", "它们",
                        "这", "那", "这样", "这个", "那个", "这些", "那些"]
 DEFAULT_PRONOUNS_EN = ["he", "she", "it", "they", "him", "her", "them",
                        "this", "that", "these", "those", "one"]
-
-
-class MarkerKind(Enum):
-    COREF = "coref"
-    ELLIP = "ellip"
 
 
 class KindSummary(Enum):
@@ -156,12 +151,10 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    """Token texts with marker slots; ``markers`` gives each slot's index and kind."""
+    """Token texts with marker slots, all slots of the one kind."""
 
     tokens: tuple[str, ...]
-    markers: tuple[tuple[int, MarkerKind], ...]
     kind_summary: KindSummary
-    unified: bool = False
 
     def texts(self) -> list[str]:
         return list(self.tokens)
@@ -171,28 +164,25 @@ class QueryTemplate:
 
 
 def _template(incomplete: Utterance, slots: Sequence[tuple[int, int]],
-              unify: bool) -> Optional[QueryTemplate]:
-    """The incomplete utterance with a marker at each slot; None without slots.
+              unify: bool) -> QueryTemplate:
+    """The incomplete utterance with a marker at each slot.
 
-    ``slots`` are sorted, disjoint, half-open token intervals, all of one
-    kind: a non-empty ``(a, b)`` is replaced by one [COREF], an empty
-    ``(a, a)`` inserts one [ELLIP] before token ``a``. With ``unify`` every
-    marker is written as [UNK]; its kind stays in ``markers``.
+    ``slots`` are at least one sorted, disjoint, half-open token interval,
+    all of one kind: a non-empty ``(a, b)`` is replaced by one [COREF], an
+    empty ``(a, a)`` inserts one [ELLIP] before token ``a``. With ``unify``
+    every marker is written as [UNK].
     """
-    texts, out, markers, done = incomplete.tokens, [], [], 0
+    texts, out, done = incomplete.tokens, [], 0
     for a, b in slots:
         if not done <= a <= b <= len(texts):
             raise ValueError(f"slot {(a, b)} is unsorted, overlapping or out of range "
                              f"for {len(texts)} tokens")
         out += texts[done:a]
-        markers.append((len(out), MarkerKind.COREF if a < b else MarkerKind.ELLIP))
         out.append(UNK_TOKEN if unify else COREF_TOKEN if a < b else ELLIP_TOKEN)
         done = b
-    if not markers:
-        return None
-    summary = (KindSummary.COREF_ONLY if markers[0][1] is MarkerKind.COREF
-               else KindSummary.ELLIPSIS_ONLY)
-    return QueryTemplate((*out, *texts[done:]), tuple(markers), summary, unified=unify)
+    a, b = slots[0]
+    summary = KindSummary.COREF_ONLY if a < b else KindSummary.ELLIPSIS_ONLY
+    return QueryTemplate((*out, *texts[done:]), summary)
 
 
 def _lexicon_slots(incomplete: Utterance, lexicon: PronounLexicon) -> list[tuple[int, int]]:
@@ -216,6 +206,8 @@ def _gold_slots(replace_intervals: Sequence[tuple[int, int]]) -> Sequence[tuple[
 
 
 def _ellipsis_slots(incomplete: Utterance, parse: DependencyParse) -> list[tuple[int, int]]:
+    """[ELLIP] slots from S-V-O completeness: missing object -> end, missing
+    subject -> beginning, missing both or neither -> both ends."""
     if len(parse) != len(incomplete):
         raise ValueError(
             f"parse length {len(parse)} does not match utterance length {len(incomplete)}")
@@ -225,30 +217,8 @@ def _ellipsis_slots(incomplete: Utterance, parse: DependencyParse) -> list[tuple
                              f"utterance token {text!r}")
     has_subj = any(d in SUBJECT_LABELS for d in parse.deprels)
     has_obj = any(d in OBJECT_LABELS for d in parse.deprels)
-    n = len(incomplete)  # a full S-V-O also gets markers at both ends
+    n = len(incomplete)
     return [(0, 0)] * (not has_subj or has_obj) + [(n, n)] * (not has_obj or has_subj)
-
-
-def match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[QueryTemplate]:
-    """Replace lexicon matches (left to right, non-overlapping, longest entry
-    first at each start position) with [COREF]; None when nothing matches."""
-    return _template(incomplete, _lexicon_slots(incomplete, lexicon), False)
-
-
-def coref_from_gold(incomplete: Utterance,
-                    replace_intervals: Sequence[tuple[int, int]]) -> Optional[QueryTemplate]:
-    """Training-time variant: [COREF] replaces each gold substitution target,
-    a sorted, disjoint, non-empty half-open token interval; None without any."""
-    return _template(incomplete, _gold_slots(replace_intervals), False)
-
-
-def detect_ellipsis(incomplete: Utterance, parse: DependencyParse) -> QueryTemplate:
-    """Place [ELLIP] markers according to the parse's S-V-O completeness.
-
-    Missing object -> marker appended; missing subject -> marker prepended;
-    missing both, or missing neither, -> markers at both ends.
-    """
-    return _template(incomplete, _ellipsis_slots(incomplete, parse), False)
 
 
 def build_query(incomplete: Utterance, lexicon: PronounLexicon,

@@ -153,7 +153,7 @@ class Diagnostics:
     matrix: Optional[EditMatrix] = None
     spans: list[EditSpan] = field(default_factory=list)
 
-    def to_json(self, with_grids: bool = True, precise: bool = False) -> str:
+    def to_json(self, precise: bool = False) -> str:
         def fmt(v: float):
             return format(v, ".16g") if precise else v
 
@@ -165,11 +165,10 @@ class Diagnostics:
                        "cols": list(s.cols),
                        "score": fmt(s.score), "filled": s.filled}
                       for s in self.spans],
+            "grids": {op.value: [[fmt(float(v)) for v in row]
+                                 for row in np.asarray(g.values).tolist()]
+                      for op, g in self.grids.items()},
         }
-        if with_grids:
-            obj["grids"] = {op.value: [[fmt(float(v)) for v in row]
-                                       for row in np.asarray(g.values).tolist()]
-                            for op, g in self.grids.items()}
         return json.dumps(obj, ensure_ascii=False)
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .datamodel import END_TOKEN, UNK_TOKEN, Dialogue, InputSequence
+from .datamodel import COREF_TOKEN, ELLIP_TOKEN, END_TOKEN, UNK_TOKEN, Dialogue, InputSequence
 from .supervision import EditMatrix, EditOp
 
 UNK_ID = 0
@@ -182,7 +182,7 @@ def _q32(a: np.ndarray) -> np.ndarray:
 
 
 def build_vocab(inputs: Iterable[InputSequence]) -> dict[str, int]:
-    reserved = [UNK_TOKEN, END_TOKEN, "[COREF]", "[ELLIP]"]
+    reserved = [UNK_TOKEN, END_TOKEN, COREF_TOKEN, ELLIP_TOKEN]
     seen = set(reserved)
     extra = sorted({t for inp in inputs for t in inp.tokens} - seen)
     return {t: i for i, t in enumerate(reserved + extra)}
@@ -198,7 +198,6 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
     embedding = fill(len(vocab), d_model)
     mix = None
     if mixer:
-        d_ff = 2 * d_model if d_ff is None else d_ff
         if d_ff <= 0:
             raise ValueError("d_ff must be positive")
         mix = MixerParams(wq=fill(d_model, d_model), wk=fill(d_model, d_model),
@@ -214,11 +213,11 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
 
 
 def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
-               mixer: bool = False, d_ff: Optional[int] = None) -> ModelParams:
+               mixer: bool = False) -> ModelParams:
     """Uniform init scaled by 1/sqrt(d_model); biases zero; seed-controlled.
 
     ``d_head`` is the width of each operation's q/k projection, which the
-    rotary embedding rotates as a whole. ``d_ff`` defaults to 2 * d_model.
+    rotary embedding rotates as a whole. The mixer's ``d_ff`` is 2 * d_model.
     """
     rng = np.random.default_rng(seed)
 
@@ -226,7 +225,7 @@ def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
         s = 1.0 / np.sqrt(d_model)  # after _build_model has checked d_model
         return _q32(rng.uniform(-s, s, size=shape))
 
-    return _build_model(vocab, d_model, d_head, mixer, d_ff, u)
+    return _build_model(vocab, d_model, d_head, mixer, 2 * d_model, u)
 
 
 def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:

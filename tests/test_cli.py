@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import logging
 import math
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iurkit.rewrite as rewrite_module
 from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
 from iurkit.rewrite import rewrite, rewrite_batch
@@ -17,9 +17,6 @@ from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
 from synthetic import lengthen, make_corpus, write_corpus_files
-
-# the package's ``rewrite`` attribute is the function, not the module
-rewrite_module = importlib.import_module("iurkit.rewrite")
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,34 @@
 import re
-from typing import Optional, Sequence
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iurkit.datamodel import COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, Utterance
 from iurkit.querygen import (OBJECT_LABELS, SUBJECT_LABELS, DependencyParse,
-                             KindSummary, MarkerKind, PronounLexicon, QueryTemplate,
-                             build_query, coref_from_gold, detect_ellipsis,
-                             match_coref, read_conllu)
+                             KindSummary, PronounLexicon, QueryTemplate,
+                             build_query, read_conllu)
+
+MARKERS = (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN)
+# matches nothing in the test utterances, so build_query takes the parse path
+NO_MATCH = PronounLexicon.from_surface_forms(["zzz"])
 
 
 def utt(text):
     return Utterance.from_text(text)
+
+
+def markers_of(template):
+    """(index, token) of each marker, read from the template's tokens."""
+    return [(i, t) for i, t in enumerate(template.tokens) if t in MARKERS]
+
+
+def ellipsis(incomplete, parse):
+    return build_query(incomplete, NO_MATCH, parse, False)
+
+
+def from_gold(incomplete, intervals):
+    return build_query(incomplete, NO_MATCH, None, False, intervals)
 
 
 @pytest.fixture
@@ -39,43 +55,49 @@ class TestLexicon:
 
     def test_longest_first(self):
         lex = PronounLexicon.from_surface_forms(["这", "这样"])
-        assert match_coref(utt("这样"), lex).markers == ((0, MarkerKind.COREF),)
+        assert build_query(utt("这样"), lex, None, False).tokens == (COREF_TOKEN,)
 
 
 class TestMatchCoref:
     def test_paper_example(self, zh_lexicon):
-        q = match_coref(utt("不，他不关心。"), zh_lexicon)
+        q = build_query(utt("不，他不关心。"), zh_lexicon, None, False)
         assert q.texts() == ["不", "，", "[COREF]", "不", "关", "心", "。"]
         assert q.kind_summary is KindSummary.COREF_ONLY
 
-    def test_no_pronoun_returns_none(self, zh_lexicon):
-        assert match_coref(utt("李明曾经是"), zh_lexicon) is None
+    def test_no_pronoun_falls_back_to_ellipsis(self, zh_lexicon):
+        inc = utt("李明曾经是")
+        q = build_query(inc, zh_lexicon, parse_of(inc, ["root"] + ["dep"] * 4), False)
+        assert q.kind_summary is KindSummary.ELLIPSIS_ONLY
+        assert COREF_TOKEN not in q.tokens
 
     def test_multiple_matches_left_to_right(self):
         lex = PronounLexicon.from_surface_forms(["她"])
-        q = match_coref(utt("她说她来"), lex)
+        q = build_query(utt("她说她来"), lex, None, False)
         assert q.texts() == ["[COREF]", "说", "[COREF]", "来"]
-        assert [p for p, _ in q.markers] == [0, 2]
+        assert [p for p, _ in markers_of(q)] == [0, 2]
 
     def test_longest_entry_wins(self):
         lex = PronounLexicon.from_surface_forms(["这", "这样"])
-        q = match_coref(utt("这样好"), lex)
+        q = build_query(utt("这样好"), lex, None, False)
         assert q.texts() == ["[COREF]", "好"]
 
     def test_coref_length_identity(self, zh_lexicon):
         inc = utt("不，他不关心。")
-        q = match_coref(inc, zh_lexicon)
+        q = build_query(inc, zh_lexicon, None, False)
         consumed = 1  # "他"
-        assert len(q.tokens) == len(inc) - consumed + len(q.markers)
+        assert len(q.tokens) == len(inc) - consumed + len(markers_of(q))
 
 
 class TestCorefFromGold:
     def test_gold_intervals(self):
-        q = coref_from_gold(utt("不，他不关心。"), [(2, 3)])
+        q = from_gold(utt("不，他不关心。"), [(2, 3)])
         assert q.texts() == ["不", "，", "[COREF]", "不", "关", "心", "。"]
+        assert q.kind_summary is KindSummary.COREF_ONLY
 
-    def test_empty_intervals_returns_none(self):
-        assert coref_from_gold(utt("abc"), []) is None
+    def test_empty_intervals_fall_back_to_lexicon(self):
+        lex = PronounLexicon.from_surface_forms(["b"])
+        q = build_query(Utterance(("a", "b", "c")), lex, None, False, [])
+        assert q.texts() == ["a", "[COREF]", "c"]
 
     @pytest.mark.parametrize("intervals, named", [
         ([(1, 1)], "gold interval (1, 1) is empty"),
@@ -85,19 +107,18 @@ class TestCorefFromGold:
         ([(2, 3), (0, 1)], "slot (0, 1) is unsorted, overlapping or out of range"),
         ([(1, 4)], "slot (1, 4) is unsorted, overlapping or out of range for 3 tokens"),
         ([(-1, 1)], "slot (-1, 1) is unsorted, overlapping or out of range")])
-    @pytest.mark.parametrize("via", ["coref_from_gold", "build_query"])
+    @pytest.mark.parametrize("via", ["build_query_with_parse", "build_query"])
     def test_bad_interval_is_named(self, intervals, named, via):
+        # a parse that could place [ELLIP] slots does not hide a bad gold interval
         inc = Utterance(("a", "b", "c"))
+        parse = None if via == "build_query" else parse_of(inc, ["root", "dep", "dep"])
         with pytest.raises(ValueError, match=re.escape(named)):
-            if via == "coref_from_gold":
-                coref_from_gold(inc, intervals)
-            else:
-                build_query(inc, PronounLexicon.default("en"), None, True, intervals)
+            build_query(inc, PronounLexicon.default("en"), parse, True, intervals)
 
     def test_adjacent_intervals(self):
-        q = coref_from_gold(Utterance(("a", "b", "c")), [(0, 1), (1, 3)])
+        q = from_gold(Utterance(("a", "b", "c")), [(0, 1), (1, 3)])
         assert q.texts() == ["[COREF]", "[COREF]"]
-        assert q.markers == ((0, MarkerKind.COREF), (1, MarkerKind.COREF))
+        assert markers_of(q) == [(0, COREF_TOKEN), (1, COREF_TOKEN)]
 
 
 def parse_of(utterance, deprels):
@@ -110,48 +131,47 @@ class TestDetectEllipsis:
     def test_missing_object_appends(self):
         inc = utt("李明曾经是")
         parse = parse_of(inc, ["root", "dep", "dep", "nsubj", "dep"][:len(inc)])
-        q = detect_ellipsis(inc, parse)
+        q = ellipsis(inc, parse)
         assert q.texts() == ["李", "明", "曾", "经", "是", "[ELLIP]"]
 
     def test_missing_subject_prepends(self):
         inc = utt("考口语啊")
         parse = parse_of(inc, ["root", "obj", "dep", "dep"])
-        q = detect_ellipsis(inc, parse)
+        q = ellipsis(inc, parse)
         assert q.texts()[0] == "[ELLIP]"
         assert q.texts()[1:] == ["考", "口", "语", "啊"]
 
     def test_missing_both_markers_both_ends(self):
         inc = utt("关心")
         parse = parse_of(inc, ["root", "dep"])
-        q = detect_ellipsis(inc, parse)
+        q = ellipsis(inc, parse)
         assert q.texts()[0] == "[ELLIP]" and q.texts()[-1] == "[ELLIP]"
 
     def test_full_svo_markers_both_ends(self):
         inc = utt("他关心类型")
         parse = parse_of(inc, ["nsubj", "root", "dep", "obj", "dep"])
-        q = detect_ellipsis(inc, parse)
+        q = ellipsis(inc, parse)
         assert q.texts()[0] == "[ELLIP]" and q.texts()[-1] == "[ELLIP]"
 
     def test_length_identity(self):
         inc = utt("关心")
-        q = detect_ellipsis(inc, parse_of(inc, ["root", "dep"]))
-        assert len(q.tokens) == len(inc) + len(q.markers)
+        q = ellipsis(inc, parse_of(inc, ["root", "dep"]))
+        assert len(q.tokens) == len(inc) + len(markers_of(q))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length"):
-            detect_ellipsis(utt("关心"), parse_of(utt("关"), ["root"]))
+            ellipsis(utt("关心"), parse_of(utt("关"), ["root"]))
 
     def test_form_mismatch_names_first_token(self):
         with pytest.raises(ValueError, match="'爱' at token 1 .* '心'"):
-            detect_ellipsis(utt("关心它"), parse_of(utt("关爱他"), ["root", "dep", "dep"]))
+            ellipsis(utt("关心它"), parse_of(utt("关爱他"), ["root", "dep", "dep"]))
 
 
 class TestBuildQuery:
     def test_unified_coref(self, zh_lexicon):
         q = build_query(utt("不，他不关心。"), zh_lexicon, None, unify=True)
         assert q.texts() == ["不", "，", "[UNK]", "不", "关", "心", "。"]
-        assert q.markers[0][1] is MarkerKind.COREF
-        assert q.unified
+        assert q.kind_summary is KindSummary.COREF_ONLY
 
     def test_unified_ellipsis(self, zh_lexicon):
         inc = utt("李明曾经是")
@@ -170,10 +190,10 @@ class TestBuildQuery:
     def test_never_mixes_marker_kinds(self, zh_lexicon):
         inc = utt("不，他不关心。")
         parse = parse_of(inc, ["dep"] * 7)
-        for unify in (False, True):
-            q = build_query(inc, zh_lexicon, parse, unify)
-            kinds = {k for _, k in q.markers}
-            assert len(kinds) == 1
+        q = build_query(inc, zh_lexicon, parse, False)
+        assert {t for _, t in markers_of(q)} == {COREF_TOKEN}
+        unified = build_query(inc, zh_lexicon, parse, True)
+        assert markers_of(unified) == [(i, UNK_TOKEN) for i, _ in markers_of(q)]
 
     def test_no_parse_when_needed_raises(self, zh_lexicon):
         with pytest.raises(ValueError, match="parse"):
@@ -253,13 +273,13 @@ class TestHeuristicParse:
 
 
 # Reference copies of the loop-built templates that the slot placer
-# replaced, kept as an oracle for the property below.
+# replaced, kept as an oracle for the property below. Each returns
+# ``(tokens, kind_summary)``, the lexicon and gold ones None without a slot.
 
-def ref_match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[QueryTemplate]:
+def ref_lexicon_template(incomplete: Utterance, lexicon: PronounLexicon):
     texts = incomplete.texts()
     entries = sorted(lexicon.entries, key=lambda e: (-len(e), e))
     out: list[str] = []
-    markers: list[tuple[int, MarkerKind]] = []
     i = 0
     while i < len(texts):
         hit = None
@@ -268,67 +288,53 @@ def ref_match_coref(incomplete: Utterance, lexicon: PronounLexicon) -> Optional[
                 hit = entry
                 break
         if hit is not None:
-            markers.append((len(out), MarkerKind.COREF))
             out.append(COREF_TOKEN)
             i += len(hit)
         else:
             out.append(texts[i])
             i += 1
-    if not markers:
+    if COREF_TOKEN not in out:
         return None
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+    return tuple(out), KindSummary.COREF_ONLY
 
 
-def ref_coref_from_gold(incomplete: Utterance, replace_intervals: Sequence[tuple[int, int]]
-                        ) -> Optional[QueryTemplate]:
+def ref_gold_template(incomplete: Utterance, replace_intervals: Sequence[tuple[int, int]]):
     if not replace_intervals:
         return None
     texts = incomplete.texts()
     replaced = sorted(replace_intervals)
     out: list[str] = []
-    markers: list[tuple[int, MarkerKind]] = []
     i = 0
     while i < len(texts):
         interval = next((iv for iv in replaced if iv[0] == i), None)
         if interval is not None:
-            markers.append((len(out), MarkerKind.COREF))
             out.append(COREF_TOKEN)
             i = interval[1]
         else:
             out.append(texts[i])
             i += 1
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.COREF_ONLY)
+    return tuple(out), KindSummary.COREF_ONLY
 
 
-def ref_detect_ellipsis(incomplete: Utterance, parse: DependencyParse) -> QueryTemplate:
+def ref_ellipsis_template(incomplete: Utterance, parse: DependencyParse):
     texts = incomplete.texts()
     has_subj = any(d in SUBJECT_LABELS for d in parse.deprels)
     has_obj = any(d in OBJECT_LABELS for d in parse.deprels)
     at_begin = not has_subj or (has_subj and has_obj)
     at_end = not has_obj or (has_subj and has_obj)
-    markers: list[tuple[int, MarkerKind]] = []
-    out: list[str] = []
-    if at_begin:
-        markers.append((0, MarkerKind.ELLIP))
-        out.append(ELLIP_TOKEN)
-    out.extend(texts)
-    if at_end:
-        markers.append((len(out), MarkerKind.ELLIP))
-        out.append(ELLIP_TOKEN)
-    return QueryTemplate(tuple(out), tuple(markers), KindSummary.ELLIPSIS_ONLY)
+    out = [ELLIP_TOKEN] * at_begin + texts + [ELLIP_TOKEN] * at_end
+    return tuple(out), KindSummary.ELLIPSIS_ONLY
 
 
-def ref_unify(template: QueryTemplate) -> QueryTemplate:
-    marker_positions = {p for p, _ in template.markers}
-    toks = tuple(UNK_TOKEN if i in marker_positions else t
-                 for i, t in enumerate(template.tokens))
-    return QueryTemplate(toks, template.markers, template.kind_summary, unified=True)
+def ref_unify(template):
+    """Unified markers are exactly the [UNK] tokens (the test alphabet has
+    no marker-like token)."""
+    tokens, kind = template
+    return tuple(UNK_TOKEN if t in (COREF_TOKEN, ELLIP_TOKEN) else t for t in tokens), kind
 
 
-def fields_of(template: Optional[QueryTemplate]):
-    if template is None:
-        return None
-    return template.tokens, template.markers, template.kind_summary, template.unified
+def fields_of(template: QueryTemplate):
+    return template.tokens, template.kind_summary
 
 
 ALPHABET = ["a", "b", "c"]
@@ -359,12 +365,10 @@ def query_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_slot_placer_equals_loop_built_templates(case):
     inc, lexicon, parse, gold, unify = case
-    assert fields_of(match_coref(inc, lexicon)) == fields_of(ref_match_coref(inc, lexicon))
-    assert fields_of(coref_from_gold(inc, gold)) == fields_of(ref_coref_from_gold(inc, gold))
-    assert fields_of(detect_ellipsis(inc, parse)) == fields_of(ref_detect_ellipsis(inc, parse))
+    assert fields_of(ellipsis(inc, parse)) == ref_ellipsis_template(inc, parse)
     for gold_arg in (None, gold):
         # empty gold falls back to the lexicon, as the command line always did
-        want = (ref_coref_from_gold(inc, gold_arg) if gold_arg
-                else ref_match_coref(inc, lexicon)) or ref_detect_ellipsis(inc, parse)
+        want = (ref_gold_template(inc, gold_arg) if gold_arg
+                else ref_lexicon_template(inc, lexicon)) or ref_ellipsis_template(inc, parse)
         got = build_query(inc, lexicon, parse, unify, gold_replace_intervals=gold_arg)
-        assert fields_of(got) == fields_of(ref_unify(want) if unify else want)
+        assert fields_of(got) == (ref_unify(want) if unify else want)

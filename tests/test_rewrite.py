@@ -1,4 +1,5 @@
 import json
+import types
 from collections import deque
 
 import numpy as np
@@ -14,6 +15,15 @@ from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
                             score_all)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, make_corpus
+
+
+def test_package_attribute_rewrite_is_the_module():
+    """The package exports no ``rewrite`` function that would hide the
+    submodule, so ``import iurkit.rewrite as m`` binds the module."""
+    import iurkit.rewrite as module
+    assert isinstance(module, types.ModuleType)
+    assert module.rewrite is rewrite
+
 
 def zh_dialogue(histories, inc, rew=None, eid="x"):
     hs = tuple(Utterance.from_text(h, speaker_turn=i) for i, h in enumerate(histories))
@@ -351,7 +361,7 @@ class TestRewritePipeline:
 
     def test_diagnostics_span_keys(self):
         diag = Diagnostics(spans=[span((0, 2), (1, 3), 0.5), span((4, 5), (3, 3), 0.25)])
-        obj = json.loads(diag.to_json(with_grids=False))
+        obj = json.loads(diag.to_json())
         assert obj["spans"] == [
             {"op": "S", "rows": [0, 2], "cols": [1, 3], "score": 0.5, "filled": True},
             {"op": "I", "rows": [4, 5], "cols": [3, 3], "score": 0.25, "filled": True}]

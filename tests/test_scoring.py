@@ -17,8 +17,8 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
-                            score_batch, score_grid, train, with_imported_vectors,
-                            write_ctxvec)
+                            score_batch, score_grid, train, train_em,
+                            with_imported_vectors, write_ctxvec)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, lengthen, make_corpus
 
@@ -364,14 +364,11 @@ class TestVocabAndInit:
         with pytest.raises(ValueError):
             init_model(vocab, 8, 3)
 
-    @pytest.mark.parametrize("d_model, d_ff, message", [
-        (0, None, "d_model must be positive and even"),
-        (-2, None, "d_model must be positive and even"),
-        (8, 0, "d_ff must be positive")])
-    def test_bad_width_rejected_before_drawing(self, d_model, d_ff, message, small_set):
+    @pytest.mark.parametrize("d_model", [0, -2])
+    def test_bad_width_rejected_before_drawing(self, d_model, small_set):
         vocab = build_vocab([e.input for e in small_set])
-        with pytest.raises(ValueError, match=message):
-            init_model(vocab, d_model, 4, mixer=True, d_ff=d_ff)
+        with pytest.raises(ValueError, match="d_model must be positive and even"):
+            init_model(vocab, d_model, 4, mixer=True)
 
     def test_unknown_token_maps_to_unk(self, small_model):
         ids = small_model.encoder.token_ids(["definitely-not-in-vocab"])
@@ -641,6 +638,33 @@ class TestTraining:
             runs.append([a.copy() for _, a in params_items(model)])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+    def test_dev_em_per_epoch_leaves_model_unchanged(self, small_set, small_model,
+                                                      tmp_path):
+        """``dev`` appends one EM per epoch, ``train_em`` of the model after
+        that epoch, and changes nothing else: the saved model is
+        byte-identical to one trained without it."""
+        import copy
+        cfg = self.cfg(learning_rate=3e-2, epochs=10)
+        with_dev = copy.deepcopy(small_model)
+        log, state = train(small_set, cfg, with_dev, dev=small_set)
+        # replay epoch by epoch without dev; a resumed run retraces the
+        # uninterrupted one
+        replay, replay_state, want = copy.deepcopy(small_model), None, []
+        for epoch in range(cfg.epochs):
+            _, replay_state = train(small_set, replace(cfg, epochs=epoch + 1), replay,
+                                    start_epoch=epoch, opt_state=replay_state)
+            want.append(train_em(replay, small_set, cfg.theta))
+        assert log.dev_em == want
+        assert max(want) > 0
+        without = copy.deepcopy(small_model)
+        _, without_state = train(small_set, cfg, without)
+        files = {}
+        for name, model, st in (("dev", with_dev, state), ("replay", replay, replay_state),
+                                ("plain", without, without_state)):
+            save_model(tmp_path / name, model, st)
+            files[name] = (tmp_path / name).read_bytes()
+        assert files["dev"] == files["plain"] == files["replay"]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ EOF
 for line in open('$work/hyp.jsonl'):
     print(json.loads(line)['rewritten'])" > "$work/hyp.txt"
 "$py" -m iurkit.cli evaluate "$work/hyp.txt" "$work/refs.txt"
-"$py" -m iurkit.cli inspect-matrix 0 --config "$work/config.ini" --precise \
+"$py" -m iurkit.cli inspect-matrix 0 --config "$work/config.ini" \
     > "$work/inspect.json"
 head -c 300 "$work/inspect.json"
 echo

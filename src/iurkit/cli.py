@@ -58,9 +58,6 @@ class RunConfig:
     epochs: int = 1
     theta: float = 0.1  # presets: 0.1 (short-context), 0.05 (long-context)
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     unify: bool = True
     query_mode: str = "lexicon"  # lexicon | gold (gold uses training targets)
 
@@ -113,8 +110,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.lr, batch_size=self.batch_size,
-                           epochs=self.epochs, theta=self.theta, seed=self.seed,
-                           beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+                           epochs=self.epochs, theta=self.theta, seed=self.seed)
 
     def load_lexicon(self) -> PronounLexicon:
         if self.lexicon:
@@ -207,6 +203,9 @@ def cmd_build_supervision(config_path, data, out):
     """Write per-example edit matrices and an aggregate report."""
     cfg = _load_config(config_path, data=data, out=out)
     examples, reports = _prepare(cfg)
+    for ex in examples:  # each id names a file in matrices/
+        if ex.example_id in ("", ".", "..") or any(c in ex.example_id for c in "/\\\0"):
+            raise UserError(f"example {ex.example_id!r}: id cannot be a file name")
     out_dir = Path(cfg.out)
     (out_dir / "matrices").mkdir(parents=True, exist_ok=True)
     for ex in examples:
@@ -337,9 +336,7 @@ def cmd_evaluate(hyp, ref, as_json):
 @click.option("--model", "model_path", default=None)
 @click.option("--theta", default=None, type=float)
 @click.option("--vectors", default=None, type=click.Path(exists=True))
-@click.option("--precise", is_flag=True, help="grids as 16-significant-digit strings")
-def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
-                       vectors, precise):
+def cmd_inspect_matrix(config_path, example_id, data, model_path, theta, vectors):
     """Dump decoding diagnostics (grids, labels, spans) for one example."""
     cfg = _load_config(config_path, data=data, model=model_path, theta=theta)
     model = _load_model_for_inference(cfg, vectors)
@@ -347,7 +344,7 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta,
     for dlg, parse in inputs:
         if dlg.example_id == example_id:
             _, diag = rewrite(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
-            click.echo(diag.to_json(precise=precise))
+            click.echo(diag.to_json())
             return
     raise UserError(f"example id {example_id!r} not found in {cfg.data}")
 

@@ -153,19 +153,27 @@ def load_dialogues(path: str | Path, format: DataFormat) -> list[Dialogue]:
     """Read dialogues from a canonical-JSONL or TAB-separated file.
 
     JSONL records carry ``history`` (array of strings), ``incomplete``,
-    optional ``rewritten``, and optional ``lang`` ("zh" | "en"; validated,
-    not used). TSV columns are history..., incomplete, rewritten. Malformed
-    records raise ValueError naming the file, the line number and the field.
+    optional ``rewritten``, optional ``lang`` ("zh" | "en"; validated,
+    not used) and optional ``id`` (a string or an integer; the 0-based line
+    index by default). TSV columns are history..., incomplete, rewritten.
+    Malformed records raise ValueError naming the file, the line number and
+    the field; so does an id that an earlier line already has.
     """
     parse = {DataFormat.CANONICAL_JSONL: _parse_jsonl_record,
              DataFormat.TAB_SEPARATED: _parse_tsv_record}[DataFormat(format)]
     dialogues: list[Dialogue] = []
+    id_lines: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if line.strip():
             try:
-                dialogues.append(parse(line, lineno))
+                dialogue = parse(line, lineno)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+            first = id_lines.setdefault(dialogue.example_id, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}: line {lineno}: field 'id' "
+                                 f"{dialogue.example_id!r} repeats the id of line {first}")
+            dialogues.append(dialogue)
     return dialogues
 
 
@@ -187,6 +195,9 @@ def _parse_jsonl_record(line: str, lineno: int) -> Dialogue:
         raise ValueError(f"line {lineno}: field 'rewritten' has wrong type")
     if "lang" in rec and rec["lang"] not in ("zh", "en"):
         raise ValueError(f"line {lineno}: field 'lang' must be 'zh' or 'en'")
+    example_id = rec.get("id", lineno - 1)
+    if isinstance(example_id, bool) or not isinstance(example_id, (str, int)):
+        raise ValueError(f"line {lineno}: field 'id' must be a string or an integer")
     history = tuple(Utterance.from_text(t, speaker_turn=turn)
                     for turn, t in enumerate(rec["history"]))
     n = len(history)
@@ -195,7 +206,7 @@ def _parse_jsonl_record(line: str, lineno: int) -> Dialogue:
     if rec.get("rewritten") is not None:
         rewritten = Utterance.from_text(rec["rewritten"], speaker_turn=n)
     return Dialogue(history, incomplete, rewritten,
-                    example_id=str(rec.get("id", lineno - 1)))
+                    example_id=str(example_id))
 
 
 def _parse_tsv_record(line: str, lineno: int) -> Dialogue:

@@ -153,20 +153,16 @@ class Diagnostics:
     matrix: Optional[EditMatrix] = None
     spans: list[EditSpan] = field(default_factory=list)
 
-    def to_json(self, precise: bool = False) -> str:
-        def fmt(v: float):
-            return format(v, ".16g") if precise else v
-
+    def to_json(self) -> str:
         obj = {
             "query": self.query_texts,
             "input": self.input_texts,
             "matrix": json.loads(self.matrix.to_json()) if self.matrix else None,
             "spans": [{"op": s.op.value, "rows": list(s.source_rows),
                        "cols": list(s.cols),
-                       "score": fmt(s.score), "filled": s.filled}
+                       "score": s.score, "filled": s.filled}
                       for s in self.spans],
-            "grids": {op.value: [[fmt(float(v)) for v in row]
-                                 for row in np.asarray(g.values).tolist()]
+            "grids": {op.value: np.asarray(g.values).tolist()
                       for op, g in self.grids.items()},
         }
         return json.dumps(obj, ensure_ascii=False)
@@ -189,7 +185,11 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
     them, so only one chunk's are held at a time. Each dialogue's
     diagnostics carry every intermediate. The results equal ``rewrite``
     of each dialogue, and a ValueError names the example it arose from.
+    A ``parses`` of another length than ``dialogues`` raises before any
+    result.
     """
+    if parses is not None and len(parses) != len(dialogues):
+        raise ValueError(f"{len(parses)} parses for {len(dialogues)} dialogues")
     built = deque()  # (dialogue, query, input) awaiting their grids
 
     def inputs():

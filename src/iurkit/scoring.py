@@ -142,15 +142,10 @@ class TrainConfig:
     epochs: int = 1
     theta: float = 0.1  # 0.1 preset; 0.05 for the longer-context presets
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate/batch_size must be positive, epochs >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1 and self.eps > 0):
-            raise ValueError("invalid Adam hyperparameters")
 
 
 @dataclass(frozen=True)
@@ -334,25 +329,25 @@ def _mixer_forward(x: np.ndarray, p: MixerParams):
     return x2, cache
 
 
-def _mixer_backward(dx2: np.ndarray, p: MixerParams, cache, grads: dict, prefix="mixer."):
+def _mixer_backward(dx2: np.ndarray, p: MixerParams, cache, grads: dict):
     x, q, k, v, a, av, x1, pre, f = cache
     d = x.shape[1]
-    grads[prefix + "w2"] += f.T @ dx2
-    grads[prefix + "b2"] += dx2.sum(axis=0)
+    grads["mixer.w2"] += f.T @ dx2
+    grads["mixer.b2"] += dx2.sum(axis=0)
     dpre = (dx2 @ p.w2.T) * (pre > 0)
-    grads[prefix + "w1"] += x1.T @ dpre
-    grads[prefix + "b1"] += dpre.sum(axis=0)
+    grads["mixer.w1"] += x1.T @ dpre
+    grads["mixer.b1"] += dpre.sum(axis=0)
     dx1 = dx2 + dpre @ p.w1.T
-    grads[prefix + "wo"] += av.T @ dx1
+    grads["mixer.wo"] += av.T @ dx1
     dav = dx1 @ p.wo.T
     da = dav @ v.T
     dv = a.T @ dav
     dz = a * (da - (da * a).sum(axis=1, keepdims=True))
     dq = dz @ k / np.sqrt(d)
     dk = dz.T @ q / np.sqrt(d)
-    grads[prefix + "wq"] += x.T @ dq
-    grads[prefix + "wk"] += x.T @ dk
-    grads[prefix + "wv"] += x.T @ dv
+    grads["mixer.wq"] += x.T @ dq
+    grads["mixer.wk"] += x.T @ dk
+    grads["mixer.wv"] += x.T @ dv
     return dx1 + dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
 
@@ -486,11 +481,17 @@ def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
     consecutive chunks of at most ``INFERENCE_CHUNK`` inputs, each taken
     from the iterables only when the stream reaches it, so the inputs and
     score arrays in memory are one chunk's whatever the number of inputs.
-    Raises on a non-finite score, naming the example."""
+    Raises on a non-finite score, naming the example, and on running out
+    of ``example_ids`` before inputs."""
     inputs = iter(inputs)
     example_ids = repeat(None) if example_ids is None else iter(example_ids)
+    seen = 0
     while chunk := list(islice(inputs, INFERENCE_CHUNK)):
         ids = list(islice(example_ids, len(chunk)))
+        if len(ids) < len(chunk):
+            raise ValueError(f"{seen + len(ids)} example ids for at least "
+                             f"{seen + len(chunk)} inputs")
+        seen += len(chunk)
         values, scores, cache = _forward(model, chunk, ids)
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
@@ -610,6 +611,10 @@ class AdamState:
                    v={n: np.zeros_like(a) for n, a in params_items(model)})
 
 
+# Adam's published defaults (Kingma & Ba, ICLR 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 def _adam_step(model: ModelParams, grads: dict[str, np.ndarray],
                state: AdamState, cfg: TrainConfig) -> None:
     state.step += 1
@@ -618,11 +623,11 @@ def _adam_step(model: ModelParams, grads: dict[str, np.ndarray],
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m[...] = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1 ** t)
-        v_hat = v / (1 - cfg.beta2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m[...] = _BETA1 * m + (1 - _BETA1) * g
+        v[...] = _BETA2 * v + (1 - _BETA2) * g * g
+        m_hat = m / (1 - _BETA1 ** t)
+        v_hat = v / (1 - _BETA2 ** t)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         p[...] = _q32(p)
         m[...] = _q32(m)
         v[...] = _q32(v)

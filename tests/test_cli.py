@@ -4,6 +4,8 @@ import logging
 import math
 import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,9 +59,10 @@ class TestRunConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
-        p.write_text("nonsense = 1\n")
-        with pytest.raises(ValueError, match="nonsense"):
-            RunConfig.from_file(p)
+        for key in ("nonsense", "beta1", "beta2", "eps"):
+            p.write_text(f"{key} = 1\n")
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                RunConfig.from_file(p)
 
     def test_missing_equals_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -79,6 +82,13 @@ class TestRunConfig:
         p.write_text('lang = "zh"  # chinese\n\n')
         cfg = RunConfig.from_file(p)
         assert cfg.lang == "zh"
+
+    def test_readme_keys_are_the_config_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"^Keys: (.*?)\.\s", readme, re.M | re.S).group(1)
+        keys = [k.strip() for group in re.findall(r"`([^`]*)`", sentence)
+                for k in group.split(",")]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
     @pytest.mark.parametrize("key, value", [
         ("format", "json"), ("lang", "fr"), ("query_mode", "gld"), ("mixer", "maybe"),
@@ -151,6 +161,19 @@ class TestBuildSupervision:
         rc = main(["build-supervision", "--data", str(data),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../escaped", "a\\b", "a\0b"])
+    def test_id_that_is_no_file_name_writes_nothing(self, bad, corpus_dir, tmp_path,
+                                                     capsys):
+        recs = [json.loads(l) for l in (corpus_dir / "data.jsonl").read_text().splitlines()]
+        recs[1]["id"] = bad
+        data = tmp_path / "d.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        out = tmp_path / "out"
+        assert main(["build-supervision", "--config", str(corpus_dir / "config.ini"),
+                     "--data", str(data), "--out", str(out)]) == 1
+        assert f"example {bad!r}: id cannot be a file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
 
 class TestTrain:
@@ -375,13 +398,24 @@ class TestInspectMatrix:
         assert obj["matrix"] is not None
 
     def test_precise_grid_strings(self, corpus_dir, trained, capsys):
-        rc = main(["inspect-matrix", "0", "--precise",
-                   "--config", str(corpus_dir / "config.ini")])
-        assert rc == 0
-        obj = json.loads(capsys.readouterr().out)
-        cell = obj["grids"]["S"][0][0]
-        assert isinstance(cell, str)
-        float(cell)
+        """Grid cells and span scores are written as JSON numbers, never as
+        strings, and parse back to exactly the float64 that rewrite scored."""
+        cfg = RunConfig.from_file(corpus_dir / "config.ini")
+        lexicon, inputs = cfg.load_inputs()
+        model, _ = load_model(trained)
+        n_spans = 0
+        for dlg, parse in inputs:
+            _, diag = rewrite(dlg, model, cfg.theta, lexicon, parse)
+            assert main(["inspect-matrix", dlg.example_id,
+                         "--config", str(corpus_dir / "config.ini")]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            for op, grid in diag.grids.items():
+                assert all(type(v) is float for row in obj["grids"][op.value] for v in row)
+                cells = np.array(obj["grids"][op.value], dtype=np.float64)
+                assert np.array_equal(cells, grid.values)
+            assert [s["score"] for s in obj["spans"]] == [s.score for s in diag.spans]
+            n_spans += len(diag.spans)
+        assert n_spans > 0
 
     def test_unknown_id(self, corpus_dir, trained):
         rc = main(["inspect-matrix", "no-such-id",

@@ -115,11 +115,28 @@ class TestLoadDialogues:
          "field 'history' must hold strings"),
         ({"history": [], "incomplete": "a b", "rewritten": 5},
          "field 'rewritten' has wrong type"),
-    ], ids=["int", "null", "string", "history-int", "rewritten-int"])
+        *(({"history": [], "incomplete": "a b", "id": bad},
+           "field 'id' must be a string or an integer")
+          for bad in (None, True, 1.5, [1], {"a": 1})),
+    ], ids=["int", "null", "string", "history-int", "rewritten-int",
+            "id-null", "id-bool", "id-float", "id-list", "id-map"])
     def test_malformed_record_type_names_line(self, tmp_path, record, message):
         p = tmp_path / "d.jsonl"
         p.write_text('{"history": [], "incomplete": "a"}\n' + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: {message}$"):
+            load_dialogues(p, DataFormat.CANONICAL_JSONL)
+
+    @pytest.mark.parametrize("first, second", [
+        ({"id": "dup"}, {"id": "dup"}),
+        ({"id": 7}, {"id": "7"}),
+        ({"id": "1"}, {}),  # line 2's default id is its index, 1
+    ], ids=["string", "int-and-string", "default"])
+    def test_repeated_id_names_both_lines(self, tmp_path, first, second):
+        p = tmp_path / "d.jsonl"
+        p.write_text("".join(json.dumps({"history": [], "incomplete": "a", **extra}) + "\n"
+                             for extra in (first, second)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 2: field 'id' "
+                                             rf"'\w+' repeats the id of line 1$"):
             load_dialogues(p, DataFormat.CANONICAL_JSONL)
 
     def test_lang_field_selects_mode(self, tmp_path):

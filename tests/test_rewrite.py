@@ -10,7 +10,7 @@ from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
 from iurkit.rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
                             decode, decode_labels, merge_matrices,
-                            resolve_conflicts, rewrite)
+                            resolve_conflicts, rewrite, rewrite_batch)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
                             score_all)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
@@ -347,17 +347,28 @@ class TestRewritePipeline:
         assert diag.query_texts[2] == "[UNK]"
 
     def test_diagnostics_json_precise_mode(self):
+        """to_json writes every grid cell and span score as a JSON number
+        that parses back to exactly the scored double."""
         d = zh_dialogue(["历史"], "不，他不关心。")
         lex = PronounLexicon.default("zh")
         inp = prepared(d)
         model = init_model(build_vocab([inp]), 8, 4, seed=0)
         _, diag = rewrite(d, model, theta=0.1, lexicon=lex)
-        obj = json.loads(diag.to_json(precise=True))
-        grid = obj["grids"]["S"]
-        assert isinstance(grid[0][0], str)
-        # 16 significant digits round-trip a double to within one ulp
-        assert float(grid[0][0]) == pytest.approx(
-            float(diag.grids[EditOp.SUBSTITUTE].values[0][0]), rel=1e-15)
+        obj = json.loads(diag.to_json())
+        for op, grid in diag.grids.items():
+            cells = obj["grids"][op.value]
+            assert all(type(v) is float for row in cells for v in row)
+            assert np.array_equal(np.array(cells, dtype=np.float64), grid.values)
+        assert [s["score"] for s in obj["spans"]] == [s.score for s in diag.spans]
+
+    @pytest.mark.parametrize("n_parses", [2, 6])
+    def test_batch_parse_count_mismatch_raises_before_any_result(self, n_parses):
+        dialogues = [zh_dialogue(["历史"], "不，他不关心。", eid=str(i)) for i in range(5)]
+        model = init_model(build_vocab([prepared(dialogues[0])]), 8, 4, seed=0)
+        parses = [flat_parse(dialogues[0].incomplete)] * n_parses
+        batch = rewrite_batch(dialogues, model, 0.1, PronounLexicon.default("zh"), parses)
+        with pytest.raises(ValueError, match=f"^{n_parses} parses for 5 dialogues$"):
+            next(batch)
 
     def test_diagnostics_span_keys(self):
         diag = Diagnostics(spans=[span((0, 2), (1, 3), 0.5), span((4, 5), (3, 3), 0.25)])

@@ -313,6 +313,17 @@ class TestBatchedScoring:
                 list(score_batch([e.input for e in small_set], model,
                                  [e.example_id for e in small_set]))
 
+    @pytest.mark.parametrize("n_ids", [0, 1, scoring.INFERENCE_CHUNK,
+                                       scoring.INFERENCE_CHUNK + 1])
+    def test_too_few_example_ids_states_counts(self, n_ids, long_set, small_model):
+        examples = long_set[:scoring.INFERENCE_CHUNK + 2]
+        scored = min(len(examples), (n_ids // scoring.INFERENCE_CHUNK + 1)
+                     * scoring.INFERENCE_CHUNK)
+        with pytest.raises(ValueError,
+                           match=f"^{n_ids} example ids for at least {scored} inputs$"):
+            list(score_batch([e.input for e in examples], small_model,
+                             [e.example_id for e in examples[:n_ids]]))
+
     def test_non_finite_score_in_a_later_chunk_names_example(self, long_set,
                                                             small_model):
         examples = long_set[:scoring.INFERENCE_CHUNK + 2]
@@ -669,8 +680,6 @@ class TestTraining:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.5)
 
 
 class TestPersistence:

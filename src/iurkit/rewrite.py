@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
-from .querygen import build_query
-from .scoring import score_batch
+from .querygen import QueryTemplate, build_query
+from .scoring import _score_chunks
 from .supervision import EditMatrix, EditOp, op_of
 
 # Substitute cells form rectangles (4-connected components); Pre-Insert
@@ -53,25 +54,92 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a == b or (a[0] < b[1] and b[0] < a[1])
 
 
-def _threshold(grid, theta: float) -> np.ndarray:
-    """Label 1 iff s >= theta. Substitute labels on the sentinel column are
-    discarded: the matrix invariant reserves that column for Pre-Insert."""
-    labels = np.asarray(grid.values) >= theta
-    if grid.op is EditOp.SUBSTITUTE:
-        labels[:, -1:] = False
-    return labels
+def _label(ops: Sequence[EditOp], values: np.ndarray, shapes, theta: float
+           ) -> dict[EditOp, np.ndarray]:
+    """Label 1 iff s >= theta, per operation, for padded scores
+    (n_ops, B, R, C) of which input b fills the top-left ``shapes[b]``.
+    Padding is never labeled, and neither is a Substitute cell on an
+    input's own sentinel (last) column: the matrix invariant reserves it
+    for Pre-Insert."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    labels = values >= theta
+    masks = dict(zip(ops, labels))
+    sub = masks.get(EditOp.SUBSTITUTE)
+    for b, (rows, cols) in enumerate(shapes):
+        labels[:, b, rows:] = False
+        labels[:, b, :, cols:] = False
+        if sub is not None:
+            sub[b, :, cols - 1] = False
+    return masks
+
+
+def _matrix(grids, theta: float) -> EditMatrix:
+    """The edit matrix of the cells ``_label`` keeps in ``grids`` (op ->
+    ScoreGrid, a chunk of one); an operation without a grid has none."""
+    ops = list(grids)
+    values = np.stack([np.asarray(grids[op].values) for op in ops])[:, None]
+    masks = _label(ops, values, [values.shape[2:]], theta)
+    return EditMatrix({op: masks[op][0] if op in masks else np.zeros(values.shape[2:], bool)
+                       for op in EditOp})
 
 
 def decode_labels(grid, theta: float) -> EditMatrix:
     """Threshold one score grid into an edit matrix of its operation."""
-    labels = _threshold(grid, theta)
-    return EditMatrix({op: labels if op is grid.op else np.zeros_like(labels)
-                       for op in EditOp})
+    return _matrix({grid.op: grid}, theta)
 
 
 def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
     """Union matrices of identical dimensions into one, per operation."""
     return EditMatrix({op: reduce(np.logical_or, [m.mask(op) for m in matrices]) for op in EditOp})
+
+
+def _spans(masks: dict[EditOp, np.ndarray], values: dict[EditOp, np.ndarray]
+           ) -> list[list[EditSpan]]:
+    """Each input's spans from labeled cells (op -> (B, R, C) bool), with
+    one ``ndimage.label`` and ``find_objects`` per operation for the whole
+    batch; see ``cells_to_spans``. ``values`` (op -> (B, R, C) scores) may
+    lack an operation, whose spans then score 0.
+
+    Several inputs are labeled as one grid: their rows end to end, each
+    input followed by an empty row, keeping only the rows that hold a
+    labeled cell or follow one. An empty row then parts any two rows that
+    were not adjacent, so no component joins two inputs, and components
+    come in the row-major order of the inputs. Labeling every row would
+    scan mostly empty grids; one input's grid costs about as much to
+    label as to pack, so it is labeled as it is."""
+    spans: list[list[EditSpan]] = [[] for _ in range(len(masks[EditOp.PRE_INSERT]))]
+    for op, structure in _CONNECTIVITY.items():
+        mask = masks[op]
+        if not mask.any():
+            continue
+        batch, n_rows, n_cols = mask.shape
+        stride = n_rows + 1
+        if batch == 1:
+            grid, origin = mask[0], range(n_rows)
+        else:
+            padded = np.zeros((batch, stride, n_cols), dtype=bool)
+            padded[:, :n_rows] = mask
+            padded = padded.reshape(-1, n_cols)
+            labeled = np.flatnonzero(padded) // n_cols  # with repeats
+            kept = np.zeros(len(padded), dtype=bool)
+            kept[labeled] = True
+            kept[labeled + 1] = True
+            origin = np.flatnonzero(kept)
+            grid, origin = padded[origin], origin.tolist()
+        scores = values.get(op)
+        labels, _ = ndimage.label(grid, structure=structure)
+        for rs, cs in ndimage.find_objects(labels):
+            b, r0 = divmod(origin[rs.start], stride)
+            r1 = origin[rs.stop - 1] - b * stride + 1
+            member = mask[b, r0:r1, cs]
+            score = 0.0
+            if scores is not None:
+                cells = scores[b, r0:r1, cs][member]
+                score = float(cells.sum() / cells.size)  # np.mean's own sum and division
+            cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
+            spans[b].append(EditSpan((r0, r1), cols, score, bool(member.all())))
+    return spans
 
 
 def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
@@ -81,20 +149,10 @@ def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     plus bounding boxes; components that do not fill their box keep the box
     and are flagged ``filled=False``. Pre-Insert cells become maximal row
     runs per column. A span's score is the mean over the labeled cells of
-    its box, taken from ``grids`` (op -> ScoreGrid) when given.
+    its box, taken from ``grids`` (op -> ScoreGrid) when given, else 0.
     """
-    spans: list[EditSpan] = []
-    for op, structure in _CONNECTIVITY.items():
-        mask = matrix.mask(op)
-        if not mask.any():
-            continue
-        values = np.asarray(grids[op].values) if grids and op in grids else None
-        labels, _ = ndimage.label(mask, structure=structure)
-        for rs, cs in ndimage.find_objects(labels):
-            member = mask[rs, cs]
-            score = float(np.mean(values[rs, cs][member])) if values is not None else 0.0
-            cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
-            spans.append(EditSpan((rs.start, rs.stop), cols, score, bool(member.all())))
+    (spans,) = _spans({op: matrix.mask(op)[None] for op in EditOp},
+                      {op: np.asarray(g.values)[None] for op, g in (grids or {}).items()})
     return spans
 
 
@@ -139,19 +197,47 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
 def decode(grids, input: InputSequence, incomplete: Utterance, theta: float
            ) -> tuple[EditMatrix, list[EditSpan], Utterance]:
     """Score grids (op -> ScoreGrid, one per operation) to the labeled
-    matrix, the surviving edit spans and the rewritten utterance."""
-    matrix = EditMatrix({op: _threshold(grids[op], theta) for op in EditOp})
+    matrix, the surviving edit spans and the rewritten utterance: the
+    decoding of ``rewrite_batch`` on a chunk of one."""
+    matrix = _matrix(grids, theta)
     spans = resolve_conflicts(cells_to_spans(matrix, grids))
     return matrix, spans, apply_edits(incomplete, spans, input)
 
 
+def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
+                   example_ids: Iterable[Optional[str]]
+                   ) -> Iterator[tuple[dict, list[EditSpan]]]:
+    """Each input's grids and surviving spans, in order: ``_score_chunks``,
+    then one threshold and one labeling per operation for each chunk."""
+    for values, shapes, grids in _score_chunks(inputs, model, example_ids):
+        masks = _label(model.head.ops, values, shapes, theta)
+        proposed = _spans(masks, dict(zip(model.head.ops, values)))
+        yield from zip(grids, map(resolve_conflicts, proposed))
+
+
 @dataclass
 class Diagnostics:
-    query_texts: list[str] = field(default_factory=list)
-    input_texts: list[str] = field(default_factory=list)
+    """Every intermediate of one rewrite. ``matrix`` (from ``grids`` and
+    ``theta``), ``query_texts`` and ``input_texts`` (from ``query`` and
+    ``input``) are built on first read."""
+
     grids: dict = field(default_factory=dict)
-    matrix: Optional[EditMatrix] = None
     spans: list[EditSpan] = field(default_factory=list)
+    theta: float = 0.0
+    query: Optional[QueryTemplate] = None
+    input: Optional[InputSequence] = None
+
+    @cached_property
+    def matrix(self) -> Optional[EditMatrix]:
+        return _matrix(self.grids, self.theta) if self.grids else None
+
+    @cached_property
+    def query_texts(self) -> list[str]:
+        return self.query.texts() if self.query is not None else []
+
+    @cached_property
+    def input_texts(self) -> list[str]:
+        return self.input.texts() if self.input is not None else []
 
     def to_json(self) -> str:
         obj = {
@@ -181,12 +267,12 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. Queries and inputs are built as ``score_batch`` takes
-    them, so only one chunk's are held at a time. Each dialogue's
-    diagnostics carry every intermediate. The results equal ``rewrite``
-    of each dialogue, and a ValueError names the example it arose from.
-    A ``parses`` of another length than ``dialogues`` raises before any
-    result.
+    application. Queries and inputs are built as scoring reaches them, so
+    only one chunk's are held at a time, and each chunk is decoded at
+    once. Each dialogue's diagnostics carry every intermediate. The
+    results equal ``rewrite`` of each dialogue, and a ValueError names the
+    example it arose from. A ``parses`` of another length than
+    ``dialogues`` raises before any result.
     """
     if parses is not None and len(parses) != len(dialogues):
         raise ValueError(f"{len(parses)} parses for {len(dialogues)} dialogues")
@@ -201,15 +287,14 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
                 raise example_error(dialogue, exc) from exc
             yield built[-1][2]
 
-    for grids in score_batch(inputs(), model, (d.example_id for d in dialogues)):
+    decoded = _decode_chunks(inputs(), model, theta, (d.example_id for d in dialogues))
+    for grids, spans in decoded:
         dialogue, query, input_seq = built.popleft()
         try:
-            matrix, spans, output = decode(grids, input_seq, dialogue.incomplete, theta)
+            output = apply_edits(dialogue.incomplete, spans, input_seq)
         except ValueError as exc:
             raise example_error(dialogue, exc) from exc
-        yield output, Diagnostics(
-            query_texts=query.texts(), input_texts=input_seq.texts(),
-            grids=grids, matrix=matrix, spans=spans)
+        yield output, Diagnostics(grids, spans, theta, query, input_seq)
 
 
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,

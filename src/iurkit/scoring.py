@@ -474,13 +474,16 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
             np.add.at(grads["emb"], ids, dh)
 
 
-def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
-                example_ids: Optional[Iterable[Optional[str]]] = None
-                ) -> Iterator[dict[EditOp, ScoreGrid]]:
-    """Both operations' grids for each input, in order. ``_forward`` scores
-    consecutive chunks of at most ``INFERENCE_CHUNK`` inputs, each taken
-    from the iterables only when the stream reaches it, so the inputs and
-    score arrays in memory are one chunk's whatever the number of inputs.
+def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
+                  example_ids: Optional[Iterable[Optional[str]]] = None
+                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int]],
+                                      list[dict[EditOp, ScoreGrid]]]]:
+    """``_forward`` over consecutive chunks of at most ``INFERENCE_CHUNK``
+    inputs, each taken from the iterables only when the stream reaches it,
+    so the inputs and score arrays in memory are one chunk's whatever the
+    number of inputs. Yields per chunk its padded scores (n_ops, B, R, C)
+    with the operations in ``model.head.ops``, the ``(rows, cols)`` each
+    input fills of them, and each input's grids (views of its cells).
     Raises on a non-finite score, naming the example, and on running out
     of ``example_ids`` before inputs."""
     inputs = iter(inputs)
@@ -492,13 +495,23 @@ def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
             raise ValueError(f"{seen + len(ids)} example ids for at least "
                              f"{seen + len(chunk)} inputs")
         seen += len(chunk)
-        values, scores, cache = _forward(model, chunk, ids)
+        values, scores, _ = _forward(model, chunk, ids)
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
             raise ValueError(f"score grid of example {ids[b]!r} is not finite")
-        for per_op in scores:
-            yield {op: ScoreGrid.checked(op, v) for op, v in per_op.items()}
-        del values, scores, cache  # not held while the next chunk is scored
+        first = model.head.ops[0]
+        yield (values, [s[first].shape for s in scores],
+               [{op: ScoreGrid.checked(op, v) for op, v in s.items()} for s in scores])
+        del values, scores  # not held while the next chunk is scored
+
+
+def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
+                example_ids: Optional[Iterable[Optional[str]]] = None
+                ) -> Iterator[dict[EditOp, ScoreGrid]]:
+    """Both operations' grids for each input, in order, scored a chunk at
+    a time (see ``_score_chunks``)."""
+    for _, _, grids in _score_chunks(inputs, model, example_ids):
+        yield from grids
 
 
 def score_all(input: InputSequence, model: ModelParams,
@@ -635,13 +648,13 @@ def _adam_step(model: ModelParams, grads: dict[str, np.ndarray],
 
 def train_em(model: ModelParams, examples: Sequence[TrainExample],
              theta: float) -> float:
-    from .rewrite import decode  # rewrite imports this module
+    from .rewrite import _decode_chunks, apply_edits  # rewrite imports this module
 
-    batch = score_batch([ex.input for ex in examples], model,
-                        [ex.example_id for ex in examples])
-    return sum(decode(grids, ex.input, ex.dialogue.incomplete, theta)[2].texts()
+    decoded = _decode_chunks([ex.input for ex in examples], model, theta,
+                             [ex.example_id for ex in examples])
+    return sum(apply_edits(ex.dialogue.incomplete, spans, ex.input).texts()
                == ex.dialogue.rewritten.texts()
-               for ex, grids in zip(examples, batch)) / len(examples)
+               for ex, (_, spans) in zip(examples, decoded)) / len(examples)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported below

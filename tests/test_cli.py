@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import iurkit.rewrite as rewrite_module
 from iurkit import scoring
@@ -18,6 +19,7 @@ from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
+from iurkit.supervision import EditMatrix
 from synthetic import lengthen, make_corpus, write_corpus_files
 
 
@@ -397,7 +399,7 @@ class TestInspectMatrix:
         assert "grids" in obj and set(obj["grids"]) == {"S", "I"}
         assert obj["matrix"] is not None
 
-    def test_precise_grid_strings(self, corpus_dir, trained, capsys):
+    def test_grid_and_score_numbers_round_trip(self, corpus_dir, trained, capsys):
         """Grid cells and span scores are written as JSON numbers, never as
         strings, and parse back to exactly the float64 that rewrite scored."""
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
@@ -421,6 +423,50 @@ class TestInspectMatrix:
         rc = main(["inspect-matrix", "no-such-id",
                    "--config", str(corpus_dir / "config.ini")])
         assert rc == 1
+
+
+class TestChunkDecode:
+    """``iurkit rewrite`` decodes each chunk at once and builds no
+    diagnostics it discards; the diagnostics read later are those of the
+    per-example decoder."""
+
+    # SHA-256 of the output of every test-corpus example in turn, recorded
+    # with the per-example decoder (one threshold, ``EditMatrix`` and
+    # labeling per example, diagnostics built eagerly)
+    DIGESTS = {"inspect-matrix": "14a421cf56d171def04a101014ed50994237ab625972b8545b42731275a0eaaf",
+               "to_json": "13d4451a05f574cfd2129c0a1b76f024d6ad70de364b3232afa5b30debe9e396"}
+
+    def test_rewrite_builds_no_matrix_and_labels_once_per_op_per_chunk(
+            self, corpus_dir, trained, tmp_path, monkeypatch):
+        events, forward, label = [], scoring._forward, ndimage.label
+        post_init = EditMatrix.__post_init__
+        monkeypatch.setattr(EditMatrix, "__post_init__",
+                            lambda self: events.append("matrix") or post_init(self))
+        monkeypatch.setattr(scoring, "_forward",
+                            lambda *a, **kw: events.append("forward") or forward(*a, **kw))
+        monkeypatch.setattr(ndimage, "label",
+                            lambda *a, **kw: events.append("label") or label(*a, **kw))
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
+        assert "matrix" not in events
+        per_chunk = [chunk.count("label") for chunk in
+                     " ".join(events).split("forward")[1:]]
+        assert len(per_chunk) == -(-10 // INFERENCE_CHUNK)
+        assert sum(per_chunk) > 0 and max(per_chunk) <= 2  # two operations
+
+    def test_diagnostics_match_recorded_digests(self, corpus_dir, trained, capsys):
+        cfg = RunConfig.from_file(corpus_dir / "config.ini")
+        lexicon, inputs = cfg.load_inputs()
+        model, _ = load_model(trained)
+        inspect, to_json = hashlib.sha256(), hashlib.sha256()
+        for dlg, parse in inputs:
+            assert main(["inspect-matrix", dlg.example_id,
+                         "--config", str(corpus_dir / "config.ini")]) == 0
+            inspect.update(capsys.readouterr().out.encode("utf-8"))
+            _, diag = rewrite(dlg, model, cfg.theta, lexicon, parse)
+            to_json.update(diag.to_json().encode("utf-8"))
+        assert {"inspect-matrix": inspect.hexdigest(),
+                "to_json": to_json.hexdigest()} == self.DIGESTS
 
 
 @pytest.mark.parametrize("key, value", [("format", "json"), ("lang", "fr"),

@@ -5,14 +5,15 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
-from iurkit.rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
-                            decode, decode_labels, merge_matrices,
+from iurkit.rewrite import (Diagnostics, EditSpan, _label, _spans, apply_edits,
+                            cells_to_spans, decode, decode_labels, merge_matrices,
                             resolve_conflicts, rewrite, rewrite_batch)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
-                            score_all)
+                            score_all, train_em)
 from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, make_corpus
 
@@ -107,6 +108,161 @@ class TestDecode:
         inp = build_input_sequence(Utterance.from_texts(["q"]), dialogue)
         matrix, _, _ = decode(grids, inp, dialogue.incomplete, theta)
         assert matrix == merge_matrices([decode_labels(g, theta) for g in grids.values()])
+
+
+def grid_input(n_rows, n_cols):
+    """An incomplete utterance and an input whose grids are n_rows x n_cols."""
+    dialogue = Dialogue((Utterance.from_texts(["h"] * (n_rows - 1)),),
+                        Utterance.from_texts(["i"] * (n_cols - 1), 1))
+    return dialogue.incomplete, build_input_sequence(Utterance.from_texts(["q"]), dialogue)
+
+
+# Per-example decoding as it ran before a chunk was decoded at once: one
+# threshold and one 2-D labeling per grid. Kept as the reference that the
+# chunk decoder must equal bit for bit.
+REFERENCE_STRUCTURE = {
+    EditOp.SUBSTITUTE: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    EditOp.PRE_INSERT: np.array([[0, 1, 0], [0, 1, 0], [0, 1, 0]], dtype=bool),
+}
+
+
+def reference_threshold(grid, theta):
+    labels = np.asarray(grid.values) >= theta
+    if grid.op is EditOp.SUBSTITUTE:
+        labels[:, -1:] = False
+    return labels
+
+
+def reference_cells_to_spans(matrix, grids):
+    spans = []
+    for op, structure in REFERENCE_STRUCTURE.items():
+        mask = matrix.mask(op)
+        if not mask.any():
+            continue
+        values = np.asarray(grids[op].values)
+        labels, _ = ndimage.label(mask, structure=structure)
+        for rs, cs in ndimage.find_objects(labels):
+            member = mask[rs, cs]
+            score = float(np.mean(values[rs, cs][member]))
+            cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
+            spans.append(EditSpan((rs.start, rs.stop), cols, score, bool(member.all())))
+    return spans
+
+
+HEAD_OPS = [EditOp.PRE_INSERT, EditOp.SUBSTITUTE]  # the order of model.head.ops
+
+
+def padded_chunk(cells):
+    """Per-input ``(2, rows, cols)`` scores in ``HEAD_OPS`` order as one zero
+    padded (2, B, R, C) chunk, the layout ``_forward`` writes, and the shapes."""
+    shapes = [c.shape[1:] for c in cells]
+    values = np.zeros((2, len(cells), max(r for r, _ in shapes), max(c for _, c in shapes)))
+    for b, (c, (rows, cols)) in enumerate(zip(cells, shapes)):
+        values[:, b, :rows, :cols] = c
+    return values, shapes
+
+
+def assert_chunk_decodes_as_each_input(cells, theta):
+    """The chunk decoder of ``rewrite_batch`` (one threshold, one labeling
+    per operation) gives each input the labels, proposed spans, surviving
+    spans and output of the reference decoder run on that input alone."""
+    values, shapes = padded_chunk(cells)
+    masks = _label(HEAD_OPS, values, shapes, theta)
+    proposed = _spans(masks, dict(zip(HEAD_OPS, values)))
+    assert len(proposed) == len(cells)
+    for b, (rows, cols) in enumerate(shapes):
+        grids = {op: ScoreGrid(op, values[o, b, :rows, :cols]) for o, op in enumerate(HEAD_OPS)}
+        matrix = EditMatrix({op: reference_threshold(grids[op], theta) for op in EditOp})
+        for op in EditOp:
+            assert np.array_equal(masks[op][b, :rows, :cols], matrix.mask(op))
+            assert not masks[op][b, rows:].any() and not masks[op][b, :, cols:].any()
+        want = reference_cells_to_spans(matrix, grids)
+        assert proposed[b] == want  # EditSpan equality compares score and filled with ==
+        kept = resolve_conflicts(proposed[b])
+        assert kept == resolve_conflicts(want)
+        incomplete, inp = grid_input(rows, cols)
+        assert apply_edits(incomplete, kept, inp) == \
+            apply_edits(incomplete, resolve_conflicts(want), inp)
+
+
+@st.composite
+def score_chunks(draw):
+    theta = draw(st.sampled_from([-0.5, 0.0, 0.1, 0.3]))
+    value = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, theta, 0.3, 1.0]),
+                      st.floats(-1, 1, allow_nan=False))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        cells.append(np.array(draw(st.lists(value, min_size=2 * rows * cols,
+                                            max_size=2 * rows * cols))).reshape(2, rows, cols))
+    return cells, theta
+
+
+def cells_of(rows, cols, fill=-1.0, insert=(), substitute=()):
+    """(2, rows, cols) scores in ``HEAD_OPS`` order: ``fill`` everywhere but
+    at the ``(row, col, value)`` entries of each operation."""
+    c = np.full((2, rows, cols), fill)
+    for o, entries in enumerate((insert, substitute)):
+        for r, col, v in entries:
+            c[o, r, col] = v
+    return c
+
+
+class TestChunkDecode:
+    @given(score_chunks())
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_equals_per_input_reference(self, chunk):
+        assert_chunk_decodes_as_each_input(*chunk)
+
+    @pytest.mark.parametrize("cells, theta", [
+        # the zero padding of the smaller input passes a threshold <= 0
+        ([cells_of(2, 2), cells_of(4, 3, insert=[(3, 0, 0.5)])], 0.0),
+        ([cells_of(1, 1), cells_of(3, 4)], -0.5),
+        # Substitute above theta on the shorter input's own sentinel column
+        ([cells_of(3, 2, substitute=[(0, 1, 0.5), (1, 1, 0.5), (1, 0, 0.4)]),
+          cells_of(3, 4, substitute=[(2, 3, 0.9)])], 0.1),
+        # an L whose box holds a cell of another component: its score is
+        # the mean over both
+        ([cells_of(3, 4, substitute=[(0, 0, 0.2), (1, 0, 0.3), (2, 0, 0.4), (2, 1, 0.5),
+                                     (2, 2, 0.6), (0, 2, 0.9)])], 0.1),
+        # the last row of one input and the first of the next both labeled
+        ([cells_of(2, 2, insert=[(1, 0, 0.5)], substitute=[(1, 0, 0.5)]),
+          cells_of(2, 2, insert=[(0, 0, 0.7)], substitute=[(0, 0, 0.7)])], 0.1),
+        # inputs with no labeled cell between labeled ones
+        ([cells_of(2, 3, insert=[(0, 1, 0.5), (1, 1, 0.7)]), cells_of(4, 2),
+          cells_of(3, 3, substitute=[(1, 1, 0.2)]), cells_of(1, 1)], 0.1),
+    ], ids=["theta-zero", "theta-negative", "short-sentinel", "unfilled-box", "adjacent-inputs",
+         "empty-inputs"])
+    def test_named_cases(self, cells, theta):
+        assert_chunk_decodes_as_each_input(cells, theta)
+
+    def test_unfilled_box_scores_every_labeled_cell_in_it(self):
+        values, shapes = padded_chunk([cells_of(
+            3, 4, substitute=[(0, 0, 0.2), (1, 0, 0.3), (2, 0, 0.4), (2, 1, 0.5),
+                              (2, 2, 0.6), (0, 2, 0.9)])])
+        (spans,) = _spans(_label(HEAD_OPS, values, shapes, 0.1), dict(zip(HEAD_OPS, values)))
+        l_shape, other = sorted(spans, key=lambda s: s.cols)
+        assert (l_shape.source_rows, l_shape.cols, l_shape.filled) == ((0, 3), (0, 3), False)
+        assert l_shape.score == float(np.mean([0.2, 0.9, 0.3, 0.4, 0.5, 0.6]))
+        assert (other.source_rows, other.cols, other.filled) == ((0, 1), (2, 3), True)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("caller", ["rewrite_batch", "rewrite", "decode", "train_em"])
+def test_non_finite_theta_raises(caller, theta):
+    d = zh_dialogue(["史密斯需要在附近找一家昂贵的餐馆。"], "不，他不关心。", "不，史密斯不关心。")
+    lex = PronounLexicon.default("zh")
+    inp = prepared(d)
+    model = init_model(build_vocab([inp]), 8, 4, seed=0)
+    call = {
+        "rewrite_batch": lambda: next(rewrite_batch([d], model, theta, lex)),
+        "rewrite": lambda: rewrite(d, model, theta, lex),
+        "decode": lambda: decode(score_all(inp, model), inp, d.incomplete, theta),
+        "train_em": lambda: train_em(
+            model, [TrainExample(inp, build_edit_matrix(d, inp)[0], "x", d)], theta),
+    }[caller]
+    with pytest.raises(ValueError, match=r"^theta must be finite, got "):
+        call()
 
 
 def oracle_components(cells):
@@ -346,7 +502,7 @@ class TestRewritePipeline:
         assert diag.spans == []
         assert diag.query_texts[2] == "[UNK]"
 
-    def test_diagnostics_json_precise_mode(self):
+    def test_diagnostics_json_numbers_round_trip(self):
         """to_json writes every grid cell and span score as a JSON number
         that parses back to exactly the scored double."""
         d = zh_dialogue(["历史"], "不，他不关心。")

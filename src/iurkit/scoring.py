@@ -9,9 +9,9 @@ a pairwise log-sum-exp loss that pushes labeled cells above zero and the
 rest below, with hand-derived reverse-mode gradients and bias-corrected
 Adam.
 
-Parameters are kept at float32 precision (stored in float64 arrays,
-quantized after every update) so checkpoints round-trip bit-exactly;
-all arithmetic runs in float64.
+Parameters are kept at float32 precision (in one float64 vector whose
+views are the named tensors, quantized after every update) so checkpoints
+round-trip bit-exactly; all arithmetic runs in float64.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -64,13 +64,6 @@ class EncoderParams:
     # when set, ``encode`` serves these vectors instead of the embedding
     imported: Optional[dict[str, np.ndarray]] = None
 
-    def __post_init__(self):
-        d = self.embedding.shape[1]
-        if d <= 0 or d % 2:
-            raise ValueError("d_model must be positive and even")
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("embedding table must be finite")
-
     @property
     def d_model(self) -> int:
         return self.embedding.shape[1]
@@ -89,17 +82,17 @@ class OpHead:
     bk: np.ndarray
 
 
+@dataclass
 class HeadParams:
-    """Each edit operation's ``OpHead``, held as one array per tensor that
-    stacks it over the operations in ``_in_order`` (leading axis), so one
-    call per side projects every operation. ``per_op`` hands out views of
-    those arrays: update them in place."""
+    """Every edit operation's ``OpHead``, stacked over ``ops`` (leading axis)
+    so one call per side projects every operation. ``per_op`` hands out
+    views of these arrays: update them in place."""
 
-    def __init__(self, per_op: dict[EditOp, OpHead]):
-        self.ops = _in_order(per_op)
-        self.wq, self.bq, self.wk, self.bk = (
-            np.stack([getattr(per_op[op], name) for op in self.ops])
-            for name in ("wq", "bq", "wk", "bk"))
+    ops: list[EditOp]
+    wq: np.ndarray  # (n_ops, d_out, d_model)
+    bq: np.ndarray  # (n_ops, d_out)
+    wk: np.ndarray
+    bk: np.ndarray
 
     @property
     def d_out(self) -> int:
@@ -115,6 +108,17 @@ class HeadParams:
 class ModelParams:
     encoder: EncoderParams
     head: HeadParams
+    flat: np.ndarray  # the trainable parameters: ``params_items`` are views of it
+
+    def __deepcopy__(self, memo) -> "ModelParams":
+        """A copy whose tensors are views of its own copy of ``flat``."""
+        enc, mix = self.encoder, self.encoder.mixer
+        model = _build_model(enc.vocab, enc.d_model, self.head.d_out, mix is not None,
+                             len(mix.b1) if mix else None, lambda *shape: np.zeros(shape))
+        model.encoder.embedding[...] = enc.embedding  # outside ``flat`` if imported
+        model.flat[-self.flat.size:] = self.flat
+        return model if enc.imported is None else with_imported_vectors(
+            model, {k: v.copy() for k, v in enc.imported.items()})
 
 
 @dataclass
@@ -144,6 +148,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate/batch_size must be positive, epochs >= 0")
 
@@ -183,28 +190,35 @@ def build_vocab(inputs: Iterable[InputSequence]) -> dict[str, int]:
     return {t: i for i, t in enumerate(reserved + extra)}
 
 
+def _views(vec: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """``vec`` cut along its last axis into views shaped ``vec.shape[:-1] +
+    shape``, one per shape in turn; a -1 in the last shape takes the rest."""
+    c = [0, *accumulate(math.prod(s) for s in shapes[:-1]), None]  # cut points
+    return [vec[..., a:b].reshape(vec.shape[:-1] + s) for a, b, s in zip(c, c[1:], shapes)]
+
+
 def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
                  d_ff: Optional[int], fill) -> ModelParams:
     """The one statement of the model's tensors and their shapes. Every
-    weight is ``fill(*shape)``, called in this order; biases start at zero."""
+    weight is ``fill(*shape)``, called in this order; biases start at zero.
+    All are views of ``flat`` in ``params_items`` order; each head is a row."""
     for name, width in (("d_model", d_model), ("d_head", d_head)):
         if width <= 0 or width % 2:
             raise ValueError(f"{name} must be positive and even")
-    embedding = fill(len(vocab), d_model)
-    mix = None
+    body = [fill(len(vocab), d_model)]
     if mixer:
         if d_ff <= 0:
             raise ValueError("d_ff must be positive")
-        mix = MixerParams(wq=fill(d_model, d_model), wk=fill(d_model, d_model),
-                          wv=fill(d_model, d_model), wo=fill(d_model, d_model),
-                          w1=fill(d_model, d_ff), b1=np.zeros(d_ff),
-                          w2=fill(d_ff, d_model), b2=np.zeros(d_model))
-    per_op = {}
-    for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
-        per_op[op] = OpHead(wq=fill(d_head, d_model), bq=np.zeros(d_head),
-                            wk=fill(d_head, d_model), bk=np.zeros(d_head))
-    enc = EncoderParams(vocab=dict(vocab), embedding=embedding, mixer=mix)
-    return ModelParams(encoder=enc, head=HeadParams(per_op))
+        body += [*(fill(d_model, d_model) for _ in range(4)), fill(d_model, d_ff),
+                 np.zeros(d_ff), fill(d_ff, d_model), np.zeros(d_model)]
+    heads = {op: [fill(d_head, d_model), np.zeros(d_head), fill(d_head, d_model),
+                  np.zeros(d_head)] for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT)}
+    ops = _in_order(heads)
+    flat = np.concatenate([a.ravel() for a in body + [a for op in ops for a in heads[op]]])
+    emb, *mix, rows = _views(flat, [a.shape for a in body] + [(len(ops), -1)])
+    head = HeadParams(ops, *_views(rows, [a.shape for a in heads[ops[0]]]))
+    enc = EncoderParams(dict(vocab), emb, MixerParams(*mix) if mix else None)
+    return ModelParams(encoder=enc, head=head, flat=flat)
 
 
 def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
@@ -229,18 +243,20 @@ def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:
     return sorted(ops, key=lambda o: o.value)
 
 
-def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Trainable tensors in a fixed order (the declared serialization order)."""
+def params_items(model: ModelParams, vec: Optional[np.ndarray] = None
+                 ) -> list[tuple[str, np.ndarray]]:
+    """Trainable tensors in a fixed order (the declared serialization order
+    and their order in ``model.flat``); given ``vec``, a vector in that
+    layout such as ``grad``'s, the same names for views of ``vec``."""
     items: list[tuple[str, np.ndarray]] = []
     if model.encoder.imported is None:
         items.append(("emb", model.encoder.embedding))
-        mix = model.encoder.mixer
-        if mix is not None:
-            for name in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"):
-                items.append((f"mixer.{name}", getattr(mix, name)))
-    for op, h in model.head.per_op.items():
-        for name in ("wq", "bq", "wk", "bk"):
-            items.append((f"head.{op.value}.{name}", getattr(h, name)))
+        if model.encoder.mixer is not None:
+            items += [(f"mixer.{k}", a) for k, a in vars(model.encoder.mixer).items()]
+    items += [(f"head.{op.value}.{k}", a) for op, h in model.head.per_op.items()
+              for k, a in vars(h).items()]
+    if vec is not None:
+        items = list(zip([n for n, _ in items], _views(vec, [a.shape for _, a in items])))
     return items
 
 
@@ -561,10 +577,6 @@ def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
     return float(_circle_loss_grad(values, ops, [values.shape[2:]], [gold])[0][0])
 
 
-def _zero_grads(model: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params_items(model)}
-
-
 def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExample]]:
     """Consecutive runs of ``batch`` of at most ``TRAIN_CHUNK_TOKENS`` input
     tokens in total; a longer input is a run of its own."""
@@ -579,11 +591,12 @@ def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExamp
 
 
 def grad(model: ModelParams, batch: Sequence[TrainExample]
-         ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss over the batch and exact gradients for every trainable
-    parameter, one padded forward and backward pass per token-bounded
-    chunk. Raises on a non-finite loss, naming the example."""
-    grads = _zero_grads(model)
+         ) -> tuple[float, np.ndarray]:
+    """Mean loss over the batch and the exact gradient vector (named by
+    ``params_items(model, grads)``), one padded forward and backward pass
+    per token-bounded chunk. Raises on a non-finite loss, naming the example."""
+    grads = np.zeros_like(model.flat)
+    named = dict(params_items(model, grads))
     total = 0.0
     ops = model.head.ops
     for chunk in _token_chunks(batch):
@@ -597,13 +610,11 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
         if not finite.all():
             bad = chunk[int(np.argmin(finite))].example_id
             raise TrainingDiverged(f"non-finite loss on example {bad!r}")
-        _backward(model, cache, dvalues, grads)
+        _backward(model, cache, dvalues, named)
         for loss in losses.tolist():
             total += loss
-    n = len(batch)
-    for g in grads.values():
-        g /= n
-    return total / n, grads
+    grads /= len(batch)
+    return total / len(batch), grads
 
 
 # ---------------------------------------------------------------------------
@@ -612,38 +623,33 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
 
 @dataclass
 class AdamState:
+    m: np.ndarray  # the moments, in ``model.flat``'s layout
+    v: np.ndarray
     step: int = 0
     epochs_done: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_model(cls, model: ModelParams) -> "AdamState":
-        return cls(step=0,
-                   m={n: np.zeros_like(a) for n, a in params_items(model)},
-                   v={n: np.zeros_like(a) for n, a in params_items(model)})
+        return cls(np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
 # Adam's published defaults (Kingma & Ba, ICLR 2015)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def _adam_step(model: ModelParams, grads: dict[str, np.ndarray],
-               state: AdamState, cfg: TrainConfig) -> None:
+def _adam_step(model: ModelParams, grads: np.ndarray, state: AdamState,
+               cfg: TrainConfig) -> None:
     state.step += 1
     t = state.step
-    for name, p in params_items(model):
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m[...] = _BETA1 * m + (1 - _BETA1) * g
-        v[...] = _BETA2 * v + (1 - _BETA2) * g * g
-        m_hat = m / (1 - _BETA1 ** t)
-        v_hat = v / (1 - _BETA2 ** t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
-        p[...] = _q32(p)
-        m[...] = _q32(m)
-        v[...] = _q32(v)
+    p, m, v = model.flat, state.m, state.v
+    m[...] = _BETA1 * m + (1 - _BETA1) * grads
+    v[...] = _BETA2 * v + (1 - _BETA2) * grads * grads
+    m_hat = m / (1 - _BETA1 ** t)
+    v_hat = v / (1 - _BETA2 ** t)
+    p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+    p[...] = _q32(p)
+    m[...] = _q32(m)
+    v[...] = _q32(v)
 
 
 def train_em(model: ModelParams, examples: Sequence[TrainExample],
@@ -683,10 +689,11 @@ def train(dataset: Sequence[TrainExample], config: TrainConfig,
             _adam_step(model, grads, state, config)
             epoch_loss += loss
             n_batches += 1
-        for name, a in _saved_tensors(model, state):
-            if not np.isfinite(a).all():
-                raise TrainingDiverged(f"epoch {epoch}, batch {n_batches - 1}: "
-                                       f"tensor {name!r} is non-finite after the update")
+        if not all(np.isfinite(a).all() for a in (model.flat, state.m, state.v)):
+            name = next(n for n, a in _saved_tensors(model, state)
+                        if not np.isfinite(a).all())
+            raise TrainingDiverged(f"epoch {epoch}, batch {n_batches - 1}: "
+                                   f"tensor {name!r} is non-finite after the update")
         log.epoch_losses.append(epoch_loss / max(n_batches, 1))
         state.epochs_done = epoch + 1
         if dev:
@@ -703,9 +710,9 @@ def _saved_tensors(model: ModelParams, opt_state: Optional[AdamState]
     """The parameters, then each one's Adam moments, as a model file holds them."""
     items = params_items(model)
     if opt_state is not None:
-        for n, _ in list(items):
-            items.append((f"adam.m.{n}", opt_state.m[n]))
-            items.append((f"adam.v.{n}", opt_state.v[n]))
+        for (n, m), (_, v) in zip(params_items(model, opt_state.m),
+                                  params_items(model, opt_state.v)):
+            items += [(f"adam.m.{n}", m), (f"adam.v.{n}", v)]
     return items
 
 
@@ -804,29 +811,21 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         raise ValueError(f"{path}: {exc}") from None
     if mode == "imported":  # the file holds the heads only
         model = with_imported_vectors(model, {})
-
-    def tensor(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in tensors:
-            raise ValueError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape "
-                             f"{list(tensors[name].shape)}, expected {list(shape)}")
-        return tensors.pop(name)
-
-    for name, a in params_items(model):
-        a[...] = tensor(name, a.shape)
-    opt_state = None
-    opt = header.get("optimizer")
+    opt_state, opt = None, header.get("optimizer")
     if opt is not None:
         if not isinstance(opt, dict):
             raise ValueError(f"{path}: optimizer must be a JSON object")
-        opt_state = AdamState(step=_count(opt.get("step"), path, "optimizer step"),
+        opt_state = AdamState(np.zeros_like(model.flat), np.zeros_like(model.flat),
+                              step=_count(opt.get("step"), path, "optimizer step"),
                               epochs_done=_count(opt.get("epochs_done", 0), path,
-                                                 "optimizer epochs_done"),
-                              m={n: tensor(f"adam.m.{n}", a.shape)
-                                 for n, a in params_items(model)},
-                              v={n: tensor(f"adam.v.{n}", a.shape)
-                                 for n, a in params_items(model)})
+                                                 "optimizer epochs_done"))
+    for name, a in _saved_tensors(model, opt_state):
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != a.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{list(tensors[name].shape)}, expected {list(a.shape)}")
+        a[...] = tensors.pop(name)
     if tensors:
         raise ValueError(f"{path}: unexpected tensor {next(iter(tensors))!r}")
     return model, opt_state
@@ -883,8 +882,9 @@ def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
 
 def with_imported_vectors(model: ModelParams,
                           records: dict[str, np.ndarray]) -> ModelParams:
-    """A copy of ``model`` whose encoder serves the given contextual vectors."""
-    enc = EncoderParams(vocab=model.encoder.vocab,
-                        embedding=model.encoder.embedding,
+    """``model`` (sharing its tensors) with an encoder that serves the given
+    contextual vectors; its ``flat`` is the tail of ``model.flat``: the heads."""
+    enc = EncoderParams(vocab=model.encoder.vocab, embedding=model.encoder.embedding,
                         mixer=None, imported=records)
-    return ModelParams(encoder=enc, head=model.head)
+    size = sum(a.size for a in (model.head.wq, model.head.bq, model.head.wk, model.head.bk))
+    return ModelParams(encoder=enc, head=model.head, flat=model.flat[-size:])

@@ -1,6 +1,7 @@
+import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from iurkit.datamodel import build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
-                            ModelParams, OpHead, ScoreGrid, TrainConfig,
+                            ModelParams, ScoreGrid, TrainConfig,
                             TrainExample, TrainingDiverged, _encode, _forward,
                             _in_order, _mixer_backward, _mixer_forward, _rope_table,
                             _rotate,
@@ -243,6 +244,7 @@ class TestRotaryTable:
                 assert np.array_equal(bits(g.values), bits(want_values[op]))
             want_loss, want_grads = reference_grad(model, ex)
             loss, grads = grad(model, [ex])
+            grads = dict(params_items(model, grads))
             assert np.array_equal(bits(loss), bits(want_loss))
             assert grads.keys() == want_grads.keys()
             for name in grads:
@@ -345,7 +347,8 @@ class TestProject:
     def test_fixture_by_hand(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([1.0, 1.0])
-        head = HeadParams({EditOp.SUBSTITUTE: OpHead(wq=w, bq=b, wk=2 * w, bk=b)})
+        head = HeadParams([EditOp.SUBSTITUTE], wq=w[None], bq=b[None], wk=2 * w[None],
+                          bk=b[None])
         h = np.array([[1.0, 1.0]])
         q, k = project(h, head, EditOp.SUBSTITUTE)
         assert np.allclose(q, [[4.0, 8.0]])
@@ -384,6 +387,73 @@ class TestVocabAndInit:
     def test_unknown_token_maps_to_unk(self, small_model):
         ids = small_model.encoder.token_ids(["definitely-not-in-vocab"])
         assert ids.tolist() == [0]
+
+
+def named_tensors(model):
+    """Every tensor a model's code reads or updates: ``params_items``, the
+    stacked heads, and the embedding and mixer unless vectors are imported."""
+    head = model.head
+    tensors = [a for _, a in params_items(model)] + [head.wq, head.bq, head.wk, head.bk]
+    if model.encoder.imported is None:
+        tensors.append(model.encoder.embedding)
+        mix = model.encoder.mixer
+        tensors += [getattr(mix, f.name) for f in fields(mix)] if mix is not None else []
+    return tensors
+
+
+class TestParameterVector:
+    """Every named tensor is a view of the model's one vector ``flat``, laid
+    out in ``params_items`` order, and stays one through a deep copy."""
+
+    def assert_views_of_flat(self, model):
+        for a in named_tensors(model):
+            assert np.shares_memory(a, model.flat)
+        # the layout ``params_items(model, vec)`` names is the model's own
+        for (n, a), (m, b) in zip(params_items(model), params_items(model, model.flat)):
+            assert n == m and a.__array_interface__ == b.__array_interface__
+        assert model.flat.size == sum(a.size for _, a in params_items(model))
+
+    @pytest.mark.parametrize("mixer", [False, True])
+    def test_init_and_load(self, mixer, small_set, tmp_path):
+        model = init_model(build_vocab([e.input for e in small_set]), 8, 4, mixer=mixer)
+        self.assert_views_of_flat(model)
+        save_model(tmp_path / "m.bin", model, AdamState.for_model(model))
+        loaded, state = load_model(tmp_path / "m.bin")
+        self.assert_views_of_flat(loaded)
+        assert np.array_equal(loaded.flat, model.flat)
+        assert state.m.shape == state.v.shape == loaded.flat.shape
+
+    def test_imported_vector_holds_heads_only(self, small_model):
+        imported = with_imported_vectors(small_model, {})
+        self.assert_views_of_flat(imported)
+        assert all(n.startswith("head.") for n, _ in params_items(imported))
+        assert not np.shares_memory(imported.encoder.embedding, imported.flat)
+
+    @pytest.mark.parametrize("encoder", ["embedding", "mixer", "imported"])
+    def test_deep_copy_trains_its_own_vector(self, encoder, small_set, tmp_path):
+        model = bit_test_model(encoder, small_set, order="C", d_head=4)
+        twin = copy.deepcopy(model)
+        self.assert_views_of_flat(twin)
+        assert np.array_equal(bits(twin.encoder.embedding), bits(model.encoder.embedding))
+        for a in named_tensors(twin) + [twin.flat]:
+            assert not np.shares_memory(a, model.flat)
+            assert not np.shares_memory(a, model.encoder.embedding)
+        before = model.flat.copy()
+        _, grads = grad(twin, small_set)
+        scoring._adam_step(twin, grads, AdamState.for_model(twin), TrainConfig(1e-2))
+        assert np.array_equal(model.flat, before)
+        # ``_forward`` reads the updated vector: the copy scores as the same
+        # parameters do once saved and loaded afresh
+        save_model(tmp_path / "twin.bin", twin)
+        fresh, _ = load_model(tmp_path / "twin.bin")
+        if encoder == "imported":
+            fresh = with_imported_vectors(fresh, twin.encoder.imported)
+        for e in small_set:
+            got = score_all(e.input, twin, e.example_id)
+            for op, g in score_all(e.input, fresh, e.example_id).items():
+                assert np.array_equal(bits(got[op].values), bits(g.values))
+                assert not np.array_equal(
+                    got[op].values, score_all(e.input, model, e.example_id)[op].values)
 
 
 class TestEncode:
@@ -483,7 +553,7 @@ class TestCircleLoss:
 
 def fd_check(model, batch, h=1e-4):
     """Central finite differences over every trainable scalar."""
-    _, analytic = grad(model, batch)
+    analytic = dict(params_items(model, grad(model, batch)[1]))
     worst = 0.0
     for name, p in params_items(model):
         it = np.nditer(p, flags=["multi_index"])
@@ -503,7 +573,6 @@ def fd_check(model, batch, h=1e-4):
 
 class TestGradients:
     def test_matches_finite_differences(self, small_set, small_model):
-        import copy
         model = copy.deepcopy(small_model)
         worst = fd_check(model, small_set[:3])
         assert worst < 1e-5
@@ -550,6 +619,7 @@ class TestGradients:
     def test_mean_over_batch(self, small_set, small_model):
         l1, g1 = grad(small_model, small_set[:1])
         l2, g2 = grad(small_model, small_set[:1] * 3)
+        g1, g2 = dict(params_items(small_model, g1)), dict(params_items(small_model, g2))
         assert abs(l1 - l2) < 1e-12
         for name in g1:
             assert np.allclose(g1[name], g2[name])
@@ -570,6 +640,7 @@ class TestBatchedTraining:
         for batch in (examples, examples[:5], examples[5:6]):
             want_loss, want_grads = reference_batch_grad(model, batch)
             loss, grads = grad(model, batch)
+            grads = dict(params_items(model, grads))
             assert np.array_equal(bits(loss), bits(want_loss))
             assert grads.keys() == want_grads.keys()
             for name in grads:
@@ -626,7 +697,6 @@ class TestTraining:
         return TrainConfig(**base)
 
     def test_zero_epochs_leaves_params(self, small_set, small_model):
-        import copy
         model = copy.deepcopy(small_model)
         log, state = train(small_set, self.cfg(epochs=0), model)
         assert log.epoch_losses == []
@@ -635,13 +705,11 @@ class TestTraining:
             assert np.array_equal(a, b)
 
     def test_loss_decreases(self, small_set, small_model):
-        import copy
         model = copy.deepcopy(small_model)
         log, _ = train(small_set, self.cfg(epochs=20), model)
         assert log.epoch_losses[-1] < log.epoch_losses[0]
 
     def test_deterministic_given_seed(self, small_set, small_model):
-        import copy
         runs = []
         for _ in range(2):
             model = copy.deepcopy(small_model)
@@ -655,7 +723,6 @@ class TestTraining:
         """``dev`` appends one EM per epoch, ``train_em`` of the model after
         that epoch, and changes nothing else: the saved model is
         byte-identical to one trained without it."""
-        import copy
         cfg = self.cfg(learning_rate=3e-2, epochs=10)
         with_dev = copy.deepcopy(small_model)
         log, state = train(small_set, cfg, with_dev, dev=small_set)
@@ -680,11 +747,15 @@ class TestTraining:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+        # NaN passes ``<= 0``; it must fail before any update, not after an epoch
+        for name, value in (("learning_rate", math.nan), ("learning_rate", math.inf),
+                            ("theta", math.nan), ("theta", math.inf), ("theta", -math.inf)):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
+                TrainConfig(**{name: value})
 
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, small_set, small_model, tmp_path):
-        import copy
         model = copy.deepcopy(small_model)
         log, state = train(small_set, TrainConfig(learning_rate=1e-3, epochs=2,
                                                   batch_size=4, seed=0), model)
@@ -695,9 +766,11 @@ class TestPersistence:
             assert na == nb and np.array_equal(a, b)
         assert lstate.step == state.step
         assert lstate.epochs_done == state.epochs_done
-        for n in state.m:
-            assert np.array_equal(state.m[n], lstate.m[n])
-            assert np.array_equal(state.v[n], lstate.v[n])
+        m, v = dict(params_items(model, state.m)), dict(params_items(model, state.v))
+        lm, lv = dict(params_items(loaded, lstate.m)), dict(params_items(loaded, lstate.v))
+        for n in m:
+            assert np.array_equal(m[n], lm[n])
+            assert np.array_equal(v[n], lv[n])
         assert loaded.encoder.vocab == model.encoder.vocab
         # version-1 headers written before the head count was removed carry
         # "heads"; such files still load to the same parameters
@@ -733,7 +806,6 @@ class TestPersistence:
                 assert np.array_equal(bits(g0[op].values), bits(g1[op].values))
 
     def test_resume_matches_uninterrupted(self, small_set, small_model, tmp_path):
-        import copy
         cfg = TrainConfig(learning_rate=1e-3, epochs=4, batch_size=4, seed=7)
         straight = copy.deepcopy(small_model)
         train(small_set, cfg, straight)
@@ -749,8 +821,38 @@ class TestPersistence:
         for (_, a), (_, b) in zip(params_items(straight), params_items(resumed)):
             assert np.array_equal(a, b)
 
+    def test_imported_model_trains_heads_only_and_resumes(self, small_set, small_model,
+                                                           tmp_path):
+        """An imported-vector model trains its heads and nothing else; its
+        checkpoint holds the heads and their moments, and resuming from it
+        with the same records retraces the uninterrupted run."""
+        records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
+        cfg = TrainConfig(learning_rate=1e-3, epochs=4, batch_size=4, seed=7)
+        source = copy.deepcopy(small_model)
+        straight = with_imported_vectors(source, records)
+        train(small_set, cfg, straight)
+        for (n, a), (_, b) in zip(params_items(source), params_items(small_model)):
+            changed = not np.array_equal(a, b)
+            assert changed == n.startswith("head."), n
+        assert np.array_equal(bits(source.encoder.embedding),
+                              bits(small_model.encoder.embedding))
+
+        half = with_imported_vectors(copy.deepcopy(small_model), records)
+        _, state = train(small_set, replace(cfg, epochs=2), half)
+        p = tmp_path / "ckpt.bin"
+        save_model(p, half, state)
+        names = [n for n, _ in json.loads(p.read_bytes().split(b"\n", 1)[0])["tensors"]]
+        heads = [n for n, _ in params_items(half)]
+        assert all(n.startswith("head.") for n in heads)
+        assert sorted(names) == sorted(heads + [f"adam.{k}.{n}" for n in heads
+                                                for k in ("m", "v")])
+        loaded, lstate = load_model(p)
+        resumed = with_imported_vectors(loaded, records)
+        train(small_set, cfg, resumed, start_epoch=lstate.epochs_done, opt_state=lstate)
+        for (_, a), (_, b) in zip(params_items(straight), params_items(resumed)):
+            assert np.array_equal(bits(a), bits(b))
+
     def test_saved_bytes_identical_across_runs(self, small_set, small_model, tmp_path):
-        import copy
         blobs = []
         for i in range(2):
             model = copy.deepcopy(small_model)

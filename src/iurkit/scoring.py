@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -103,6 +104,17 @@ class HeadParams:
         return {op: OpHead(self.wq[o], self.bq[o], self.wk[o], self.bk[o])
                 for o, op in enumerate(self.ops)}
 
+    @property
+    def size(self) -> int:
+        return sum(a.size for a in (self.wq, self.bq, self.wk, self.bk))
+
+    def views_of(self, vec: np.ndarray) -> "HeadParams":
+        """These tensors' places in ``vec``, a vector in ``ModelParams.flat``'s
+        layout, whose tail holds the heads one operation to a row."""
+        rows = vec[len(vec) - self.size:].reshape(len(self.ops), -1)
+        return HeadParams(self.ops, *_views(rows, [a.shape[1:] for a in
+                                                   (self.wq, self.bq, self.wk, self.bk)]))
+
 
 @dataclass
 class ModelParams:
@@ -151,6 +163,10 @@ class TrainConfig:
         for name in ("learning_rate", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate/batch_size must be positive, epochs >= 0")
 
@@ -457,11 +473,16 @@ def _forward(model: ModelParams, inputs: Sequence[InputSequence],
 
 
 def _backward(model: ModelParams, cache, dvalues: np.ndarray,
-              grads: dict[str, np.ndarray]) -> None:
-    """Accumulate into ``grads`` the gradients of a loss whose derivatives
-    with respect to ``_forward``'s padded scores are ``dvalues``. The
-    score matmuls write into padded arrays, so the inverse rotation runs
-    once over the batch; the rest runs per input, in batch order."""
+              grads: dict[str, np.ndarray], dhead: HeadParams) -> None:
+    """Accumulate into ``grads`` (by name) and ``dhead`` (the heads' views of
+    the same vector) the gradients of a loss whose derivatives with respect
+    to ``_forward``'s padded scores are ``dvalues``. The score matmuls write
+    into padded arrays, so the inverse rotation runs once over the batch;
+    the rest runs per input, in batch order, in stacked calls over the
+    operations, which issue the same per-operation matmuls and sums as a
+    loop over them would. One ``np.add.at`` then adds every input's rows to
+    the embedding: it adds in index order, so input by input, as one call
+    per input would."""
     encoded, ctxs, widths, row_rot, col_rot, rq, rk = cache
     head = model.head
     gq, gk = np.zeros_like(rq), np.zeros_like(rk)
@@ -472,22 +493,24 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
     # rotations are orthogonal: R^T = R(-pos)
     dq_all = _rotate(gq, *row_rot, inverse=True)
     dk_all = _rotate(gk, *col_rot, inverse=True)
+    all_ids, all_dh = [], []
     for b, ((h, ids, mix_cache), ctx, width) in enumerate(zip(encoded, ctxs, widths)):
         hq, hk = h[:ctx], h[ctx:]
+        dq, dk = dq_all[:, b, :ctx], dk_all[:, b, :width]  # (n_ops, rows, d_out)
+        dhead.wq += np.matmul(dq.swapaxes(1, 2), hq)
+        dhead.bq += dq.sum(axis=1)
+        dhead.wk += np.matmul(dk.swapaxes(1, 2), hk)
+        dhead.bk += dk.sum(axis=1)
         dh = np.zeros_like(h)
-        for o, op in enumerate(head.ops):
-            dq, dk = dq_all[o, b, :ctx], dk_all[o, b, :width]
-            pre = f"head.{op.value}."
-            grads[pre + "wq"] += dq.T @ hq
-            grads[pre + "bq"] += dq.sum(axis=0)
-            grads[pre + "wk"] += dk.T @ hk
-            grads[pre + "bk"] += dk.sum(axis=0)
-            dh[:ctx] += dq @ head.wq[o]
-            dh[ctx:] += dk @ head.wk[o]
+        dh[:ctx] += np.matmul(dq, head.wq).sum(axis=0)
+        dh[ctx:] += np.matmul(dk, head.wk).sum(axis=0)
         if ids is not None:
             if mix_cache is not None:
                 dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
-            np.add.at(grads["emb"], ids, dh)
+            all_ids.append(ids)
+            all_dh.append(dh)
+    if all_ids:
+        np.add.at(grads["emb"], np.concatenate(all_ids), np.concatenate(all_dh))
 
 
 def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
@@ -541,20 +564,23 @@ def score_all(input: InputSequence, model: ModelParams,
 
 
 def _circle_loss_grad(values: np.ndarray, ops: Sequence[EditOp],
-                      shapes: Sequence[tuple[int, ...]], golds: Sequence[EditMatrix]
+                      shapes: Sequence[tuple[int, ...]], golds: Sequence[EditMatrix],
+                      example_ids: Sequence[Optional[str]]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Each input's loss, summed over the operations of
     log(1 + sum_pos e^-s) + log(1 + sum_neg e^s), and its derivative, for
     padded scores (n_ops, B, R, C) in which input b fills the top-left
     ``shapes[b]`` of each grid. Overflow-safe; padding is neither
-    positive nor negative, and the sums and ``exp`` skip it."""
+    positive nor negative, and the sums and ``exp`` skip it. A gold that
+    does not fit its grid raises, naming its example when one is given."""
     pos = np.zeros(values.shape, dtype=bool)
     valid = np.zeros_like(pos)
-    for b, ((rows, cols), gold) in enumerate(zip(shapes, golds)):
+    for b, ((rows, cols), gold, ex_id) in enumerate(zip(shapes, golds, example_ids)):
         for o, op in enumerate(ops):
             if gold.mask(op).shape != (rows, cols):
-                raise ValueError(f"grid shape {(rows, cols)} does not match gold "
-                                 f"{gold.mask(op).shape}")
+                where = "" if ex_id is None else f"example {ex_id!r}: "
+                raise ValueError(f"{where}grid shape {(rows, cols)} does not match "
+                                 f"gold {gold.mask(op).shape}")
             pos[o, b, :rows, :cols] = gold.mask(op)
         valid[:, b, :rows, :cols] = True
     signed = np.where(pos, -values, values)
@@ -574,7 +600,7 @@ def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
     every other in-range cell is a negative."""
     ops = _in_order(grids)
     values = np.stack([grids[op].values for op in ops])[:, None]
-    return float(_circle_loss_grad(values, ops, [values.shape[2:]], [gold])[0][0])
+    return float(_circle_loss_grad(values, ops, [values.shape[2:]], [gold], [None])[0][0])
 
 
 def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExample]]:
@@ -596,21 +622,21 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
     ``params_items(model, grads)``), one padded forward and backward pass
     per token-bounded chunk. Raises on a non-finite loss, naming the example."""
     grads = np.zeros_like(model.flat)
-    named = dict(params_items(model, grads))
+    named, dhead = dict(params_items(model, grads)), model.head.views_of(grads)
     total = 0.0
     ops = model.head.ops
     for chunk in _token_chunks(batch):
-        values, scores, cache = _forward(model, [ex.input for ex in chunk],
-                                         [ex.example_id for ex in chunk],
+        ids = [ex.example_id for ex in chunk]
+        values, scores, cache = _forward(model, [ex.input for ex in chunk], ids,
                                          for_backward=True)
         losses, dvalues = _circle_loss_grad(values, ops,
                                             [s[ops[0]].shape for s in scores],
-                                            [ex.gold for ex in chunk])
+                                            [ex.gold for ex in chunk], ids)
         finite = np.isfinite(losses)
         if not finite.all():
-            bad = chunk[int(np.argmin(finite))].example_id
-            raise TrainingDiverged(f"non-finite loss on example {bad!r}")
-        _backward(model, cache, dvalues, named)
+            raise TrainingDiverged(f"non-finite loss on example "
+                                   f"{ids[int(np.argmin(finite))]!r}")
+        _backward(model, cache, dvalues, named, dhead)
         for loss in losses.tolist():
             total += loss
     grads /= len(batch)
@@ -886,5 +912,4 @@ def with_imported_vectors(model: ModelParams,
     contextual vectors; its ``flat`` is the tail of ``model.flat``: the heads."""
     enc = EncoderParams(vocab=model.encoder.vocab, embedding=model.encoder.embedding,
                         mixer=None, imported=records)
-    size = sum(a.size for a in (model.head.wq, model.head.bq, model.head.wk, model.head.bk))
-    return ModelParams(encoder=enc, head=model.head, flat=model.flat[-size:])
+    return ModelParams(encoder=enc, head=model.head, flat=model.flat[-model.head.size:])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -172,10 +173,23 @@ def locate_in_context(span: Sequence[str], input: InputSequence) -> Optional[tup
 
 @dataclass
 class SupervisionReport:
-    example_id: str = ""
-    fully_expressible: bool = False
-    skipped_spans: list[str] = field(default_factory=list)
-    deletions: list[tuple[int, int]] = field(default_factory=list)
+    """What ``build_edit_matrix`` found for one example. ``fully_expressible``
+    (nothing skipped or deleted, and the gold matrix decodes back to the
+    rewritten utterance) decodes the matrix on first read, so a caller that
+    never reads it pays nothing for it."""
+
+    example_id: str
+    skipped_spans: list[str]
+    deletions: list[tuple[int, int]]
+    # the triple the round trip decodes
+    dialogue: Dialogue = field(repr=False, compare=False)
+    input: InputSequence = field(repr=False, compare=False)
+    matrix: EditMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def fully_expressible(self) -> bool:
+        return (not self.skipped_spans and not self.deletions
+                and _round_trips(self.dialogue, self.input, self.matrix))
 
     def to_dict(self) -> dict:
         return {"example_id": self.example_id,
@@ -201,27 +215,25 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
     A span over a non-empty column interval yields a full Substitute
     rectangle (row interval x column interval); an empty interval yields a
     Pre-Insert column stripe. The report notes spans not found in history,
-    deletions, and whether applying the gold matrix reproduces the
-    rewritten utterance token-exactly.
+    deletions, and (on first read of ``fully_expressible``) whether applying
+    the gold matrix reproduces the rewritten utterance token-exactly.
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
     spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten)
-    report = SupervisionReport(example_id=dialogue.example_id,
-                               deletions=list(deletions))
+    skipped = []
     masks = {op: np.zeros((input.context_length, input.incomplete_length + 1), bool)
              for op in EditOp}
     for span in spans:
         rows = locate_in_context(span.tokens, input)
         if rows is None:
-            report.skipped_spans.append("".join(span.tokens))
+            skipped.append("".join(span.tokens))
             continue
         a, b = span.cols
         masks[op_of(span.cols)][rows[0]:rows[1], a:max(b, a + 1)] = True
     matrix = EditMatrix(masks)
-    report.fully_expressible = (not report.skipped_spans and not deletions
-                                and _round_trips(dialogue, input, matrix))
-    return matrix, report
+    return matrix, SupervisionReport(dialogue.example_id, skipped, list(deletions),
+                                     dialogue, input, matrix)
 
 
 def _round_trips(dialogue: Dialogue, input: InputSequence, matrix: EditMatrix) -> bool:

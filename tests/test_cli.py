@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import iurkit.rewrite as rewrite_module
-from iurkit import scoring
+from iurkit import scoring, supervision
 from iurkit.cli import RunConfig, _prepare, main
 from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix
+from iurkit.supervision import EditMatrix, aggregate_report
 from synthetic import lengthen, make_corpus, write_corpus_files
 
 
@@ -226,7 +226,9 @@ class TestGoldQueryMode:
         "query --unify": "c4ab38515ced4ee2b630ff617586310700e453fd7ce0a03d79afce5f964a4ea0",
         "query --no-unify": "0b57dc508c09620fe7fe35468249f98a0ff5b49b7d945394ec8f94a5dd89b674"}
 
-    def test_outputs_match_recorded_digests(self, tmp_path):
+    @staticmethod
+    def write_run(tmp_path) -> Path:
+        """The corpus, lexicon and config the digests were recorded from."""
         examples = make_corpus(40, seed=5)
         write_corpus_files(examples, tmp_path / "data.jsonl", tmp_path / "parses.conllu")
         (tmp_path / "lexicon.txt").write_text("he\nshe\nit\nthey\n", encoding="utf-8")
@@ -238,7 +240,10 @@ class TestGoldQueryMode:
                        f"out = {tmp_path / 'out'}\n"
                        "query_mode = gold\nd_model = 8\nd_head = 4\nlr = 0.001\n"
                        "batch_size = 4\nepochs = 1\nseed = 3\n")
-        common = ["--config", str(cfg)]
+        return cfg
+
+    def test_outputs_match_recorded_digests(self, tmp_path):
+        common = ["--config", str(self.write_run(tmp_path))]
         assert main(["build-supervision", *common]) == 0
         assert main(["train", *common]) == 0
         for flag in ("--unify", "--no-unify"):
@@ -251,6 +256,22 @@ class TestGoldQueryMode:
                    "query --unify": _sha256(tmp_path / "query--unify.jsonl"),
                    "query --no-unify": _sha256(tmp_path / "query--no-unify.jsonl")}
         assert digests == self.DIGESTS
+
+    def test_train_never_decodes_gold(self, tmp_path, monkeypatch):
+        """``iurkit train`` never reads ``fully_expressible``, so it never
+        decodes a gold matrix; the model is the recorded one."""
+        def round_trips(*args):
+            raise AssertionError("train decoded a gold matrix")
+
+        monkeypatch.setattr(supervision, "_round_trips", round_trips)
+        cfg = self.write_run(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert _sha256(tmp_path / "model.bin", tmp_path / "model.bin.log.json") == \
+            self.DIGESTS["model"]
+        assert main(["train", "--config", str(cfg), "--epochs", "2", "--resume"]) == 0
+        _, reports = _prepare(RunConfig.from_file(cfg))
+        with pytest.raises(AssertionError, match="decoded"):  # the stand-in is live
+            aggregate_report(reports)
 
 
 def test_mixer_training_on_mixed_lengths_matches_recorded_digest(tmp_path):

@@ -646,6 +646,32 @@ class TestBatchedTraining:
             for name in grads:
                 assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
 
+    @pytest.mark.parametrize("encoder", ["embedding", "mixer"])
+    def test_one_embedding_scatter_per_chunk_is_bit_identical(self, encoder, small_set):
+        # one pass whose inputs share tokens with each other and repeat
+        # tokens within themselves: the order in which the pass's single
+        # np.add.at adds the rows of a repeated token decides its bits
+        batch = [replace(e, example_id=str(i)) for i, e in enumerate(small_set)]
+        assert sum(len(e.input.tokens) for e in batch) <= scoring.TRAIN_CHUNK_TOKENS
+        model = bit_test_model(encoder, batch)
+        ids = [model.encoder.token_ids(e.input.texts()) for e in batch]
+        assert all(len(set(i.tolist())) < len(i) for i in ids)
+        assert set(ids[0].tolist()) & set(ids[1].tolist())
+        want_loss, want_grads = reference_batch_grad(model, batch)
+        loss, grads = grad(model, batch)
+        grads = dict(params_items(model, grads))
+        assert np.array_equal(bits(loss), bits(want_loss))
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
+
+    def test_gold_shape_mismatch_names_example(self, small_set, small_model):
+        a, b, c = small_set[:3]
+        assert b.gold.mask(EditOp.SUBSTITUTE).shape != c.gold.mask(EditOp.SUBSTITUTE).shape
+        bad = TrainExample(b.input, c.gold, "b", b.dialogue)
+        with pytest.raises(ValueError, match=r"^example 'b': grid shape \(\d+, \d+\) "
+                                             r"does not match gold \(\d+, \d+\)$"):
+            grad(small_model, [a, bad])
+
     def test_passes_are_token_bounded_and_in_order(self, small_set, long_set, en_lexicon,
                                                    monkeypatch):
         oversized = prepare(lengthen(make_corpus(1, seed=8)[0], np.random.default_rng(1),
@@ -752,6 +778,12 @@ class TestTraining:
                             ("theta", math.nan), ("theta", math.inf), ("theta", -math.inf)):
             with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
                 TrainConfig(**{name: value})
+        # 2.5 and NaN pass ``<= 0`` and True is an int: each fails here, not in ``train``
+        for name, value in (("batch_size", 2.5), ("epochs", math.nan), ("epochs", True),
+                            ("batch_size", False), ("epochs", "2")):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
+                TrainConfig(**{name: value})
+        assert TrainConfig(batch_size=np.int64(2), epochs=np.int32(0)).batch_size == 2
 
 
 class TestPersistence:

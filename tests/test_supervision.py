@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
+from iurkit import supervision
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts
-from iurkit.supervision import (AddedSpan, EditMatrix, EditOp,
+from iurkit.supervision import (AddedSpan, EditMatrix, EditOp, aggregate_report,
                                 build_edit_matrix, diff_spans, lcs_align,
                                 locate_in_context)
 
@@ -246,6 +247,35 @@ class TestBuildEditMatrix:
         assert not report.fully_expressible
         assert report.skipped_spans == ["新"]
         assert matrix.cells == frozenset()
+
+    @pytest.mark.parametrize("histories, inc, rew, stand_in, want, decodes", [
+        # full: the real round trip runs, once
+        (["史密斯需要在附近找一家昂贵的餐馆。", "史密斯关心菜肴的类型吗？"],
+         "不，他不关心。", "不，史密斯不关心菜肴的类型。", None, True, 1),
+        (["历史"], "考口语", "考新口语", None, False, 0),  # a skipped span
+        (["历史"], "考口语", "考语", None, False, 0),  # a deletion
+        # no matrix built from one diff is known to decode to another
+        # utterance, so a stand-in round trip says this one does
+        (["历史"], "考口语", "考历史口语", False, False, 1),
+    ], ids=["full", "skipped-span", "deletion", "no-round-trip"])
+    def test_fully_expressible_decodes_at_most_once_on_first_read(
+            self, monkeypatch, histories, inc, rew, stand_in, want, decodes):
+        calls, real = [], supervision._round_trips
+
+        def round_trips(*args):
+            calls.append(args)
+            return real(*args) if stand_in is None else stand_in
+
+        monkeypatch.setattr(supervision, "_round_trips", round_trips)
+        d = zh_dialogue(histories, inc, rew)
+        inp = prepared(d)
+        matrix, report = build_edit_matrix(d, inp)
+        assert calls == []
+        assert [report.fully_expressible for _ in range(3)] == [want] * 3
+        assert report.to_dict()["fully_expressible"] is want
+        assert aggregate_report([report])["full"] == int(want)
+        assert len(calls) == decodes
+        assert all(c[0] is d and c[1] is inp and c[2] is matrix for c in calls)
 
     def test_missing_gold_raises(self):
         d = zh_dialogue(["历史"], "考口语")

@@ -194,16 +194,6 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
     return Utterance(tuple(out), incomplete.speaker_turn)
 
 
-def decode(grids, input: InputSequence, incomplete: Utterance, theta: float
-           ) -> tuple[EditMatrix, list[EditSpan], Utterance]:
-    """Score grids (op -> ScoreGrid, one per operation) to the labeled
-    matrix, the surviving edit spans and the rewritten utterance: the
-    decoding of ``rewrite_batch`` on a chunk of one."""
-    matrix = _matrix(grids, theta)
-    spans = resolve_conflicts(cells_to_spans(matrix, grids))
-    return matrix, spans, apply_edits(incomplete, spans, input)
-
-
 def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
                    example_ids: Iterable[Optional[str]]
                    ) -> Iterator[tuple[dict, list[EditSpan]]]:
@@ -217,9 +207,8 @@ def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
 
 @dataclass
 class Diagnostics:
-    """Every intermediate of one rewrite. ``matrix`` (from ``grids`` and
-    ``theta``), ``query_texts`` and ``input_texts`` (from ``query`` and
-    ``input``) are built on first read."""
+    """Every intermediate of one rewrite. ``matrix`` is built from ``grids``
+    and ``theta`` on first read."""
 
     grids: dict = field(default_factory=dict)
     spans: list[EditSpan] = field(default_factory=list)
@@ -231,18 +220,10 @@ class Diagnostics:
     def matrix(self) -> Optional[EditMatrix]:
         return _matrix(self.grids, self.theta) if self.grids else None
 
-    @cached_property
-    def query_texts(self) -> list[str]:
-        return self.query.texts() if self.query is not None else []
-
-    @cached_property
-    def input_texts(self) -> list[str]:
-        return self.input.texts() if self.input is not None else []
-
     def to_json(self) -> str:
         obj = {
-            "query": self.query_texts,
-            "input": self.input_texts,
+            "query": self.query.texts() if self.query is not None else [],
+            "input": self.input.texts() if self.input is not None else [],
             "matrix": json.loads(self.matrix.to_json()) if self.matrix else None,
             "spans": [{"op": s.op.value, "rows": list(s.source_rows),
                        "cols": list(s.cols),

@@ -827,6 +827,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
     mode, has_mixer = header["mode"], header["has_mixer"]
     if mode not in ("trainable", "imported"):
         raise ValueError(f"{path}: mode must be 'trainable' or 'imported', got {mode!r}")
+    if not isinstance(has_mixer, bool):
+        raise ValueError(f"{path}: has_mixer must be true or false, got {has_mixer!r}")
     d_model = _count(header["d_model"], path, "d_model")
     d_out = _count(header.get("d_out"), path, "d_out")
     d_ff = _count(header.get("d_ff"), path, "d_ff") if has_mixer else None

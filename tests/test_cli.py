@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import iurkit.rewrite as rewrite_module
-from iurkit import scoring, supervision
+from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
 from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix, aggregate_report
+from iurkit.supervision import EditMatrix
 from synthetic import lengthen, make_corpus, write_corpus_files
 
 
@@ -258,20 +258,23 @@ class TestGoldQueryMode:
         assert digests == self.DIGESTS
 
     def test_train_never_decodes_gold(self, tmp_path, monkeypatch):
-        """``iurkit train`` never reads ``fully_expressible``, so it never
-        decodes a gold matrix; the model is the recorded one."""
-        def round_trips(*args):
-            raise AssertionError("train decoded a gold matrix")
+        """Neither ``iurkit build-supervision`` nor ``iurkit train`` decodes
+        a gold matrix; the supervision and model are the recorded ones."""
+        def spans(*args):
+            raise AssertionError("a gold matrix was decoded")
 
-        monkeypatch.setattr(supervision, "_round_trips", round_trips)
+        monkeypatch.setattr(rewrite_module, "_spans", spans)
         cfg = self.write_run(tmp_path)
+        assert main(["build-supervision", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        matrices = sorted((out / "matrices").iterdir(), key=lambda p: int(p.stem))
+        assert _sha256(out / "report.json", *matrices) == self.DIGESTS["supervision"]
         assert main(["train", "--config", str(cfg)]) == 0
         assert _sha256(tmp_path / "model.bin", tmp_path / "model.bin.log.json") == \
             self.DIGESTS["model"]
         assert main(["train", "--config", str(cfg), "--epochs", "2", "--resume"]) == 0
-        _, reports = _prepare(RunConfig.from_file(cfg))
         with pytest.raises(AssertionError, match="decoded"):  # the stand-in is live
-            aggregate_report(reports)
+            rewrite_module.cells_to_spans(EditMatrix.from_cells(1, 1, []))
 
 
 def test_mixer_training_on_mixed_lengths_matches_recorded_digest(tmp_path):
@@ -549,11 +552,14 @@ class TestStrictHeaders:
         (lambda h: {**h, "optimizer": [1]}, True, "optimizer must be a JSON object"),
         (lambda h: {**h, "d_model": 0}, True, "d_model must be positive and even"),
         (lambda h: {**h, "has_mixer": True, "d_ff": 0}, True, "d_ff must be positive"),
+        (lambda h: {**h, "has_mixer": "false"}, True,
+         "has_mixer must be true or false, got 'false'"),
+        (lambda h: {**h, "has_mixer": 0}, True, "has_mixer must be true or false, got 0"),
     ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
             "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
             "optimizer-step", "1d-emb", "emb-rows-vs-vocab", "swapped-head-wq",
             "swapped-adam-moment", "misspelled-mode", "extra-tensor", "optimizer-list",
-            "zero-d_model", "zero-d_ff"])
+            "zero-d_model", "zero-d_ff", "string-has_mixer", "int-has_mixer"])
     def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
                                     trained, tmp_path, capsys):
         header, tensors = trained.read_bytes().split(b"\n", 1)

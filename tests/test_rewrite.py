@@ -10,7 +10,7 @@ from scipy import ndimage
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
 from iurkit.rewrite import (Diagnostics, EditSpan, _label, _spans, apply_edits,
-                            cells_to_spans, decode, decode_labels, merge_matrices,
+                            cells_to_spans, decode_labels, merge_matrices,
                             resolve_conflicts, rewrite, rewrite_batch)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
                             score_all, train_em)
@@ -103,10 +103,7 @@ class TestDecode:
                      st.lists(value, min_size=n_cols, max_size=n_cols),
                      min_size=n_rows, max_size=n_rows)))
                  for op in EditOp}
-        dialogue = Dialogue((Utterance.from_texts(["h"] * (n_rows - 1)),),
-                            Utterance.from_texts(["i"] * (n_cols - 1), 1))
-        inp = build_input_sequence(Utterance.from_texts(["q"]), dialogue)
-        matrix, _, _ = decode(grids, inp, dialogue.incomplete, theta)
+        matrix = Diagnostics(grids, theta=theta).matrix
         assert matrix == merge_matrices([decode_labels(g, theta) for g in grids.values()])
 
 
@@ -257,7 +254,7 @@ def test_non_finite_theta_raises(caller, theta):
     call = {
         "rewrite_batch": lambda: next(rewrite_batch([d], model, theta, lex)),
         "rewrite": lambda: rewrite(d, model, theta, lex),
-        "decode": lambda: decode(score_all(inp, model), inp, d.incomplete, theta),
+        "decode": lambda: Diagnostics(score_all(inp, model), theta=theta).matrix,
         "train_em": lambda: train_em(
             model, [TrainExample(inp, build_edit_matrix(d, inp)[0], "x", d)], theta),
     }[caller]
@@ -500,7 +497,7 @@ class TestRewritePipeline:
         out, diag = rewrite(d, model, theta=0.1, lexicon=lex)
         assert out.texts() == d.incomplete.texts()
         assert diag.spans == []
-        assert diag.query_texts[2] == "[UNK]"
+        assert diag.query.tokens[2] == "[UNK]"
 
     def test_diagnostics_json_numbers_round_trip(self):
         """to_json writes every grid cell and span score as a JSON number

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
-from iurkit import supervision
+import iurkit.rewrite as rewrite_module
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts
 from iurkit.supervision import (AddedSpan, EditMatrix, EditOp, aggregate_report,
                                 build_edit_matrix, diff_spans, lcs_align,
@@ -248,34 +248,25 @@ class TestBuildEditMatrix:
         assert report.skipped_spans == ["新"]
         assert matrix.cells == frozenset()
 
-    @pytest.mark.parametrize("histories, inc, rew, stand_in, want, decodes", [
-        # full: the real round trip runs, once
+    @pytest.mark.parametrize("histories, inc, rew, want", [
         (["史密斯需要在附近找一家昂贵的餐馆。", "史密斯关心菜肴的类型吗？"],
-         "不，他不关心。", "不，史密斯不关心菜肴的类型。", None, True, 1),
-        (["历史"], "考口语", "考新口语", None, False, 0),  # a skipped span
-        (["历史"], "考口语", "考语", None, False, 0),  # a deletion
-        # no matrix built from one diff is known to decode to another
-        # utterance, so a stand-in round trip says this one does
-        (["历史"], "考口语", "考历史口语", False, False, 1),
-    ], ids=["full", "skipped-span", "deletion", "no-round-trip"])
-    def test_fully_expressible_decodes_at_most_once_on_first_read(
-            self, monkeypatch, histories, inc, rew, stand_in, want, decodes):
-        calls, real = [], supervision._round_trips
+         "不，他不关心。", "不，史密斯不关心菜肴的类型。", True),
+        (["历史"], "考口语", "考新口语", False),  # a skipped span
+        (["历史"], "考口语", "考语", False),  # a deletion
+    ], ids=["full", "skipped-span", "deletion"])
+    def test_fully_expressible_is_nothing_skipped_or_deleted(
+            self, monkeypatch, histories, inc, rew, want):
+        def spans(*args):
+            raise AssertionError("the report decoded a gold matrix")
 
-        def round_trips(*args):
-            calls.append(args)
-            return real(*args) if stand_in is None else stand_in
-
-        monkeypatch.setattr(supervision, "_round_trips", round_trips)
+        monkeypatch.setattr(rewrite_module, "_spans", spans)
         d = zh_dialogue(histories, inc, rew)
-        inp = prepared(d)
-        matrix, report = build_edit_matrix(d, inp)
-        assert calls == []
-        assert [report.fully_expressible for _ in range(3)] == [want] * 3
+        _, report = build_edit_matrix(d, prepared(d))
+        assert report.fully_expressible is want
+        assert report.fully_expressible is (not report.skipped_spans
+                                            and not report.deletions)
         assert report.to_dict()["fully_expressible"] is want
         assert aggregate_report([report])["full"] == int(want)
-        assert len(calls) == decodes
-        assert all(c[0] is d and c[1] is inp and c[2] is matrix for c in calls)
 
     def test_missing_gold_raises(self):
         d = zh_dialogue(["历史"], "考口语")
@@ -294,3 +285,31 @@ class TestBuildEditMatrix:
         matrix, _ = build_edit_matrix(table1, inp)
         for r, c, op in matrix.cells:
             assert inp.history_range[0] <= r < inp.history_range[1]
+
+
+def _utterances(lengths, alphabet="ab"):
+    return [Utterance.from_texts(t) for n in lengths for t in product(alphabet, repeat=n)]
+
+
+def test_gold_matrix_decodes_to_rewrite_when_nothing_skipped_or_deleted():
+    """Every dialogue over {a, b} with 1-2 history turns of 1-2 tokens, an
+    incomplete utterance of 0-3 tokens and a rewrite of 0-4: whenever
+    nothing is skipped or deleted, the gold matrix decodes back to the
+    rewrite exactly, which is what ``fully_expressible`` relies on."""
+    turns = _utterances([1, 2])
+    histories = [(h,) for h in turns] + list(product(turns, repeat=2))
+    query = Utterance.from_texts(["q"])
+    total = full = 0
+    for history, incomplete in product(histories, _utterances(range(4))):
+        dialogue = Dialogue(history, incomplete)
+        inp = build_input_sequence(query, dialogue)
+        for rewritten in _utterances(range(5)):
+            d = Dialogue(history, incomplete, rewritten)
+            matrix, report = build_edit_matrix(d, inp)
+            total += 1
+            if not report.fully_expressible:
+                continue
+            full += 1
+            out = apply_edits(incomplete, resolve_conflicts(cells_to_spans(matrix)), inp)
+            assert out.texts() == rewritten.texts(), (history, incomplete, rewritten)
+    assert (total, full) == (19530, 6662)

@@ -249,7 +249,10 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
     """Train the scoring network and persist the model + a JSON log."""
     cfg = _load_config(config_path, data=data, model=model_path, seed=seed,
                        epochs=epochs)
+    train_cfg = cfg.train_config()  # a key out of range fails before data is read
     dataset, _ = _prepare(cfg)
+    if not dataset:
+        raise UserError(f"{cfg.data}: no dialogue to train on")
     if resume:
         model, opt_state = load_model(cfg.model)
         if opt_state is None:
@@ -260,7 +263,7 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
         model = init_model(vocab, cfg.d_model, cfg.d_head, seed=cfg.seed,
                            mixer=cfg.mixer)
         opt_state, start_epoch = None, 0
-    tlog, opt_state = train(dataset, cfg.train_config(), model,
+    tlog, opt_state = train(dataset, train_cfg, model,
                             start_epoch=start_epoch, opt_state=opt_state)
     save_model(cfg.model, model, opt_state)
     Path(cfg.model + ".log.json").write_text(tlog.to_json(), encoding="utf-8")

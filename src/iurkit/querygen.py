@@ -109,8 +109,9 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
     """Read a CoNLL-U file into one parse per sentence block.
 
     Accepts the 10-column standard layout or the 4-column subset
-    (ID, FORM, HEAD, DEPREL). Comment lines and multiword-token ranges
-    are skipped.
+    (ID, FORM, HEAD, DEPREL). Comment lines, multiword-token ranges
+    (``a-b``) and empty nodes (``a.b``) are skipped; every other ID must be
+    the next integer of its sentence, from 1.
     """
     parses: list[DependencyParse] = []
     rows: list[tuple[str, int, str]] = []
@@ -142,6 +143,8 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
                 form, head, deprel = cols[1], int(cols[2]), cols[3]
             else:
                 raise ValueError("expected 4 or 10 columns")
+            if cols[0] != str(len(rows) + 1):
+                raise ValueError(f"token id {cols[0]!r}, expected {len(rows) + 1}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         rows.append((form, head, deprel))

@@ -16,7 +16,7 @@ from scipy import ndimage
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import QueryTemplate, build_query
 from .scoring import _score_chunks
-from .supervision import EditMatrix, EditOp, op_of
+from .supervision import OPS, EditMatrix, EditOp, op_of
 
 # Substitute cells form rectangles (4-connected components); Pre-Insert
 # cells form row runs within one column (vertical neighbours only).
@@ -54,34 +54,35 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a == b or (a[0] < b[1] and b[0] < a[1])
 
 
-def _label(ops: Sequence[EditOp], values: np.ndarray, shapes, theta: float
-           ) -> dict[EditOp, np.ndarray]:
-    """Label 1 iff s >= theta, per operation, for padded scores
-    (n_ops, B, R, C) of which input b fills the top-left ``shapes[b]``.
-    Padding is never labeled, and neither is a Substitute cell on an
-    input's own sentinel (last) column: the matrix invariant reserves it
-    for Pre-Insert."""
+def _label(values: np.ndarray, shapes, theta: float) -> np.ndarray:
+    """Label 1 iff s >= theta for padded scores (n_ops, B, R, C) in ``OPS``
+    order, of which input b fills the top-left ``shapes[b]``. Padding is
+    never labeled, and neither is a Substitute cell on an input's own
+    sentinel (last) column: the matrix invariant reserves it for Pre-Insert."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     labels = values >= theta
-    masks = dict(zip(ops, labels))
-    sub = masks.get(EditOp.SUBSTITUTE)
+    sub = OPS.index(EditOp.SUBSTITUTE)
     for b, (rows, cols) in enumerate(shapes):
         labels[:, b, rows:] = False
         labels[:, b, :, cols:] = False
-        if sub is not None:
-            sub[b, :, cols - 1] = False
-    return masks
+        labels[sub, b, :, cols - 1] = False
+    return labels
+
+
+def _stacked(grids, shape, fill: float) -> np.ndarray:
+    """``grids`` (op -> ScoreGrid of ``shape``) as a chunk of one in ``OPS``
+    order; an operation without a grid scores ``fill`` in every cell."""
+    return np.stack([np.asarray(grids[op].values) if op in grids
+                     else np.full(shape, fill) for op in OPS])[:, None]
 
 
 def _matrix(grids, theta: float) -> EditMatrix:
     """The edit matrix of the cells ``_label`` keeps in ``grids`` (op ->
-    ScoreGrid, a chunk of one); an operation without a grid has none."""
-    ops = list(grids)
-    values = np.stack([np.asarray(grids[op].values) for op in ops])[:, None]
-    masks = _label(ops, values, [values.shape[2:]], theta)
-    return EditMatrix({op: masks[op][0] if op in masks else np.zeros(values.shape[2:], bool)
-                       for op in EditOp})
+    ScoreGrid); an operation without a grid scores -inf, so it has none."""
+    shape = np.shape(next(iter(grids.values())).values)
+    labels = _label(_stacked(grids, shape, -np.inf), [shape], theta)
+    return EditMatrix(dict(zip(OPS, labels[:, 0])))
 
 
 def decode_labels(grid, theta: float) -> EditMatrix:
@@ -94,12 +95,11 @@ def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
     return EditMatrix({op: reduce(np.logical_or, [m.mask(op) for m in matrices]) for op in EditOp})
 
 
-def _spans(masks: dict[EditOp, np.ndarray], values: dict[EditOp, np.ndarray]
-           ) -> list[list[EditSpan]]:
-    """Each input's spans from labeled cells (op -> (B, R, C) bool), with
-    one ``ndimage.label`` and ``find_objects`` per operation for the whole
-    batch; see ``cells_to_spans``. ``values`` (op -> (B, R, C) scores) may
-    lack an operation, whose spans then score 0.
+def _spans(labels: np.ndarray, values: np.ndarray) -> list[list[EditSpan]]:
+    """Each input's spans from labeled cells and their scores, both
+    (n_ops, B, R, C) in ``OPS`` order, with one ``ndimage.label`` and
+    ``find_objects`` per operation for the whole batch; see
+    ``cells_to_spans``.
 
     Several inputs are labeled as one grid: their rows end to end, each
     input followed by an empty row, keeping only the rows that hold a
@@ -108,9 +108,9 @@ def _spans(masks: dict[EditOp, np.ndarray], values: dict[EditOp, np.ndarray]
     come in the row-major order of the inputs. Labeling every row would
     scan mostly empty grids; one input's grid costs about as much to
     label as to pack, so it is labeled as it is."""
-    spans: list[list[EditSpan]] = [[] for _ in range(len(masks[EditOp.PRE_INSERT]))]
+    spans: list[list[EditSpan]] = [[] for _ in range(labels.shape[1])]
     for op, structure in _CONNECTIVITY.items():
-        mask = masks[op]
+        mask, scores = labels[OPS.index(op)], values[OPS.index(op)]
         if not mask.any():
             continue
         batch, n_rows, n_cols = mask.shape
@@ -127,16 +127,13 @@ def _spans(masks: dict[EditOp, np.ndarray], values: dict[EditOp, np.ndarray]
             kept[labeled + 1] = True
             origin = np.flatnonzero(kept)
             grid, origin = padded[origin], origin.tolist()
-        scores = values.get(op)
-        labels, _ = ndimage.label(grid, structure=structure)
-        for rs, cs in ndimage.find_objects(labels):
+        components, _ = ndimage.label(grid, structure=structure)
+        for rs, cs in ndimage.find_objects(components):
             b, r0 = divmod(origin[rs.start], stride)
             r1 = origin[rs.stop - 1] - b * stride + 1
             member = mask[b, r0:r1, cs]
-            score = 0.0
-            if scores is not None:
-                cells = scores[b, r0:r1, cs][member]
-                score = float(cells.sum() / cells.size)  # np.mean's own sum and division
+            cells = scores[b, r0:r1, cs][member]
+            score = float(cells.sum() / cells.size)  # np.mean's own sum and division
             cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
             spans[b].append(EditSpan((r0, r1), cols, score, bool(member.all())))
     return spans
@@ -151,8 +148,8 @@ def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     runs per column. A span's score is the mean over the labeled cells of
     its box, taken from ``grids`` (op -> ScoreGrid) when given, else 0.
     """
-    (spans,) = _spans({op: matrix.mask(op)[None] for op in EditOp},
-                      {op: np.asarray(g.values)[None] for op, g in (grids or {}).items()})
+    labels = np.stack([matrix.mask(op) for op in OPS])[:, None]
+    (spans,) = _spans(labels, _stacked(grids or {}, labels.shape[2:], 0.0))
     return spans
 
 
@@ -200,8 +197,7 @@ def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
     """Each input's grids and surviving spans, in order: ``_score_chunks``,
     then one threshold and one labeling per operation for each chunk."""
     for values, shapes, grids in _score_chunks(inputs, model, example_ids):
-        masks = _label(model.head.ops, values, shapes, theta)
-        proposed = _spans(masks, dict(zip(model.head.ops, values)))
+        proposed = _spans(_label(values, shapes, theta), values)
         yield from zip(grids, map(resolve_conflicts, proposed))
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .datamodel import COREF_TOKEN, ELLIP_TOKEN, END_TOKEN, UNK_TOKEN, Dialogue, InputSequence
-from .supervision import EditMatrix, EditOp
+from .supervision import OPS, EditMatrix, EditOp
 
 UNK_ID = 0
 
@@ -85,11 +85,10 @@ class OpHead:
 
 @dataclass
 class HeadParams:
-    """Every edit operation's ``OpHead``, stacked over ``ops`` (leading axis)
-    so one call per side projects every operation. ``per_op`` hands out
-    views of these arrays: update them in place."""
+    """Every edit operation's ``OpHead``, stacked in ``OPS`` order (leading
+    axis) so one call per side projects every operation. ``per_op`` hands
+    out views of these arrays: update them in place."""
 
-    ops: list[EditOp]
     wq: np.ndarray  # (n_ops, d_out, d_model)
     bq: np.ndarray  # (n_ops, d_out)
     wk: np.ndarray
@@ -102,7 +101,7 @@ class HeadParams:
     @property
     def per_op(self) -> dict[EditOp, OpHead]:
         return {op: OpHead(self.wq[o], self.bq[o], self.wk[o], self.bk[o])
-                for o, op in enumerate(self.ops)}
+                for o, op in enumerate(OPS)}
 
     @property
     def size(self) -> int:
@@ -111,9 +110,9 @@ class HeadParams:
     def views_of(self, vec: np.ndarray) -> "HeadParams":
         """These tensors' places in ``vec``, a vector in ``ModelParams.flat``'s
         layout, whose tail holds the heads one operation to a row."""
-        rows = vec[len(vec) - self.size:].reshape(len(self.ops), -1)
-        return HeadParams(self.ops, *_views(rows, [a.shape[1:] for a in
-                                                   (self.wq, self.bq, self.wk, self.bk)]))
+        rows = vec[len(vec) - self.size:].reshape(len(OPS), -1)
+        return HeadParams(*_views(rows, [a.shape[1:] for a in
+                                         (self.wq, self.bq, self.wk, self.bk)]))
 
 
 @dataclass
@@ -163,12 +162,16 @@ class TrainConfig:
         for name in ("learning_rate", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("batch_size", "epochs"):
+        for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
-            raise ValueError("learning_rate/batch_size must be positive, epochs >= 0")
+        for name, ok, rule in (("learning_rate", self.learning_rate > 0, "positive"),
+                               ("batch_size", self.batch_size > 0, "positive"),
+                               ("epochs", self.epochs >= 0, "non-negative"),
+                               ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,8 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
                  d_ff: Optional[int], fill) -> ModelParams:
     """The one statement of the model's tensors and their shapes. Every
     weight is ``fill(*shape)``, called in this order; biases start at zero.
-    All are views of ``flat`` in ``params_items`` order; each head is a row."""
+    All are views of ``flat`` in ``params_items`` order; each head is a row
+    in ``OPS`` order, but Substitute's are filled first (a seeded init's draws)."""
     for name, width in (("d_model", d_model), ("d_head", d_head)):
         if width <= 0 or width % 2:
             raise ValueError(f"{name} must be positive and even")
@@ -229,10 +233,9 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
                  np.zeros(d_ff), fill(d_ff, d_model), np.zeros(d_model)]
     heads = {op: [fill(d_head, d_model), np.zeros(d_head), fill(d_head, d_model),
                   np.zeros(d_head)] for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT)}
-    ops = _in_order(heads)
-    flat = np.concatenate([a.ravel() for a in body + [a for op in ops for a in heads[op]]])
-    emb, *mix, rows = _views(flat, [a.shape for a in body] + [(len(ops), -1)])
-    head = HeadParams(ops, *_views(rows, [a.shape for a in heads[ops[0]]]))
+    flat = np.concatenate([a.ravel() for a in body + [a for op in OPS for a in heads[op]]])
+    emb, *mix, rows = _views(flat, [a.shape for a in body] + [(len(OPS), -1)])
+    head = HeadParams(*_views(rows, [a.shape for a in heads[EditOp.SUBSTITUTE]]))
     enc = EncoderParams(dict(vocab), emb, MixerParams(*mix) if mix else None)
     return ModelParams(encoder=enc, head=head, flat=flat)
 
@@ -251,12 +254,6 @@ def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
         return _q32(rng.uniform(-s, s, size=shape))
 
     return _build_model(vocab, d_model, d_head, mixer, 2 * d_model, u)
-
-
-def _in_order(ops: Iterable[EditOp]) -> list[EditOp]:
-    """Operations in the one fixed order that serialization, the loss sum
-    and the backward pass's accumulation follow."""
-    return sorted(ops, key=lambda o: o.value)
 
 
 def params_items(model: ModelParams, vec: Optional[np.ndarray] = None
@@ -414,7 +411,7 @@ def encode(input: InputSequence, params: EncoderParams,
 def project(h: np.ndarray, params: HeadParams, op: EditOp
             ) -> tuple[np.ndarray, np.ndarray]:
     """Affine q-side and k-side projections of every vector in ``h``."""
-    o = params.ops.index(op)
+    o = OPS.index(op)
     return h @ params.wq[o].T + params.bq[o], h @ params.wk[o].T + params.bk[o]
 
 
@@ -429,8 +426,8 @@ def score_grid(q: np.ndarray, k: np.ndarray, row_positions, col_positions,
 def _forward(model: ModelParams, inputs: Sequence[InputSequence],
              example_ids: Sequence[Optional[str]], for_backward: bool = False):
     """Raw scores of a batch of inputs, shape (n_ops, B, R, C) with the
-    operations in ``_in_order``; each input's score array per operation
-    (views of its cells); and the cache ``_backward`` reads.
+    operations in ``OPS`` order; the ``(rows, cols)`` each input fills of
+    them; and the cache ``_backward`` reads.
 
     Each input is encoded on its own. Input b's context rows fill
     ``[:, b, :ctx_b]`` and its incomplete positions plus sentinel fill
@@ -445,7 +442,7 @@ def _forward(model: ModelParams, inputs: Sequence[InputSequence],
     for inp, ex_id in zip(inputs, example_ids):
         h, ids, mix_cache = _encode(inp, model.encoder, ex_id)
         encoded.append((h, ids, mix_cache if for_backward else None))
-    head, n_ops, batch = model.head, len(model.head.ops), len(encoded)
+    head, n_ops, batch = model.head, len(OPS), len(encoded)
     ctxs = [inp.context_length for inp in inputs]
     widths = [len(h) - ctx for (h, _, _), ctx in zip(encoded, ctxs)]
     rows, cols = max(ctxs), max(widths)
@@ -464,12 +461,11 @@ def _forward(model: ModelParams, inputs: Sequence[InputSequence],
     cos, sin = _rope_table(head.d_out, rows + cols)
     row_rot, col_rot = (cos[:rows], sin[:rows]), (cos[at], sin[at])
     rq, rk = _rotate(pq, *row_rot), _rotate(pk, *col_rot)
-    values, scores = alloc((n_ops, batch, rows, cols)), []
-    for b, (ctx, width) in enumerate(zip(ctxs, widths)):
-        cells = values[:, b, :ctx, :width]
-        np.matmul(rq[:, b, :ctx], rk[:, b, :width].swapaxes(-1, -2), out=cells)
-        scores.append(dict(zip(head.ops, cells)))
-    return values, scores, (encoded, ctxs, widths, row_rot, col_rot, rq, rk)
+    values, shapes = alloc((n_ops, batch, rows, cols)), list(zip(ctxs, widths))
+    for b, (ctx, width) in enumerate(shapes):
+        np.matmul(rq[:, b, :ctx], rk[:, b, :width].swapaxes(-1, -2),
+                  out=values[:, b, :ctx, :width])
+    return values, shapes, (encoded, shapes, row_rot, col_rot, rq, rk)
 
 
 def _backward(model: ModelParams, cache, dvalues: np.ndarray,
@@ -483,10 +479,10 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
     loop over them would. One ``np.add.at`` then adds every input's rows to
     the embedding: it adds in index order, so input by input, as one call
     per input would."""
-    encoded, ctxs, widths, row_rot, col_rot, rq, rk = cache
+    encoded, shapes, row_rot, col_rot, rq, rk = cache
     head = model.head
     gq, gk = np.zeros_like(rq), np.zeros_like(rk)
-    for b, (ctx, width) in enumerate(zip(ctxs, widths)):
+    for b, (ctx, width) in enumerate(shapes):
         ds = dvalues[:, b, :ctx, :width]
         np.matmul(ds, rk[:, b, :width], out=gq[:, b, :ctx])
         np.matmul(ds.swapaxes(-1, -2), rq[:, b, :ctx], out=gk[:, b, :width])
@@ -494,7 +490,7 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
     dq_all = _rotate(gq, *row_rot, inverse=True)
     dk_all = _rotate(gk, *col_rot, inverse=True)
     all_ids, all_dh = [], []
-    for b, ((h, ids, mix_cache), ctx, width) in enumerate(zip(encoded, ctxs, widths)):
+    for b, ((h, ids, mix_cache), (ctx, width)) in enumerate(zip(encoded, shapes)):
         hq, hk = h[:ctx], h[ctx:]
         dq, dk = dq_all[:, b, :ctx], dk_all[:, b, :width]  # (n_ops, rows, d_out)
         dhead.wq += np.matmul(dq.swapaxes(1, 2), hq)
@@ -521,8 +517,8 @@ def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
     inputs, each taken from the iterables only when the stream reaches it,
     so the inputs and score arrays in memory are one chunk's whatever the
     number of inputs. Yields per chunk its padded scores (n_ops, B, R, C)
-    with the operations in ``model.head.ops``, the ``(rows, cols)`` each
-    input fills of them, and each input's grids (views of its cells).
+    in ``OPS`` order, the ``(rows, cols)`` each input fills of them, and
+    each input's grids (views of its cells).
     Raises on a non-finite score, naming the example, and on running out
     of ``example_ids`` before inputs."""
     inputs = iter(inputs)
@@ -534,14 +530,14 @@ def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
             raise ValueError(f"{seen + len(ids)} example ids for at least "
                              f"{seen + len(chunk)} inputs")
         seen += len(chunk)
-        values, scores, _ = _forward(model, chunk, ids)
+        values, shapes, _ = _forward(model, chunk, ids)
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
             raise ValueError(f"score grid of example {ids[b]!r} is not finite")
-        first = model.head.ops[0]
-        yield (values, [s[first].shape for s in scores],
-               [{op: ScoreGrid.checked(op, v) for op, v in s.items()} for s in scores])
-        del values, scores  # not held while the next chunk is scored
+        yield values, shapes, [{op: ScoreGrid.checked(op, values[o, b, :rows, :cols])
+                                for o, op in enumerate(OPS)}
+                               for b, (rows, cols) in enumerate(shapes)]
+        del values  # not held while the next chunk is scored
 
 
 def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
@@ -563,20 +559,19 @@ def score_all(input: InputSequence, model: ModelParams,
 # loss and gradients
 
 
-def _circle_loss_grad(values: np.ndarray, ops: Sequence[EditOp],
-                      shapes: Sequence[tuple[int, ...]], golds: Sequence[EditMatrix],
-                      example_ids: Sequence[Optional[str]]
+def _circle_loss_grad(values: np.ndarray, shapes: Sequence[tuple[int, ...]],
+                      golds: Sequence[EditMatrix], example_ids: Sequence[Optional[str]]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Each input's loss, summed over the operations of
     log(1 + sum_pos e^-s) + log(1 + sum_neg e^s), and its derivative, for
-    padded scores (n_ops, B, R, C) in which input b fills the top-left
-    ``shapes[b]`` of each grid. Overflow-safe; padding is neither
-    positive nor negative, and the sums and ``exp`` skip it. A gold that
-    does not fit its grid raises, naming its example when one is given."""
+    padded scores (n_ops, B, R, C) in ``OPS`` order, of which input b fills
+    the top-left ``shapes[b]`` of each grid. Overflow-safe; padding is
+    neither positive nor negative, and the sums and ``exp`` skip it. A gold
+    that does not fit its grid raises, naming its example when one is given."""
     pos = np.zeros(values.shape, dtype=bool)
     valid = np.zeros_like(pos)
     for b, ((rows, cols), gold, ex_id) in enumerate(zip(shapes, golds, example_ids)):
-        for o, op in enumerate(ops):
+        for o, op in enumerate(OPS):
             if gold.mask(op).shape != (rows, cols):
                 where = "" if ex_id is None else f"example {ex_id!r}: "
                 raise ValueError(f"{where}grid shape {(rows, cols)} does not match "
@@ -598,9 +593,8 @@ def _circle_loss_grad(values: np.ndarray, ops: Sequence[EditOp],
 def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
     """Total loss over both operations; labeled cells are the positives,
     every other in-range cell is a negative."""
-    ops = _in_order(grids)
-    values = np.stack([grids[op].values for op in ops])[:, None]
-    return float(_circle_loss_grad(values, ops, [values.shape[2:]], [gold], [None])[0][0])
+    values = np.stack([grids[op].values for op in OPS])[:, None]
+    return float(_circle_loss_grad(values, [values.shape[2:]], [gold], [None])[0][0])
 
 
 def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExample]]:
@@ -624,14 +618,11 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
     grads = np.zeros_like(model.flat)
     named, dhead = dict(params_items(model, grads)), model.head.views_of(grads)
     total = 0.0
-    ops = model.head.ops
     for chunk in _token_chunks(batch):
         ids = [ex.example_id for ex in chunk]
-        values, scores, cache = _forward(model, [ex.input for ex in chunk], ids,
+        values, shapes, cache = _forward(model, [ex.input for ex in chunk], ids,
                                          for_backward=True)
-        losses, dvalues = _circle_loss_grad(values, ops,
-                                            [s[ops[0]].shape for s in scores],
-                                            [ex.gold for ex in chunk], ids)
+        losses, dvalues = _circle_loss_grad(values, shapes, [ex.gold for ex in chunk], ids)
         finite = np.isfinite(losses)
         if not finite.all():
             raise TrainingDiverged(f"non-finite loss on example "
@@ -898,11 +889,10 @@ def read_ctxvec(path: str | Path) -> tuple[int, dict[str, np.ndarray]]:
             if ex_id in records:
                 raise ValueError(f"{where}: duplicate id")
             (n,) = struct.unpack("<I", read(4, "position count"))
-            vecs = np.frombuffer(read(4 * n * d_model, "vectors"), dtype="<f4") \
-                .astype(np.float64).reshape(n, d_model)
-            if not np.isfinite(vecs).all():
+            vecs = np.frombuffer(read(4 * n * d_model, "vectors"), dtype="<f4")
+            if not np.isfinite(vecs).all():  # before the cast, which a signaling NaN fails
                 raise ValueError(f"{where}: non-finite vector")
-            records[ex_id] = vecs
+            records[ex_id] = vecs.astype(np.float64).reshape(n, d_model)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last record")
     return d_model, records

@@ -24,6 +24,11 @@ class EditOp(Enum):
     PRE_INSERT = "I"
 
 
+# The one order of the operation axis: the model's stacked heads and their
+# tensors in the model file, score and label arrays, and the loss sum.
+OPS = (EditOp.PRE_INSERT, EditOp.SUBSTITUTE)
+
+
 @dataclass(frozen=True, eq=False)
 class EditMatrix:
     """One read-only bool mask per operation over context rows x incomplete

@@ -514,6 +514,37 @@ def test_non_positive_d_model_is_user_error(d_model, corpus_dir, tmp_path, capsy
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("seed = -1", "seed must be non-negative, got -1"),
+    ("--seed -3", "seed must be non-negative, got -3"),
+    ("lr = 0", "learning_rate must be positive, got 0.0"),
+    ("batch_size = 0", "batch_size must be positive, got 0"),
+    ("epochs = -1", "epochs must be non-negative, got -1")],
+    ids=["seed-key", "seed-flag", "lr", "batch_size", "epochs"])
+def test_training_key_out_of_range_names_key(setting, message, tmp_path, capsys):
+    """The key's error comes before any data is read: the data file does not exist."""
+    cfg = tmp_path / "c.ini"
+    keys = f"data = {tmp_path / 'missing.jsonl'}\nmodel = {tmp_path / 'm.bin'}\n"
+    flags = setting.split() if setting.startswith("--") else []
+    cfg.write_text(keys if flags else keys + setting + "\n")
+    assert main(["train", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--epochs", "0"], ["--resume"]],
+                         ids=["train", "zero-epochs", "resume"])
+def test_train_without_dialogues_is_user_error(args, tmp_path, capsys):
+    """An empty data file is refused before any model file is read or written."""
+    data, model = tmp_path / "data.jsonl", tmp_path / "m.bin"
+    data.write_text("")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"data = {data}\nmodel = {model}\nlang = en\nepochs = 2\n")
+    assert main(["train", "--config", str(cfg), *args]) == 1
+    assert f"{data}: no dialogue to train on\n" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([cfg, data])
+
+
 def _reshape(name, new_shape):
     """A header edit that gives tensor ``name`` the shape ``new_shape(shape)``."""
     return lambda h: {**h, "tensors": [[n, new_shape(s) if n == name else s]

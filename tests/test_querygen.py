@@ -223,6 +223,22 @@ class TestConllu:
         assert parse.forms == ("he", "ran")
         assert parse.heads == (2, 0)
 
+    @pytest.mark.parametrize("ids, line, token_id, expected", [
+        (("2", "1"), 1, "2", 1), (("1", "3"), 2, "3", 2), (("x", "2"), 1, "x", 1)],
+        ids=["swapped", "skipped", "non-integer"])
+    def test_token_id_must_be_next_integer(self, tmp_path, ids, line, token_id, expected):
+        p = tmp_path / "p.conllu"
+        p.write_text(f"{ids[0]}\ta\t0\troot\n{ids[1]}\tb\t1\tobj\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line {line}: token id '{token_id}', expected {expected}")):
+            read_conllu(p)
+
+    def test_ranges_and_empty_nodes_skipped(self, tmp_path):
+        p = tmp_path / "p.conllu"
+        p.write_text("1-2\tab\t_\t_\n1\ta\t0\troot\n1.1\te\t_\t_\n2\tb\t1\tobj\n")
+        (parse,) = read_conllu(p)
+        assert parse.forms == ("a", "b") and parse.heads == (0, 1)
+
     def test_rejects_cycle(self):
         with pytest.raises(ValueError, match="cycle|root"):
             DependencyParse((2, 1), ("a", "b"), ("x", "y"))

@@ -1,3 +1,4 @@
+import copy
 import json
 import types
 from collections import deque
@@ -13,8 +14,8 @@ from iurkit.rewrite import (Diagnostics, EditSpan, _label, _spans, apply_edits,
                             cells_to_spans, decode_labels, merge_matrices,
                             resolve_conflicts, rewrite, rewrite_batch)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
-                            score_all, train_em)
-from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
+                            load_model, params_items, save_model, score_all, train_em)
+from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, make_corpus
 
 
@@ -146,11 +147,8 @@ def reference_cells_to_spans(matrix, grids):
     return spans
 
 
-HEAD_OPS = [EditOp.PRE_INSERT, EditOp.SUBSTITUTE]  # the order of model.head.ops
-
-
 def padded_chunk(cells):
-    """Per-input ``(2, rows, cols)`` scores in ``HEAD_OPS`` order as one zero
+    """Per-input ``(2, rows, cols)`` scores in ``OPS`` order as one zero
     padded (2, B, R, C) chunk, the layout ``_forward`` writes, and the shapes."""
     shapes = [c.shape[1:] for c in cells]
     values = np.zeros((2, len(cells), max(r for r, _ in shapes), max(c for _, c in shapes)))
@@ -164,15 +162,16 @@ def assert_chunk_decodes_as_each_input(cells, theta):
     per operation) gives each input the labels, proposed spans, surviving
     spans and output of the reference decoder run on that input alone."""
     values, shapes = padded_chunk(cells)
-    masks = _label(HEAD_OPS, values, shapes, theta)
-    proposed = _spans(masks, dict(zip(HEAD_OPS, values)))
+    labels = _label(values, shapes, theta)
+    proposed = _spans(labels, values)
     assert len(proposed) == len(cells)
     for b, (rows, cols) in enumerate(shapes):
-        grids = {op: ScoreGrid(op, values[o, b, :rows, :cols]) for o, op in enumerate(HEAD_OPS)}
+        grids = {op: ScoreGrid(op, values[o, b, :rows, :cols]) for o, op in enumerate(OPS)}
         matrix = EditMatrix({op: reference_threshold(grids[op], theta) for op in EditOp})
         for op in EditOp:
-            assert np.array_equal(masks[op][b, :rows, :cols], matrix.mask(op))
-            assert not masks[op][b, rows:].any() and not masks[op][b, :, cols:].any()
+            mask = labels[OPS.index(op)]
+            assert np.array_equal(mask[b, :rows, :cols], matrix.mask(op))
+            assert not mask[b, rows:].any() and not mask[b, :, cols:].any()
         want = reference_cells_to_spans(matrix, grids)
         assert proposed[b] == want  # EditSpan equality compares score and filled with ==
         kept = resolve_conflicts(proposed[b])
@@ -196,13 +195,41 @@ def score_chunks(draw):
 
 
 def cells_of(rows, cols, fill=-1.0, insert=(), substitute=()):
-    """(2, rows, cols) scores in ``HEAD_OPS`` order: ``fill`` everywhere but
+    """(2, rows, cols) scores in ``OPS`` order: ``fill`` everywhere but
     at the ``(row, col, value)`` entries of each operation."""
     c = np.full((2, rows, cols), fill)
     for o, entries in enumerate((insert, substitute)):
         for r, col, v in entries:
             c[o, r, col] = v
     return c
+
+
+def test_one_operation_axis(tmp_path):
+    """``OPS`` orders every operation axis: the heads of an initialized,
+    loaded or copied model, and the label rows ``_label`` returns. A lone
+    operation's grid decodes to cells of that operation only."""
+    model = init_model(build_vocab([]), 8, 4, seed=0)
+    save_model(tmp_path / "m.bin", model)
+    loaded, _ = load_model(tmp_path / "m.bin")
+    heads = [f"head.{op.value}.{k}" for op in OPS for k in ("wq", "bq", "wk", "bk")]
+    assert heads[0] == "head.I.wq" and heads[-1] == "head.S.bk"
+    for m in (model, loaded, copy.deepcopy(model)):
+        assert [n for n, _ in params_items(m) if n.startswith("head.")] == heads
+        assert list(m.head.per_op) == list(OPS)
+
+    labels = _label(np.ones((len(OPS), 2, 3, 4)), [(3, 4), (2, 3)], 0.5)
+    for o, op in enumerate(OPS):
+        want = np.zeros((2, 3, 4), dtype=bool)
+        want[0], want[1, :2, :3] = True, True
+        if o == OPS.index(EditOp.SUBSTITUTE):  # each input's own sentinel column
+            want[0, :, 3] = want[1, :, 2] = False
+        assert np.array_equal(labels[o], want), op
+
+    values = np.array([[0.5, -1.0, 0.2], [0.0, 0.3, 0.9]])
+    assert decode_labels(ScoreGrid(EditOp.SUBSTITUTE, values), 0.1) == \
+        EditMatrix.from_cells(2, 3, [(0, 0, "S"), (1, 1, "S")])
+    assert decode_labels(ScoreGrid(EditOp.PRE_INSERT, values), 0.1) == \
+        EditMatrix.from_cells(2, 3, [(0, 0, "I"), (0, 2, "I"), (1, 1, "I"), (1, 2, "I")])
 
 
 class TestChunkDecode:
@@ -237,7 +264,7 @@ class TestChunkDecode:
         values, shapes = padded_chunk([cells_of(
             3, 4, substitute=[(0, 0, 0.2), (1, 0, 0.3), (2, 0, 0.4), (2, 1, 0.5),
                               (2, 2, 0.6), (0, 2, 0.9)])])
-        (spans,) = _spans(_label(HEAD_OPS, values, shapes, 0.1), dict(zip(HEAD_OPS, values)))
+        (spans,) = _spans(_label(values, shapes, 0.1), values)
         l_shape, other = sorted(spans, key=lambda s: s.cols)
         assert (l_shape.source_rows, l_shape.cols, l_shape.filled) == ((0, 3), (0, 3), False)
         assert l_shape.score == float(np.mean([0.2, 0.9, 0.3, 0.4, 0.5, 0.6]))

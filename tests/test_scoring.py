@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,14 +14,13 @@ from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
                             TrainExample, TrainingDiverged, _encode, _forward,
-                            _in_order, _mixer_backward, _mixer_forward, _rope_table,
-                            _rotate,
+                            _mixer_backward, _mixer_forward, _rope_table, _rotate,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
                             score_batch, score_grid, train, train_em,
                             with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix
+from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, lengthen, make_corpus
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def reference_forward(model, input, example_id=None):
     cols = np.array(list(range(*input.incomplete_range)) + [input.sentinel_index])
     hq, hk = h[rows], h[cols]
     values, rotated = {}, {}
-    for op in _in_order(model.head.per_op):
+    for op in OPS:
         head = model.head.per_op[op]
         rq = reference_rope_rotate(hq @ head.wq.T + head.bq, rows)
         rk = reference_rope_rotate(hk @ head.wk.T + head.bk, cols)
@@ -103,13 +103,13 @@ def reference_grad(model, ex, grads=None):
     values, (h, ids, mix_cache, rows, cols, hq, hk, rotated) = \
         reference_forward(model, ex.input, ex.example_id)
     loss, dvalues = 0.0, {}
-    for op in _in_order(values):
+    for op in OPS:
         op_loss, dvalues[op] = reference_op_loss_grad(values[op], ex.gold.mask(op))
         loss += op_loss
     if grads is None:
         grads = {name: np.zeros_like(a) for name, a in params_items(model)}
     dh = np.zeros_like(h)
-    for op in _in_order(dvalues):
+    for op in OPS:
         head = model.head.per_op[op]
         rq, rk = rotated[op]
         ds = dvalues[op]
@@ -293,13 +293,13 @@ class TestBatchedScoring:
             for c0 in range(0, len(examples), size):
                 chunk = examples[c0:c0 + size]
                 inputs, ids = [e.input for e in chunk], [e.example_id for e in chunk]
-                values, per_input, _ = _forward(model, inputs, ids)
+                values, shapes, _ = _forward(model, inputs, ids)
                 rows = max(inp.context_length for inp in inputs)
                 assert values.shape[:3] == (2, len(chunk), rows)
-                for ex, scores, grids in zip(chunk, per_input,
-                                             score_batch(inputs, model, ids)):
+                for b, (ex, (r, c), grids) in enumerate(zip(chunk, shapes,
+                                                            score_batch(inputs, model, ids))):
                     for op, v in want[ex.example_id].items():
-                        assert np.array_equal(bits(scores[op]), bits(v))
+                        assert np.array_equal(bits(values[OPS.index(op), b, :r, :c]), bits(v))
                         assert np.array_equal(bits(grids[op].values), bits(v))
 
     def test_empty_batch(self, small_model):
@@ -347,8 +347,9 @@ class TestProject:
     def test_fixture_by_hand(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([1.0, 1.0])
-        head = HeadParams([EditOp.SUBSTITUTE], wq=w[None], bq=b[None], wk=2 * w[None],
-                          bk=b[None])
+        wq, bq = np.zeros((len(OPS), 2, 2)), np.zeros((len(OPS), 2))
+        wq[OPS.index(EditOp.SUBSTITUTE)], bq[OPS.index(EditOp.SUBSTITUTE)] = w, b
+        head = HeadParams(wq=wq, bq=bq, wk=2 * wq, bk=bq)
         h = np.array([[1.0, 1.0]])
         q, k = project(h, head, EditOp.SUBSTITUTE)
         assert np.allclose(q, [[4.0, 8.0]])
@@ -785,6 +786,21 @@ class TestTraining:
                 TrainConfig(**{name: value})
         assert TrainConfig(batch_size=np.int64(2), epochs=np.int32(0)).batch_size == 2
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+        ("learning_rate", -1e-3, "learning_rate must be positive, got -0.001"),
+        ("batch_size", 0, "batch_size must be positive, got 0"),
+        ("epochs", -1, "epochs must be non-negative, got -1"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("seed", np.int64(-3), "seed must be non-negative, got -3"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5")],
+        ids=["lr-zero", "lr-negative", "batch_size", "epochs", "seed", "seed-numpy",
+             "seed-bool", "seed-float"])
+    def test_range_error_names_field_and_value(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, small_set, small_model, tmp_path):
@@ -944,6 +960,12 @@ class TestCtxVec:
     def test_rejects_non_finite_vectors(self, tmp_path):
         p = tmp_path / "v.ctxvec"
         write_ctxvec(p, 4, {"a": np.ones((2, 4)), "b": np.full((2, 4), np.nan)})
+        with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
+            read_ctxvec(p)
+        # signaling NaNs, on which a float64 cast before the check would fail
+        quiet, signaling = b"\x00\x00\xc0\x7f", b"\x01\x00\x80\x7f"
+        assert p.read_bytes().count(quiet) == 8
+        p.write_bytes(p.read_bytes().replace(quiet, signaling))
         with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
             read_ctxvec(p)
 

@@ -30,7 +30,7 @@ from .rewrite import example_error, rewrite, rewrite_batch
 from .scoring import (INFERENCE_CHUNK, AdamState, ModelParams, TrainConfig,
                       TrainExample, build_vocab, init_model, load_model, read_ctxvec,
                       save_model, train, with_imported_vectors)
-from .supervision import (SupervisionReport, aggregate_report,
+from .supervision import (AddedSpan, SupervisionReport, aggregate_report,
                           build_edit_matrix, diff_spans)
 
 log = logging.getLogger("iurkit")
@@ -147,11 +147,11 @@ def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
 
 def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
                lexicon: PronounLexicon, cfg: RunConfig,
-               use_gold: bool) -> QueryTemplate:
-    gold = None
-    if use_gold:  # the substituted intervals of the gold rewrite
-        spans, _ = diff_spans(dialogue.incomplete, dialogue.rewritten)
-        gold = [s.cols for s in spans if s.cols[0] < s.cols[1]]
+               gold_spans: Optional[list[AddedSpan]] = None) -> QueryTemplate:
+    """The query of ``dialogue``; ``gold_spans``, the gold rewrite's added
+    spans when given, fix the substituted intervals."""
+    gold = None if gold_spans is None else [s.cols for s in gold_spans
+                                            if s.cols[0] < s.cols[1]]
     try:
         return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
                            gold_replace_intervals=gold)
@@ -167,9 +167,10 @@ def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport
     for dlg, parse in inputs:
         if dlg.rewritten is None:
             raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
-        query = _query_for(dlg, parse, lexicon, cfg, use_gold)
+        diff = diff_spans(dlg.incomplete, dlg.rewritten)
+        query = _query_for(dlg, parse, lexicon, cfg, diff[0] if use_gold else None)
         inp = build_input_sequence(query, dlg)
-        gold, report = build_edit_matrix(dlg, inp)
+        gold, report = build_edit_matrix(dlg, inp, diff)
         examples.append(TrainExample(input=inp, gold=gold,
                                      example_id=dlg.example_id, dialogue=dlg))
         reports.append(report)
@@ -230,7 +231,7 @@ def cmd_make_query(config_path, data, out_path, unify):
     lexicon, inputs = cfg.load_inputs()
     results = []
     for dlg, parse in inputs:
-        query = _query_for(dlg, parse, lexicon, cfg, use_gold=False)
+        query = _query_for(dlg, parse, lexicon, cfg)
         results.append({"id": dlg.example_id,
                         "incomplete": dlg.incomplete.text(cfg.separator),
                         "query": query.text(cfg.separator),

@@ -6,7 +6,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -82,7 +82,7 @@ def _matrix(grids, theta: float) -> EditMatrix:
     ScoreGrid); an operation without a grid scores -inf, so it has none."""
     shape = np.shape(next(iter(grids.values())).values)
     labels = _label(_stacked(grids, shape, -np.inf), [shape], theta)
-    return EditMatrix(dict(zip(OPS, labels[:, 0])))
+    return EditMatrix(labels[:, 0])
 
 
 def decode_labels(grid, theta: float) -> EditMatrix:
@@ -91,8 +91,8 @@ def decode_labels(grid, theta: float) -> EditMatrix:
 
 
 def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
-    """Union matrices of identical dimensions into one, per operation."""
-    return EditMatrix({op: reduce(np.logical_or, [m.mask(op) for m in matrices]) for op in EditOp})
+    """Union matrices of identical dimensions into one."""
+    return EditMatrix(np.logical_or.reduce([m.labels for m in matrices]))
 
 
 def _spans(labels: np.ndarray, values: np.ndarray) -> list[list[EditSpan]]:
@@ -148,7 +148,7 @@ def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     runs per column. A span's score is the mean over the labeled cells of
     its box, taken from ``grids`` (op -> ScoreGrid) when given, else 0.
     """
-    labels = np.stack([matrix.mask(op) for op in OPS])[:, None]
+    labels = matrix.labels[:, None]
     (spans,) = _spans(labels, _stacked(grids or {}, labels.shape[2:], 0.0))
     return spans
 

@@ -571,12 +571,11 @@ def _circle_loss_grad(values: np.ndarray, shapes: Sequence[tuple[int, ...]],
     pos = np.zeros(values.shape, dtype=bool)
     valid = np.zeros_like(pos)
     for b, ((rows, cols), gold, ex_id) in enumerate(zip(shapes, golds, example_ids)):
-        for o, op in enumerate(OPS):
-            if gold.mask(op).shape != (rows, cols):
-                where = "" if ex_id is None else f"example {ex_id!r}: "
-                raise ValueError(f"{where}grid shape {(rows, cols)} does not match "
-                                 f"gold {gold.mask(op).shape}")
-            pos[o, b, :rows, :cols] = gold.mask(op)
+        if gold.labels.shape[1:] != (rows, cols):
+            where = "" if ex_id is None else f"example {ex_id!r}: "
+            raise ValueError(f"{where}grid shape {(rows, cols)} does not match "
+                             f"gold {gold.labels.shape[1:]}")
+        pos[:, b, :rows, :cols] = gold.labels
         valid[:, b, :rows, :cols] = True
     signed = np.where(pos, -values, values)
     flat = (*values.shape[:2], -1)
@@ -688,30 +687,29 @@ def train(dataset: Sequence[TrainExample], config: TrainConfig,
     """Adam over shuffled batches; shuffle order is keyed by (seed, epoch)
     so a run resumed from a checkpoint retraces the uninterrupted one.
     Raises ``TrainingDiverged`` on a non-finite loss, or on a non-finite
-    tensor after an epoch's last update."""
+    tensor after an epoch's last update, and ValueError on an empty dataset."""
+    if not dataset:
+        raise ValueError("no training example")
     state = opt_state or AdamState.for_model(model)
     log = TrainingLog(start_epoch=start_epoch)
     for epoch in range(start_epoch, config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
-        n_batches = 0
-        for b0 in range(0, len(order), config.batch_size):
+        for n, b0 in enumerate(range(0, len(order), config.batch_size)):
             batch = [dataset[i] for i in order[b0:b0 + config.batch_size]]
             try:
                 loss, grads = grad(model, batch)
             except TrainingDiverged as exc:
-                raise TrainingDiverged(
-                    f"epoch {epoch}, batch {n_batches}: {exc}") from exc
+                raise TrainingDiverged(f"epoch {epoch}, batch {n}: {exc}") from exc
             _adam_step(model, grads, state, config)
             epoch_loss += loss
-            n_batches += 1
         if not all(np.isfinite(a).all() for a in (model.flat, state.m, state.v)):
-            name = next(n for n, a in _saved_tensors(model, state)
+            name = next(t for t, a in _saved_tensors(model, state)
                         if not np.isfinite(a).all())
-            raise TrainingDiverged(f"epoch {epoch}, batch {n_batches - 1}: "
+            raise TrainingDiverged(f"epoch {epoch}, batch {n}: "
                                    f"tensor {name!r} is non-finite after the update")
-        log.epoch_losses.append(epoch_loss / max(n_batches, 1))
+        log.epoch_losses.append(epoch_loss / (n + 1))
         state.epochs_done = epoch + 1
         if dev:
             log.dev_em.append(train_em(model, dev, config.theta))

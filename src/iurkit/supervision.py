@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,46 +31,45 @@ OPS = (EditOp.PRE_INSERT, EditOp.SUBSTITUTE)
 
 @dataclass(frozen=True, eq=False)
 class EditMatrix:
-    """One read-only bool mask per operation over context rows x incomplete
-    columns. Only Pre-Insert labels the last, end-of-utterance column."""
+    """One read-only bool array ``labels``, (n_ops, rows, cols) in ``OPS``
+    order over context rows x incomplete columns, True at each operation's
+    cells. Only Pre-Insert labels the last, end-of-utterance column."""
 
-    masks: Mapping[EditOp, np.ndarray]
+    labels: np.ndarray
 
     def __post_init__(self):
-        sub = np.array(self.masks[EditOp.SUBSTITUTE], dtype=bool)
-        ins = np.array(self.masks[EditOp.PRE_INSERT], dtype=bool)
-        if sub.ndim != 2 or ins.shape != sub.shape:
-            raise ValueError("operation masks must share one 2-D shape")
-        if np.count_nonzero(sub[:, -1:]):
+        labels = np.array(self.labels, dtype=bool)
+        if labels.ndim != 3 or len(labels) != len(OPS):
+            raise ValueError(f"labels must be shaped ({len(OPS)}, rows, cols), "
+                             f"got {labels.shape}")
+        if labels[OPS.index(EditOp.SUBSTITUTE), :, -1:].any():
             raise ValueError("Substitute cells may not target the sentinel column")
-        sub.setflags(write=False)
-        ins.setflags(write=False)
-        object.__setattr__(self, "masks", {EditOp.SUBSTITUTE: sub, EditOp.PRE_INSERT: ins})
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_cells(cls, n_rows: int, n_cols: int, cells: Iterable) -> "EditMatrix":
         """From ``(row, col, op)`` triples; ``op`` is an EditOp or its value."""
-        masks = {op: np.zeros((n_rows, n_cols), dtype=bool) for op in EditOp}
+        labels = np.zeros((len(OPS), n_rows, n_cols), dtype=bool)
         for r, c, op in cells:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"cell ({r},{c}) out of range")
-            masks[EditOp(op)][r, c] = True
-        return cls(masks)
+            labels[OPS.index(EditOp(op)), r, c] = True
+        return cls(labels)
 
     @property
     def cells(self) -> frozenset[tuple[int, int, EditOp]]:
-        return frozenset((r, c, op) for op, m in self.masks.items()
-                         for r, c in np.argwhere(m).tolist())
+        return frozenset((r, c, OPS[o]) for o, r, c in np.argwhere(self.labels).tolist())
 
     def mask(self, op: EditOp) -> np.ndarray:
-        """The stored (read-only) bool mask of ``op``, True at its cells."""
-        return self.masks[op]
+        """The read-only view of ``labels`` for ``op``, True at its cells."""
+        return self.labels[OPS.index(op)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EditMatrix) and self.to_json() == other.to_json()
+        return isinstance(other, EditMatrix) and np.array_equal(self.labels, other.labels)
 
     def to_json(self) -> str:
-        rows, cols = self.mask(EditOp.SUBSTITUTE).shape
+        _, rows, cols = self.labels.shape
         return json.dumps({"rows": rows, "cols": cols,
                            "cells": sorted([r, c, op.value] for r, c, op in self.cells)})
 
@@ -212,27 +211,28 @@ def aggregate_report(reports: Sequence[SupervisionReport]) -> dict:
                          if not r.fully_expressible]}
 
 
-def build_edit_matrix(dialogue: Dialogue, input: InputSequence
+def build_edit_matrix(dialogue: Dialogue, input: InputSequence,
+                      diff: Optional[tuple[list[AddedSpan], list[tuple[int, int]]]] = None
                       ) -> tuple[EditMatrix, SupervisionReport]:
     """Gold matrix for one (incomplete, rewritten, history) triple.
 
     A span over a non-empty column interval yields a full Substitute
     rectangle (row interval x column interval); an empty interval yields a
     Pre-Insert column stripe. The report notes spans not found in history
-    and deletions.
+    and deletions. ``diff`` is the pair's ``diff_spans``, computed when not
+    given.
     """
     if dialogue.rewritten is None:
         raise ValueError("cannot build supervision without a gold rewritten utterance")
-    spans, deletions = diff_spans(dialogue.incomplete, dialogue.rewritten)
+    spans, deletions = diff or diff_spans(dialogue.incomplete, dialogue.rewritten)
     skipped = []
-    masks = {op: np.zeros((input.context_length, input.incomplete_length + 1), bool)
-             for op in EditOp}
+    labels = np.zeros((len(OPS), input.context_length, input.incomplete_length + 1), bool)
     for span in spans:
         rows = locate_in_context(span.tokens, input)
         if rows is None:
             skipped.append("".join(span.tokens))
             continue
         a, b = span.cols
-        masks[op_of(span.cols)][rows[0]:rows[1], a:max(b, a + 1)] = True
-    return EditMatrix(masks), SupervisionReport(dialogue.example_id, skipped,
+        labels[OPS.index(op_of(span.cols)), rows[0]:rows[1], a:max(b, a + 1)] = True
+    return EditMatrix(labels), SupervisionReport(dialogue.example_id, skipped,
                                                 list(deletions))

@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+import iurkit.cli as cli_module
 import iurkit.rewrite as rewrite_module
+import iurkit.supervision as supervision_module
 from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
 from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix
+from iurkit.supervision import EditMatrix, diff_spans
 from synthetic import lengthen, make_corpus, write_corpus_files
 
 
@@ -275,6 +277,23 @@ class TestGoldQueryMode:
         assert main(["train", "--config", str(cfg), "--epochs", "2", "--resume"]) == 0
         with pytest.raises(AssertionError, match="decoded"):  # the stand-in is live
             rewrite_module.cells_to_spans(EditMatrix.from_cells(1, 1, []))
+
+    def test_each_example_is_diffed_once(self, tmp_path, monkeypatch):
+        """The gold slots of the query and the gold matrix share one
+        ``diff_spans`` of each example; the supervision is the recorded one."""
+        calls = []
+
+        def counted(incomplete, rewritten):
+            calls.append(incomplete)
+            return diff_spans(incomplete, rewritten)
+
+        monkeypatch.setattr(cli_module, "diff_spans", counted)
+        monkeypatch.setattr(supervision_module, "diff_spans", counted)
+        assert main(["build-supervision", "--config", str(self.write_run(tmp_path))]) == 0
+        assert len(calls) == 40
+        out = tmp_path / "out"
+        matrices = sorted((out / "matrices").iterdir(), key=lambda p: int(p.stem))
+        assert _sha256(out / "report.json", *matrices) == self.DIGESTS["supervision"]
 
 
 def test_mixer_training_on_mixed_lengths_matches_recorded_digest(tmp_path):

@@ -167,7 +167,7 @@ def assert_chunk_decodes_as_each_input(cells, theta):
     assert len(proposed) == len(cells)
     for b, (rows, cols) in enumerate(shapes):
         grids = {op: ScoreGrid(op, values[o, b, :rows, :cols]) for o, op in enumerate(OPS)}
-        matrix = EditMatrix({op: reference_threshold(grids[op], theta) for op in EditOp})
+        matrix = EditMatrix(np.stack([reference_threshold(grids[op], theta) for op in OPS]))
         for op in EditOp:
             mask = labels[OPS.index(op)]
             assert np.array_equal(mask[b, :rows, :cols], matrix.mask(op))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import build_input_sequence
-from iurkit.querygen import PronounLexicon, build_query
+from iurkit.datamodel import ELLIP_TOKEN, build_input_sequence
+from iurkit.querygen import PronounLexicon, _template, build_query
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
@@ -497,6 +497,35 @@ class TestEncode:
         assert np.array_equal(encode(inp, imp.encoder, "a"), vecs)
 
 
+class TestTemplateInvariance:
+    """Every history-row x column score is the same whether the [ELLIP]
+    marker opens or closes the query (the query keeps its length): the
+    embedding encoder maps each token on its own, and the mixer's attention
+    carries no position, so history rows never see where the marker is.
+    The mixer differs only by summation order. So today's encoders cannot
+    tell a prepending template from an appending one; a position- or
+    segment-aware mixer (ROADMAP item 2) is expected to flip the mixer case."""
+
+    @pytest.mark.parametrize("mixer, tol", [(False, 0.0), (True, 1e-12)],
+                             ids=["embedding", "mixer"])
+    def test_history_scores_ignore_marker_position(self, mixer, tol, small_set):
+        model = init_model(build_vocab([e.input for e in small_set]), 8, 4, seed=0,
+                           mixer=mixer)
+        for ex in small_set:
+            incomplete = ex.dialogue.incomplete
+            start, end = (build_input_sequence(_template(incomplete, [(c, c)], False),
+                                               ex.dialogue)
+                          for c in (0, len(incomplete)))
+            assert start.tokens[0] == end.tokens[start.query_length - 1] == ELLIP_TOKEN
+            assert start.query_length == end.query_length
+            a, b = score_all(start, model), score_all(end, model)
+            history = slice(start.query_length, start.context_length)
+            for op in OPS:
+                assert not np.array_equal(a[op].values, b[op].values)
+                np.testing.assert_allclose(a[op].values[history], b[op].values[history],
+                                           rtol=0, atol=tol)
+
+
 class TestScoreAll:
     def test_grid_shapes(self, small_set, small_model):
         inp = small_set[0].input
@@ -729,6 +758,17 @@ class TestTraining:
         assert log.epoch_losses == []
         assert state.step == 0
         for (_, a), (_, b) in zip(params_items(model), params_items(small_model)):
+            assert np.array_equal(a, b)
+
+    def test_empty_dataset_rejected_before_any_update(self, small_model):
+        model = copy.deepcopy(small_model)
+        state = AdamState.for_model(model)
+        state.m += 0.5
+        before = (model.flat.copy(), state.m.copy(), state.v.copy())
+        with pytest.raises(ValueError, match="no training example"):
+            train([], self.cfg(epochs=2), model, opt_state=state)
+        assert (state.step, state.epochs_done) == (0, 0)
+        for a, b in zip((model.flat, state.m, state.v), before):
             assert np.array_equal(a, b)
 
     def test_loss_decreases(self, small_set, small_model):

@@ -9,7 +9,7 @@ from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import PronounLexicon, build_query
 import iurkit.rewrite as rewrite_module
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts
-from iurkit.supervision import (AddedSpan, EditMatrix, EditOp, aggregate_report,
+from iurkit.supervision import (OPS, AddedSpan, EditMatrix, EditOp, aggregate_report,
                                 build_edit_matrix, diff_spans, lcs_align,
                                 locate_in_context)
 
@@ -205,9 +205,9 @@ class TestEditMatrix:
                                '"cells": [[0, 1, "I"], [0, 1, "S"], [2, 3, "I"]]}')
 
     def test_masks_are_read_only_copies(self):
-        source = np.zeros((2, 3), dtype=bool)
-        m = EditMatrix({EditOp.SUBSTITUTE: source, EditOp.PRE_INSERT: source})
-        source[0, 0] = True
+        source = np.zeros((len(OPS), 2, 3), dtype=bool)
+        m = EditMatrix(source)
+        source[:, 0, 0] = True
         assert m.cells == frozenset()
         for op in EditOp:
             with pytest.raises(ValueError):
@@ -215,10 +215,27 @@ class TestEditMatrix:
 
     def test_rejects_mismatched_masks(self):
         with pytest.raises(ValueError, match="shape"):
-            EditMatrix({EditOp.SUBSTITUTE: np.zeros((2, 3)),
-                        EditOp.PRE_INSERT: np.zeros((2, 4))})
+            EditMatrix([np.zeros((2, 3)), np.zeros((2, 4))])
+        labels = np.zeros((len(OPS), 2, 2))
+        labels[OPS.index(EditOp.SUBSTITUTE)] = np.eye(2)
         with pytest.raises(ValueError, match="sentinel"):
-            EditMatrix({EditOp.SUBSTITUTE: np.eye(2), EditOp.PRE_INSERT: np.zeros((2, 2))})
+            EditMatrix(labels)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (len(OPS) + 1, 2, 3), (1, 2, 3),
+                                       (len(OPS), 1, 2, 3)])
+    def test_rejects_labels_off_the_operation_axis(self, shape):
+        with pytest.raises(ValueError, match=rf"\({len(OPS)}, rows, cols\)"):
+            EditMatrix(np.zeros(shape, dtype=bool))
+
+    def test_mask_is_a_read_only_view_of_labels(self):
+        cells = {(0, 1, EditOp.SUBSTITUTE), (1, 2, EditOp.PRE_INSERT)}
+        m = EditMatrix.from_cells(2, 3, cells)
+        assert m.labels.shape == (len(OPS), 2, 3) and not m.labels.flags.writeable
+        for o, op in enumerate(OPS):
+            assert np.shares_memory(m.mask(op), m.labels)
+            assert np.array_equal(m.mask(op), m.labels[o])
+            assert not m.mask(op).flags.writeable
+        assert m.cells == cells
 
 
 class TestBuildEditMatrix:

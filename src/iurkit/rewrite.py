@@ -11,20 +11,11 @@ from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import QueryTemplate, build_query
 from .scoring import _score_chunks
 from .supervision import OPS, EditMatrix, EditOp, op_of
-
-# Substitute cells form rectangles (4-connected components); Pre-Insert
-# cells form row runs within one column (vertical neighbours only).
-_CONNECTIVITY = {
-    EditOp.SUBSTITUTE: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
-    EditOp.PRE_INSERT: np.array([[0, 1, 0], [0, 1, 0], [0, 1, 0]], dtype=bool),
-}
-
 
 @dataclass(frozen=True)
 class EditSpan:
@@ -95,46 +86,84 @@ def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
     return EditMatrix(np.logical_or.reduce([m.labels for m in matrices]))
 
 
+def _components(mask: np.ndarray, rectangles: bool
+                ) -> list[tuple[int, int, int, int, int]]:
+    """Bounding boxes ``(b, r0, r1, c0, c1)``, half-open, of the connected
+    components of labeled cells in a (B, R, C) mask, input by input. Cells
+    of one input connect to the cells above and below them, and with
+    ``rectangles`` also to those left and right of them (4-connectivity,
+    as Substitute); without it components are column runs (as
+    Pre-Insert). Components come in the raster order of their first cell,
+    the order in which a raster-scan labeling numbers them.
+
+    One pass over the labeled cells in raster order grows runs: along a
+    row with ``rectangles``, else down a column, where a run is already a
+    component. A union-find then joins the row runs of adjacent rows of
+    one input whose column intervals overlap. The cost grows with the
+    number of labeled cells, not with the size of the mask."""
+    cells = mask.ravel().nonzero()[0].tolist()  # np.flatnonzero, less overhead
+    if not cells:
+        return []
+    n_rows, n_cols = mask.shape[1:]
+    size = n_rows * n_cols
+    # a cell grows the run whose last cell is one step before it, unless
+    # it starts a row (along rows) or its input's grid (down columns)
+    step, wrap = (1, n_cols) if rectangles else (n_cols, size)
+    runs: list[list[int]] = []  # [first, last] flat cell, in order of first
+    ends: dict[int, list[int]] = {}  # last cell -> its run
+    for i in cells:
+        run = ends.pop(i - step, None) if i % wrap >= step else None
+        if run is None:
+            run = [i, i]
+            runs.append(run)
+        run[1] = i
+        ends[i] = run
+    parent = list(range(len(runs)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    if rectangles:
+        by_row: dict[int, list[int]] = {}  # row -> its runs, left to right
+        for k, (first, _) in enumerate(runs):
+            by_row.setdefault(first // n_cols, []).append(k)
+        for row, here in by_row.items():
+            above = by_row.get(row - 1, []) if row % n_rows else []
+            i = j = 0
+            while i < len(above) and j < len(here):
+                (a0, a1), (b0, b1) = runs[above[i]], runs[here[j]]
+                a0, a1 = a0 + n_cols, a1 + n_cols  # moved down to this row
+                if a0 <= b1 and b0 <= a1:
+                    parent[find(above[i])] = find(here[j])
+                if a1 <= b1:
+                    i += 1
+                else:
+                    j += 1
+    # root -> [b, r0, r1, c0, c1], entered at each component's first run
+    boxes: dict[int, list[int]] = {}
+    for k, (first, last) in enumerate(runs):
+        b, (r0, c0) = first // size, divmod(first % size, n_cols)
+        r1, c1 = divmod(last % size, n_cols)
+        box = boxes.setdefault(find(k), [b, r0, r1 + 1, c0, c1 + 1])
+        box[2:] = r1 + 1, min(box[3], c0), max(box[4], c1 + 1)
+    return [tuple(box) for box in boxes.values()]
+
+
 def _spans(labels: np.ndarray, values: np.ndarray) -> list[list[EditSpan]]:
     """Each input's spans from labeled cells and their scores, both
-    (n_ops, B, R, C) in ``OPS`` order, with one ``ndimage.label`` and
-    ``find_objects`` per operation for the whole batch; see
-    ``cells_to_spans``.
-
-    Several inputs are labeled as one grid: their rows end to end, each
-    input followed by an empty row, keeping only the rows that hold a
-    labeled cell or follow one. An empty row then parts any two rows that
-    were not adjacent, so no component joins two inputs, and components
-    come in the row-major order of the inputs. Labeling every row would
-    scan mostly empty grids; one input's grid costs about as much to
-    label as to pack, so it is labeled as it is."""
+    (n_ops, B, R, C) in ``OPS`` order, with one ``_components`` per
+    operation for the whole batch; see ``cells_to_spans``."""
     spans: list[list[EditSpan]] = [[] for _ in range(labels.shape[1])]
-    for op, structure in _CONNECTIVITY.items():
+    for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
         mask, scores = labels[OPS.index(op)], values[OPS.index(op)]
-        if not mask.any():
-            continue
-        batch, n_rows, n_cols = mask.shape
-        stride = n_rows + 1
-        if batch == 1:
-            grid, origin = mask[0], range(n_rows)
-        else:
-            padded = np.zeros((batch, stride, n_cols), dtype=bool)
-            padded[:, :n_rows] = mask
-            padded = padded.reshape(-1, n_cols)
-            labeled = np.flatnonzero(padded) // n_cols  # with repeats
-            kept = np.zeros(len(padded), dtype=bool)
-            kept[labeled] = True
-            kept[labeled + 1] = True
-            origin = np.flatnonzero(kept)
-            grid, origin = padded[origin], origin.tolist()
-        components, _ = ndimage.label(grid, structure=structure)
-        for rs, cs in ndimage.find_objects(components):
-            b, r0 = divmod(origin[rs.start], stride)
-            r1 = origin[rs.stop - 1] - b * stride + 1
-            member = mask[b, r0:r1, cs]
-            cells = scores[b, r0:r1, cs][member]
+        rectangles = op is EditOp.SUBSTITUTE
+        for b, r0, r1, c0, c1 in _components(mask, rectangles):
+            member = mask[b, r0:r1, c0:c1]
+            cells = scores[b, r0:r1, c0:c1][member]
             score = float(cells.sum() / cells.size)  # np.mean's own sum and division
-            cols = (cs.start, cs.stop if op is EditOp.SUBSTITUTE else cs.start)
+            cols = (c0, c1 if rectangles else c0)
             spans[b].append(EditSpan((r0, r1), cols, score, bool(member.all())))
     return spans
 

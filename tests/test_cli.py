@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import ndimage
 
 import iurkit.cli as cli_module
 import iurkit.rewrite as rewrite_module
@@ -481,13 +480,13 @@ class TestChunkDecode:
 
     def test_rewrite_builds_no_matrix_and_labels_once_per_op_per_chunk(
             self, corpus_dir, trained, tmp_path, monkeypatch):
-        events, forward, label = [], scoring._forward, ndimage.label
+        events, forward, label = [], scoring._forward, rewrite_module._components
         post_init = EditMatrix.__post_init__
         monkeypatch.setattr(EditMatrix, "__post_init__",
                             lambda self: events.append("matrix") or post_init(self))
         monkeypatch.setattr(scoring, "_forward",
                             lambda *a, **kw: events.append("forward") or forward(*a, **kw))
-        monkeypatch.setattr(ndimage, "label",
+        monkeypatch.setattr(rewrite_module, "_components",
                             lambda *a, **kw: events.append("label") or label(*a, **kw))
         assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0

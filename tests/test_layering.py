@@ -1,6 +1,9 @@
 """The package's modules import one another in one direction only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import iurkit
@@ -51,3 +54,15 @@ def test_imports_point_down_the_layers():
             if RANK[target] >= RANK[module] and (module, func, target) not in EXCEPTIONS:
                 wrong.append(f"{module}{'.' + func if func else ''} imports {target}")
     assert wrong == []
+
+
+def test_no_scipy_at_run_time():
+    """Importing the package and its command line loads no scipy module:
+    scipy is a test-only dependency."""
+    code = ("import sys, iurkit, iurkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

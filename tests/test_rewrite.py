@@ -10,8 +10,8 @@ from scipy import ndimage
 
 from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
-from iurkit.rewrite import (Diagnostics, EditSpan, _label, _spans, apply_edits,
-                            cells_to_spans, decode_labels, merge_matrices,
+from iurkit.rewrite import (Diagnostics, EditSpan, _components, _label, _spans,
+                            apply_edits, cells_to_spans, decode_labels, merge_matrices,
                             resolve_conflicts, rewrite, rewrite_batch)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
                             load_model, params_items, save_model, score_all, train_em)
@@ -255,8 +255,12 @@ class TestChunkDecode:
         # inputs with no labeled cell between labeled ones
         ([cells_of(2, 3, insert=[(0, 1, 0.5), (1, 1, 0.7)]), cells_of(4, 2),
           cells_of(3, 3, substitute=[(1, 1, 0.2)]), cells_of(1, 1)], 0.1),
+        # a theta below nearly every score: almost every cell of large
+        # grids labeled, the decoder's worst case
+        ([np.random.default_rng(0).uniform(-1, 1, (2, 30, 14)),
+          np.random.default_rng(1).uniform(-1, 1, (2, 25, 9))], -0.95),
     ], ids=["theta-zero", "theta-negative", "short-sentinel", "unfilled-box", "adjacent-inputs",
-         "empty-inputs"])
+         "empty-inputs", "dense-theta"])
     def test_named_cases(self, cells, theta):
         assert_chunk_decodes_as_each_input(cells, theta)
 
@@ -269,6 +273,46 @@ class TestChunkDecode:
         assert (l_shape.source_rows, l_shape.cols, l_shape.filled) == ((0, 3), (0, 3), False)
         assert l_shape.score == float(np.mean([0.2, 0.9, 0.3, 0.4, 0.5, 0.6]))
         assert (other.source_rows, other.cols, other.filled) == ((0, 1), (2, 3), True)
+
+
+def reference_components(mask, op):
+    """``ndimage.label`` and ``find_objects`` of each input's (R, C) grid of
+    a (B, R, C) mask as ``_components`` boxes: ``(b, r0, r1, c0, c1)``."""
+    boxes = []
+    for b, grid in enumerate(mask):
+        labels, _ = ndimage.label(grid, structure=REFERENCE_STRUCTURE[op])
+        boxes.extend((b, rs.start, rs.stop, cs.start, cs.stop)
+                     for rs, cs in ndimage.find_objects(labels))
+    return boxes
+
+
+class TestComponents:
+    """``_components`` finds the components, bounding boxes and order of
+    ``ndimage.label`` and ``find_objects`` for both connectivities."""
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("op", list(EditOp))
+    def test_every_small_mask(self, rows, cols, op):
+        # all 4096 masks at once: a batch of them also checks that no
+        # component joins two inputs
+        bits = np.arange(2 ** (rows * cols))[:, None] >> np.arange(rows * cols) & 1
+        masks = bits.astype(bool).reshape(-1, rows, cols)
+        assert _components(masks, op is EditOp.SUBSTITUTE) == reference_components(masks, op)
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 30), st.integers(1, 14),
+           st.sampled_from(list(EditOp)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_density(self, data, batch, rows, cols, op):
+        shape = (batch, rows, cols)
+        kind = data.draw(st.sampled_from(["random", "all", "checkerboard"]))
+        if kind == "all":
+            mask = np.ones(shape, dtype=bool)
+        elif kind == "checkerboard":
+            mask = np.indices(shape).sum(axis=0) % 2 == data.draw(st.integers(0, 1))
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            mask = rng.random(shape) < data.draw(st.floats(0, 1))
+        assert _components(mask, op is EditOp.SUBSTITUTE) == reference_components(mask, op)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])

@@ -1,4 +1,4 @@
-"""Decoding: score grids -> labeled cells -> edit spans -> rewritten text."""
+"""Decoding: scores -> labeled cells -> edit spans -> rewritten text."""
 
 from __future__ import annotations
 
@@ -61,24 +61,22 @@ def _label(values: np.ndarray, shapes, theta: float) -> np.ndarray:
     return labels
 
 
+def _matrix(scores: np.ndarray, theta: float) -> EditMatrix:
+    """The edit matrix of the cells ``_label`` keeps in one input's
+    ``scores`` (n_ops, rows, cols) in ``OPS`` order."""
+    return EditMatrix(_label(scores[:, None], [scores.shape[1:]], theta)[:, 0])
+
+
 def _stacked(grids, shape, fill: float) -> np.ndarray:
-    """``grids`` (op -> ScoreGrid of ``shape``) as a chunk of one in ``OPS``
-    order; an operation without a grid scores ``fill`` in every cell."""
-    return np.stack([np.asarray(grids[op].values) if op in grids
-                     else np.full(shape, fill) for op in OPS])[:, None]
-
-
-def _matrix(grids, theta: float) -> EditMatrix:
-    """The edit matrix of the cells ``_label`` keeps in ``grids`` (op ->
-    ScoreGrid); an operation without a grid scores -inf, so it has none."""
-    shape = np.shape(next(iter(grids.values())).values)
-    labels = _label(_stacked(grids, shape, -np.inf), [shape], theta)
-    return EditMatrix(labels[:, 0])
+    """``grids`` (op -> ScoreGrid of ``shape``) as one (n_ops, rows, cols)
+    array in ``OPS`` order; an operation without a grid scores ``fill``."""
+    return np.stack([grids[op].values if op in grids else np.full(shape, fill)
+                     for op in OPS])
 
 
 def decode_labels(grid, theta: float) -> EditMatrix:
     """Threshold one score grid into an edit matrix of its operation."""
-    return _matrix({grid.op: grid}, theta)
+    return _matrix(_stacked({grid.op: grid}, grid.values.shape, -np.inf), theta)
 
 
 def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
@@ -177,8 +175,8 @@ def cells_to_spans(matrix: EditMatrix, grids=None) -> list[EditSpan]:
     runs per column. A span's score is the mean over the labeled cells of
     its box, taken from ``grids`` (op -> ScoreGrid) when given, else 0.
     """
-    labels = matrix.labels[:, None]
-    (spans,) = _spans(labels, _stacked(grids or {}, labels.shape[2:], 0.0))
+    values = _stacked(grids or {}, matrix.labels.shape[1:], 0.0)
+    (spans,) = _spans(matrix.labels[:, None], values[:, None])
     return spans
 
 
@@ -222,20 +220,20 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
 
 def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
                    example_ids: Iterable[Optional[str]]
-                   ) -> Iterator[tuple[dict, list[EditSpan]]]:
-    """Each input's grids and surviving spans, in order: ``_score_chunks``,
+                   ) -> Iterator[tuple[np.ndarray, list[EditSpan]]]:
+    """Each input's scores and surviving spans, in order: ``_score_chunks``,
     then one threshold and one labeling per operation for each chunk."""
-    for values, shapes, grids in _score_chunks(inputs, model, example_ids):
+    for values, shapes, scores in _score_chunks(inputs, model, example_ids):
         proposed = _spans(_label(values, shapes, theta), values)
-        yield from zip(grids, map(resolve_conflicts, proposed))
+        yield from zip(scores, map(resolve_conflicts, proposed))
 
 
 @dataclass
 class Diagnostics:
-    """Every intermediate of one rewrite. ``matrix`` is built from ``grids``
-    and ``theta`` on first read."""
+    """Every intermediate of one rewrite. ``matrix`` is built from ``scores``
+    (see ``score_batch``) and ``theta`` on first read."""
 
-    grids: dict = field(default_factory=dict)
+    scores: Optional[np.ndarray] = None
     spans: list[EditSpan] = field(default_factory=list)
     theta: float = 0.0
     query: Optional[QueryTemplate] = None
@@ -243,7 +241,7 @@ class Diagnostics:
 
     @cached_property
     def matrix(self) -> Optional[EditMatrix]:
-        return _matrix(self.grids, self.theta) if self.grids else None
+        return None if self.scores is None else _matrix(self.scores, self.theta)
 
     def to_json(self) -> str:
         obj = {
@@ -254,8 +252,8 @@ class Diagnostics:
                        "cols": list(s.cols),
                        "score": s.score, "filled": s.filled}
                       for s in self.spans],
-            "grids": {op.value: np.asarray(g.values).tolist()
-                      for op, g in self.grids.items()},
+            "grids": {} if self.scores is None else
+                     {op.value: s.tolist() for op, s in zip(OPS, self.scores)},
         }
         return json.dumps(obj, ensure_ascii=False)
 
@@ -282,7 +280,7 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
     """
     if parses is not None and len(parses) != len(dialogues):
         raise ValueError(f"{len(parses)} parses for {len(dialogues)} dialogues")
-    built = deque()  # (dialogue, query, input) awaiting their grids
+    built = deque()  # (dialogue, query, input) awaiting their scores
 
     def inputs():
         for dialogue, parse in zip(dialogues, repeat(None) if parses is None else parses):
@@ -294,13 +292,13 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
             yield built[-1][2]
 
     decoded = _decode_chunks(inputs(), model, theta, (d.example_id for d in dialogues))
-    for grids, spans in decoded:
+    for scores, spans in decoded:
         dialogue, query, input_seq = built.popleft()
         try:
             output = apply_edits(dialogue.incomplete, spans, input_seq)
         except ValueError as exc:
             raise example_error(dialogue, exc) from exc
-        yield output, Diagnostics(grids, spans, theta, query, input_seq)
+        yield output, Diagnostics(scores, spans, theta, query, input_seq)
 
 
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,

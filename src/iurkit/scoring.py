@@ -133,24 +133,6 @@ class ModelParams:
 
 
 @dataclass
-class ScoreGrid:
-    op: EditOp
-    values: np.ndarray  # (n_rows, n_cols)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("score grid must be finite")
-
-    @classmethod
-    def checked(cls, op: EditOp, values: np.ndarray) -> "ScoreGrid":
-        """A grid over float64 values the caller has already found finite."""
-        grid = object.__new__(cls)
-        grid.op, grid.values = op, values
-        return grid
-
-
-@dataclass
 class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 16
@@ -408,6 +390,21 @@ def encode(input: InputSequence, params: EncoderParams,
     return _encode(input, params, example_id)[0]
 
 
+# ScoreGrid, project, score_grid and rewrite's _stacked, decode_labels,
+# merge_matrices and cells_to_spans(matrix, grids) are on no library path.
+# They stay only because bench/spans.py calls them, and are removed in the
+# benchmark-only change that re-spells that file.
+@dataclass
+class ScoreGrid:
+    op: EditOp
+    values: np.ndarray  # (n_rows, n_cols)
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("score grid must be finite")
+
+
 def project(h: np.ndarray, params: HeadParams, op: EditOp
             ) -> tuple[np.ndarray, np.ndarray]:
     """Affine q-side and k-side projections of every vector in ``h``."""
@@ -514,14 +511,13 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
 
 def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
                   example_ids: Optional[Iterable[Optional[str]]] = None
-                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int]],
-                                      list[dict[EditOp, ScoreGrid]]]]:
+                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int]], list[np.ndarray]]]:
     """``_forward`` over consecutive chunks of at most ``INFERENCE_CHUNK``
     inputs, each taken from the iterables only when the stream reaches it,
     so the inputs and score arrays in memory are one chunk's whatever the
     number of inputs. Yields per chunk its padded scores (n_ops, B, R, C)
     in ``OPS`` order, the ``(rows, cols)`` each input fills of them, and
-    each input's grids (views of its cells).
+    each input's scores (n_ops, rows, cols), a view of its cells.
     Raises on a non-finite score, naming the example, and on running out
     of ``example_ids`` before inputs."""
     inputs = iter(inputs)
@@ -537,24 +533,23 @@ def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
             raise ValueError(f"score grid of example {ids[b]!r} is not finite")
-        yield values, shapes, [{op: ScoreGrid.checked(op, values[o, b, :rows, :cols])
-                                for o, op in enumerate(OPS)}
+        yield values, shapes, [values[:, b, :rows, :cols]
                                for b, (rows, cols) in enumerate(shapes)]
         del values  # not held while the next chunk is scored
 
 
 def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
                 example_ids: Optional[Iterable[Optional[str]]] = None
-                ) -> Iterator[dict[EditOp, ScoreGrid]]:
-    """Both operations' grids for each input, in order, scored a chunk at
-    a time (see ``_score_chunks``)."""
-    for _, _, grids in _score_chunks(inputs, model, example_ids):
-        yield from grids
+                ) -> Iterator[np.ndarray]:
+    """Each input's scores in turn: float64 (len(OPS), context_length,
+    incomplete_length + 1) in ``OPS`` order, a view of its chunk's (``_score_chunks``)."""
+    for _, _, scores in _score_chunks(inputs, model, example_ids):
+        yield from scores
 
 
 def score_all(input: InputSequence, model: ModelParams,
-              example_id: Optional[str] = None) -> dict[EditOp, ScoreGrid]:
-    """Both operations' grids for one input: a batch of one."""
+              example_id: Optional[str] = None) -> np.ndarray:
+    """One input's scores (see ``score_batch``): a batch of one."""
     return next(score_batch([input], model, [example_id]))
 
 
@@ -592,10 +587,12 @@ def _circle_loss_grad(values: np.ndarray, shapes: Sequence[tuple[int, ...]],
     return (t_pos + t_neg).sum(axis=0), ds
 
 
-def circle_loss(grids: dict[EditOp, ScoreGrid], gold: EditMatrix) -> float:
-    """Total loss over both operations; labeled cells are the positives,
-    every other in-range cell is a negative."""
-    values = np.stack([grids[op].values for op in OPS])[:, None]
+def circle_loss(scores: np.ndarray, gold: EditMatrix) -> float:
+    """Total loss over ``scores`` (n_ops, rows, cols) in ``OPS`` order;
+    labeled cells are the positives, every other cell is a negative."""
+    values = np.asarray(scores, dtype=np.float64)[:, None]
+    if not np.isfinite(values).all():
+        raise ValueError("scores must be finite")
     return float(_circle_loss_grad(values, [values.shape[2:]], [gold], [None])[0][0])
 
 
@@ -673,6 +670,10 @@ def _adam_step(model: ModelParams, grads: np.ndarray, state: AdamState,
 
 def train_em(model: ModelParams, examples: Sequence[TrainExample],
              theta: float) -> float:
+    """Exact match of the rewrites of ``examples`` at ``theta``; ValueError
+    on an empty set."""
+    if not examples:
+        raise ValueError("no dev example")
     from .rewrite import _decode_chunks, apply_edits  # rewrite imports this module
 
     decoded = _decode_chunks([ex.input for ex in examples], model, theta,
@@ -816,6 +817,12 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
     words = header["vocab"]
     if not (isinstance(words, list) and all(isinstance(t, str) for t in words)):
         raise ValueError(f"{path}: vocab must be a list of strings")
+    if not words or words[0] != UNK_TOKEN:  # unknown tokens take row UNK_ID
+        raise ValueError(f"{path}: vocab must start with {UNK_TOKEN!r}")
+    vocab: dict[str, int] = {}
+    for i, t in enumerate(words):
+        if vocab.setdefault(t, i) != i:
+            raise ValueError(f"{path}: vocab repeats {t!r}")
     mode, has_mixer = header["mode"], header["has_mixer"]
     if mode not in ("trainable", "imported"):
         raise ValueError(f"{path}: mode must be 'trainable' or 'imported', got {mode!r}")
@@ -825,8 +832,8 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
     d_out = _count(header.get("d_out"), path, "d_out")
     d_ff = _count(header.get("d_ff"), path, "d_ff") if has_mixer else None
     try:
-        model = _build_model({t: i for i, t in enumerate(words)}, d_model, d_out,
-                             has_mixer, d_ff, lambda *shape: np.zeros(shape))
+        model = _build_model(vocab, d_model, d_out, has_mixer, d_ff,
+                             lambda *shape: np.zeros(shape))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if mode == "imported":  # the file holds the heads only

@@ -14,11 +14,11 @@ from iurkit.datamodel import Utterance, build_input_sequence
 from iurkit.metrics import bleu, evaluate
 from iurkit.querygen import PronounLexicon, build_query
 from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts, rewrite
-from iurkit.scoring import (ScoreGrid, TrainConfig, TrainExample, build_vocab,
+from iurkit.scoring import (TrainConfig, TrainExample, build_vocab,
                             circle_loss, encode, grad, init_model, load_model,
                             params_items, read_ctxvec, rope_rotate, save_model,
                             train, train_em, with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix, EditOp, build_edit_matrix, lcs_align
+from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix, lcs_align
 from synthetic import PRONOUNS, make_corpus, write_corpus_files
 
 EN_LEX = PronounLexicon.from_surface_forms(PRONOUNS)
@@ -147,23 +147,22 @@ def test_5_overfit_harness():
 def test_6_circle_loss_fixtures():
     gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
 
-    def grids(s_pos, s_other=-50.0):
-        v = np.array([[s_pos, s_other]])
-        return {EditOp.SUBSTITUTE: ScoreGrid(EditOp.SUBSTITUTE, v),
-                EditOp.PRE_INSERT: ScoreGrid(EditOp.PRE_INSERT,
-                                             np.full((1, 2), -50.0))}
+    def scores(s_pos, s_other=-50.0):
+        v = np.full((len(OPS), 1, 2), -50.0)
+        v[OPS.index(EditOp.SUBSTITUTE)] = [[s_pos, s_other]]
+        return v
 
-    ok = abs(circle_loss(grids(0.0), gold) - math.log(2.0)) <= 1e-12
+    ok = abs(circle_loss(scores(0.0), gold) - math.log(2.0)) <= 1e-12
     rng = np.random.default_rng(6)
     for _ in range(1000):
         s = float(rng.uniform(-5, 5))
         d = float(rng.uniform(1e-3, 1.0))
         # raising a positive score lowers the loss; raising a negative raises it
-        if not circle_loss(grids(s + d), gold) < circle_loss(grids(s), gold):
+        if not circle_loss(scores(s + d), gold) < circle_loss(scores(s), gold):
             ok = False
             break
-        neg_lo = circle_loss(grids(0.0, s), gold)
-        neg_hi = circle_loss(grids(0.0, s + d), gold)
+        neg_lo = circle_loss(scores(0.0, s), gold)
+        neg_hi = circle_loss(scores(0.0, s + d), gold)
         if not neg_hi > neg_lo:
             ok = False
             break

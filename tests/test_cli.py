@@ -20,7 +20,7 @@ from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
                             train_em, with_imported_vectors, write_ctxvec)
-from iurkit.supervision import EditMatrix, diff_spans
+from iurkit.supervision import OPS, EditMatrix, diff_spans
 from synthetic import lengthen, make_corpus, write_corpus_files
 
 
@@ -453,10 +453,10 @@ class TestInspectMatrix:
             assert main(["inspect-matrix", dlg.example_id,
                          "--config", str(corpus_dir / "config.ini")]) == 0
             obj = json.loads(capsys.readouterr().out)
-            for op, grid in diag.grids.items():
+            for op, grid in zip(OPS, diag.scores):
                 assert all(type(v) is float for row in obj["grids"][op.value] for v in row)
                 cells = np.array(obj["grids"][op.value], dtype=np.float64)
-                assert np.array_equal(cells, grid.values)
+                assert np.array_equal(cells, grid)
             assert [s["score"] for s in obj["spans"]] == [s.score for s in diag.spans]
             n_spans += len(diag.spans)
         assert n_spans > 0
@@ -495,6 +495,33 @@ class TestChunkDecode:
                      " ".join(events).split("forward")[1:]]
         assert len(per_chunk) == -(-10 // INFERENCE_CHUNK)
         assert sum(per_chunk) > 0 and max(per_chunk) <= 2  # two operations
+
+    def test_rewrite_builds_no_score_grid(self, corpus_dir, trained, tmp_path,
+                                          monkeypatch):
+        """Each input's scores stay one array from scoring to diagnostics."""
+        built = []  # every construction, however made, sets ``op``
+        monkeypatch.setattr(scoring.ScoreGrid, "__setattr__", lambda grid, name, value:
+                            built.append(name) or object.__setattr__(grid, name, value))
+        scoring.ScoreGrid(OPS[0], np.zeros((1, 1)))
+        assert built.count("op") == 1  # the count sees a construction
+        built.clear()
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
+        assert built.count("op") == 0
+
+    def test_score_batch_yields_views_of_the_chunk_scores(self, corpus_dir, trained):
+        examples, _ = _prepare(RunConfig.from_file(corpus_dir / "config.ini"))
+        inputs = [ex.input for ex in examples]
+        assert len(inputs) > INFERENCE_CHUNK
+        model, _ = load_model(trained)
+        scores = list(score_batch(inputs, model))
+        for inp, s in zip(inputs, scores, strict=True):
+            assert s.dtype == np.float64
+            assert s.shape == (len(OPS), inp.context_length, inp.incomplete_length + 1)
+        chunk = scores[0].base  # the first chunk's padded (n_ops, B, R, C) scores
+        assert chunk.shape[:2] == (len(OPS), INFERENCE_CHUNK) and scores[1].base is chunk
+        assert np.shares_memory(chunk, scores[0]) and np.shares_memory(chunk, scores[1])
+        assert not np.shares_memory(chunk, scores[INFERENCE_CHUNK])
 
     def test_diagnostics_match_recorded_digests(self, corpus_dir, trained, capsys):
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
@@ -604,11 +631,17 @@ class TestStrictHeaders:
         (lambda h: {**h, "has_mixer": "false"}, True,
          "has_mixer must be true or false, got 'false'"),
         (lambda h: {**h, "has_mixer": 0}, True, "has_mixer must be true or false, got 0"),
+        (lambda h: {**h, "vocab": []}, True, "vocab must start with '[UNK]'"),
+        (lambda h: {**h, "vocab": h["vocab"][1:] + h["vocab"][:1]}, True,
+         "vocab must start with '[UNK]'"),
+        (lambda h: {**h, "vocab": h["vocab"][:-1] + h["vocab"][1:2]}, True,
+         "vocab repeats '[END]'"),
     ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
             "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
             "optimizer-step", "1d-emb", "emb-rows-vs-vocab", "swapped-head-wq",
             "swapped-adam-moment", "misspelled-mode", "extra-tensor", "optimizer-list",
-            "zero-d_model", "zero-d_ff", "string-has_mixer", "int-has_mixer"])
+            "zero-d_model", "zero-d_ff", "string-has_mixer", "int-has_mixer",
+            "empty-vocab", "vocab-without-unk-first", "repeated-vocab-word"])
     def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
                                     trained, tmp_path, capsys):
         header, tensors = trained.read_bytes().split(b"\n", 1)
@@ -621,6 +654,15 @@ class TestStrictHeaders:
                      "--model", str(bad)]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: {message}" in err
+
+    def test_model_with_empty_vocab_is_a_user_error(self, corpus_dir, tmp_path, capsys):
+        # its tensors fit its header (``emb`` has no row), so only the vocab
+        # rule stops the token lookup from indexing an empty table
+        bad = tmp_path / "bad.bin"
+        save_model(bad, init_model({}, 8, 4, seed=0))
+        assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
+                     "--model", str(bad)]) == 1
+        assert f"{bad}: vocab must start with '[UNK]'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["emb", "head.S.wq", "adam.v.head.I.bk"])
     def test_non_finite_tensor_names_file_and_tensor(self, name, corpus_dir, trained,

@@ -104,7 +104,7 @@ class TestDecode:
                      st.lists(value, min_size=n_cols, max_size=n_cols),
                      min_size=n_rows, max_size=n_rows)))
                  for op in EditOp}
-        matrix = Diagnostics(grids, theta=theta).matrix
+        matrix = Diagnostics(np.stack([grids[op].values for op in OPS]), theta=theta).matrix
         assert matrix == merge_matrices([decode_labels(g, theta) for g in grids.values()])
 
 
@@ -579,10 +579,10 @@ class TestRewritePipeline:
         model = init_model(build_vocab([inp]), 8, 4, seed=0)
         _, diag = rewrite(d, model, theta=0.1, lexicon=lex)
         obj = json.loads(diag.to_json())
-        for op, grid in diag.grids.items():
+        for op, grid in zip(OPS, diag.scores):
             cells = obj["grids"][op.value]
             assert all(type(v) is float for row in cells for v in row)
-            assert np.array_equal(np.array(cells, dtype=np.float64), grid.values)
+            assert np.array_equal(np.array(cells, dtype=np.float64), grid)
         assert [s["score"] for s in obj["spans"]] == [s.score for s in diag.spans]
 
     @pytest.mark.parametrize("n_parses", [2, 6])
@@ -593,6 +593,12 @@ class TestRewritePipeline:
         batch = rewrite_batch(dialogues, model, 0.1, PronounLexicon.default("zh"), parses)
         with pytest.raises(ValueError, match=f"^{n_parses} parses for 5 dialogues$"):
             next(batch)
+
+    def test_empty_diagnostics(self):
+        diag = Diagnostics()
+        assert diag.matrix is None
+        assert diag.to_json() == ('{"query": [], "input": [], "matrix": null, '
+                                  '"spans": [], "grids": {}}')
 
     def test_diagnostics_span_keys(self):
         diag = Diagnostics(spans=[span((0, 2), (1, 3), 0.5), span((4, 5), (3, 3), 0.25)])

@@ -240,8 +240,8 @@ class TestRotaryTable:
         model = bit_test_model(encoder, examples)
         for ex in examples:
             want_values, _ = reference_forward(model, ex.input, ex.example_id)
-            for op, g in score_all(ex.input, model, ex.example_id).items():
-                assert np.array_equal(bits(g.values), bits(want_values[op]))
+            for op, g in zip(OPS, score_all(ex.input, model, ex.example_id)):
+                assert np.array_equal(bits(g), bits(want_values[op]))
             want_loss, want_grads = reference_grad(model, ex)
             loss, grads = grad(model, [ex])
             grads = dict(params_items(model, grads))
@@ -296,11 +296,11 @@ class TestBatchedScoring:
                 values, shapes, _ = _forward(model, inputs, ids)
                 rows = max(inp.context_length for inp in inputs)
                 assert values.shape[:3] == (2, len(chunk), rows)
-                for b, (ex, (r, c), grids) in enumerate(zip(chunk, shapes,
-                                                            score_batch(inputs, model, ids))):
+                for b, (ex, (r, c), scores) in enumerate(zip(chunk, shapes,
+                                                             score_batch(inputs, model, ids))):
                     for op, v in want[ex.example_id].items():
                         assert np.array_equal(bits(values[OPS.index(op), b, :r, :c]), bits(v))
-                        assert np.array_equal(bits(grids[op].values), bits(v))
+                        assert np.array_equal(bits(scores[OPS.index(op)]), bits(v))
 
     def test_empty_batch(self, small_model):
         assert list(score_batch([], small_model)) == []
@@ -451,10 +451,9 @@ class TestParameterVector:
             fresh = with_imported_vectors(fresh, twin.encoder.imported)
         for e in small_set:
             got = score_all(e.input, twin, e.example_id)
-            for op, g in score_all(e.input, fresh, e.example_id).items():
-                assert np.array_equal(bits(got[op].values), bits(g.values))
-                assert not np.array_equal(
-                    got[op].values, score_all(e.input, model, e.example_id)[op].values)
+            for o, g in enumerate(score_all(e.input, fresh, e.example_id)):
+                assert np.array_equal(bits(got[o]), bits(g))
+                assert not np.array_equal(got[o], score_all(e.input, model, e.example_id)[o])
 
 
 class TestEncode:
@@ -520,19 +519,18 @@ class TestTemplateInvariance:
             assert start.query_length == end.query_length
             a, b = score_all(start, model), score_all(end, model)
             history = slice(start.query_length, start.context_length)
-            for op in OPS:
-                assert not np.array_equal(a[op].values, b[op].values)
-                np.testing.assert_allclose(a[op].values[history], b[op].values[history],
-                                           rtol=0, atol=tol)
+            for sa, sb in zip(a, b):  # one operation at a time
+                assert not np.array_equal(sa, sb)
+                np.testing.assert_allclose(sa[history], sb[history], rtol=0, atol=tol)
 
 
 class TestScoreAll:
     def test_grid_shapes(self, small_set, small_model):
         inp = small_set[0].input
-        grids = score_all(inp, small_model)
-        for g in grids.values():
-            assert g.values.shape == (inp.context_length, inp.incomplete_length + 1)
-        assert set(grids) == {EditOp.SUBSTITUTE, EditOp.PRE_INSERT}
+        scores = score_all(inp, small_model)
+        for g in scores:
+            assert g.shape == (inp.context_length, inp.incomplete_length + 1)
+        assert len(scores) == len(OPS) and set(OPS) == {EditOp.SUBSTITUTE, EditOp.PRE_INSERT}
 
     def test_non_finite_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -540,43 +538,50 @@ class TestScoreAll:
 
 
 class TestCircleLoss:
-    def grids_of(self, values):
+    def scores_of(self, values):
         v = np.asarray(values, dtype=float)
-        return {EditOp.SUBSTITUTE: ScoreGrid(EditOp.SUBSTITUTE, v),
-                EditOp.PRE_INSERT: ScoreGrid(EditOp.PRE_INSERT, np.full_like(v, -50.0))}
+        scores = np.full((len(OPS), *v.shape), -50.0)
+        scores[OPS.index(EditOp.SUBSTITUTE)] = v
+        return scores
 
     def test_zero_score_single_positive(self):
         # one positive at s=0 contributes log(1 + e^0) = log 2; the
         # insert grid at -50 contributes ~0
         gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
-        loss = circle_loss(self.grids_of([[0.0, -50.0]]), gold)
+        loss = circle_loss(self.scores_of([[0.0, -50.0]]), gold)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_zero_score_single_negative(self):
         gold = EditMatrix.from_cells(1, 2, frozenset())
-        loss = circle_loss(self.grids_of([[0.0, -50.0]]), gold)
+        loss = circle_loss(self.scores_of([[0.0, -50.0]]), gold)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_saturated_cells_near_zero_loss(self):
         gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
-        loss = circle_loss(self.grids_of([[40.0, -40.0]]), gold)
+        loss = circle_loss(self.scores_of([[40.0, -40.0]]), gold)
         assert 0.0 < loss < 1e-15
 
     def test_extreme_scores_stay_finite(self):
         gold = EditMatrix.from_cells(1, 2, frozenset())
-        loss = circle_loss(self.grids_of([[700.0, 700.0]]), gold)
+        loss = circle_loss(self.scores_of([[700.0, 700.0]]), gold)
         # log(1 + 2 e^700) = 700 + log 2 up to an e^-700 correction; naive
         # exponentiation would overflow here
         assert abs(loss - (700.0 + math.log(2.0))) < 1e-9
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scores_rejected(self, bad):
+        gold = EditMatrix.from_cells(1, 2, frozenset())
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            circle_loss(self.scores_of([[0.0, bad]]), gold)
+
     def test_shape_mismatch_rejected(self):
         gold = EditMatrix.from_cells(2, 2, frozenset())
         with pytest.raises(ValueError, match="shape"):
-            circle_loss(self.grids_of([[0.0]]), gold)
+            circle_loss(self.scores_of([[0.0]]), gold)
 
     def test_monotone_in_positive_score(self):
         gold = EditMatrix.from_cells(1, 2, frozenset({(0, 0, EditOp.SUBSTITUTE)}))
-        losses = [circle_loss(self.grids_of([[s, -50.0]]), gold)
+        losses = [circle_loss(self.scores_of([[s, -50.0]]), gold)
                   for s in (-1.0, 0.0, 1.0, 2.0)]
         assert losses == sorted(losses, reverse=True)
 
@@ -771,6 +776,10 @@ class TestTraining:
         for a, b in zip((model.flat, state.m, state.v), before):
             assert np.array_equal(a, b)
 
+    def test_empty_dev_set_rejected(self, small_model):
+        with pytest.raises(ValueError, match="^no dev example$"):
+            train_em(small_model, [], 0.1)
+
     def test_loss_decreases(self, small_set, small_model):
         model = copy.deepcopy(small_model)
         log, _ = train(small_set, self.cfg(epochs=20), model)
@@ -889,9 +898,9 @@ class TestPersistence:
         for e in small_set:
             g0 = score_all(e.input, imported, e.example_id)
             g1 = score_all(e.input, again, e.example_id)
-            assert g0.keys() == g1.keys()
-            for op in g0:
-                assert np.array_equal(bits(g0[op].values), bits(g1[op].values))
+            assert g0.shape == g1.shape
+            for a, b in zip(g0, g1):
+                assert np.array_equal(bits(a), bits(b))
 
     def test_resume_matches_uninterrupted(self, small_set, small_model, tmp_path):
         cfg = TrainConfig(learning_rate=1e-3, epochs=4, batch_size=4, seed=7)
@@ -1034,6 +1043,6 @@ class TestCtxVec:
         for e in small_set:
             g0 = score_all(e.input, small_model)
             g1 = score_all(e.input, imported, e.example_id)
-            for op in g0:
+            for a, b in zip(g0, g1):
                 # vectors pass through float32 on disk; so do the params
-                assert np.allclose(g0[op].values, g1[op].values, atol=1e-5)
+                assert np.allclose(a, b, atol=1e-5)

@@ -1,13 +1,14 @@
 """Core domain types: utterances, dialogues, and the model input sequence.
 
-All types are frozen dataclasses; once constructed they are safe to share
-across threads.
+All types are frozen, slotted dataclasses; once constructed they are safe to
+share across threads, and no attribute can be added to them.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -34,7 +35,7 @@ class TokenizeMode(Enum):
     WHITESPACE_PUNCT = "word"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """``tokens`` holds the token texts, each non-empty."""
 
@@ -65,7 +66,7 @@ class Utterance:
         return sep.join(self.texts())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dialogue:
     history: tuple[Utterance, ...]
     incomplete: Utterance
@@ -73,7 +74,7 @@ class Dialogue:
     example_id: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputSequence:
     """query tokens + history tokens + incomplete tokens + one [END] sentinel.
 
@@ -128,8 +129,13 @@ def tokenize(text: str) -> list[str]:
     Contiguous Latin/digit runs stay whole; every other non-space character
     (CJK ideographs, punctuation, ...) is a token of its own. The same rule
     serves space-delimited and CJK text, so it needs no language.
+
+    Tokens are interned (``sys.intern``), so a loaded corpus holds one string
+    per distinct token. The interpreter keeps interned strings for as long
+    as they are referenced, and on Python 3.12 and later for the life of the
+    process; what that keeps is bounded by the distinct vocabulary read.
     """
-    return _WORD_SPLIT.findall(text)
+    return list(map(sys.intern, _WORD_SPLIT.findall(text)))
 
 
 def read_text(path: str | Path) -> str:

@@ -10,6 +10,7 @@ unified [UNK] token.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -72,7 +73,7 @@ class PronounLexicon:
         return cls.from_surface_forms(forms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyParse:
     """One row per incomplete-utterance token: head index (0 = root) + label."""
 
@@ -111,7 +112,9 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
     Accepts the 10-column standard layout or the 4-column subset
     (ID, FORM, HEAD, DEPREL). Comment lines, multiword-token ranges
     (``a-b``) and empty nodes (``a.b``) are skipped; every other ID must be
-    the next integer of its sentence, from 1.
+    the next integer of its sentence, from 1. FORM and DEPREL are interned,
+    as ``tokenize`` interns tokens, so a parse's forms are the same strings
+    as its utterance's tokens.
     """
     parses: list[DependencyParse] = []
     rows: list[tuple[str, int, str]] = []
@@ -147,12 +150,12 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
                 raise ValueError(f"token id {cols[0]!r}, expected {len(rows) + 1}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        rows.append((form, head, deprel))
+        rows.append((sys.intern(form), head, sys.intern(deprel)))
     flush()
     return parses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryTemplate:
     """Token texts with marker slots, all slots of the one kind."""
 

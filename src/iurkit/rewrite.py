@@ -17,7 +17,7 @@ from .querygen import QueryTemplate, build_query
 from .scoring import _score_chunks
 from .supervision import OPS, EditMatrix, EditOp, op_of
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditSpan:
     """Copy context rows ``source_rows`` over the half-open interval ``cols``
     of incomplete columns. An empty interval ``(c, c)`` inserts before

@@ -156,7 +156,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainExample:
     input: InputSequence
     gold: EditMatrix
@@ -204,6 +204,10 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
     weight is ``fill(*shape)``, called in this order; biases start at zero.
     All are views of ``flat`` in ``params_items`` order; each head is a row
     in ``OPS`` order, but Substitute's are filled first (a seeded init's draws)."""
+    if vocab.get(UNK_TOKEN) != UNK_ID or sorted(vocab.values()) != list(range(len(vocab))):
+        # unknown tokens take row UNK_ID, and every id must have its row
+        raise ValueError(f"vocab ids must be 0..n-1 for its n tokens, "
+                         f"with {UNK_TOKEN!r} at {UNK_ID}")
     for name, width in (("d_model", d_model), ("d_head", d_head)):
         if width <= 0 or width % 2:
             raise ValueError(f"{name} must be positive and even")
@@ -735,11 +739,23 @@ def _saved_tensors(model: ModelParams, opt_state: Optional[AdamState]
     return items
 
 
+def _finite_f4(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as contiguous little-endian float32, which ``load_model`` and
+    ``read_ctxvec`` read back; a value that is not finite there (NaN, or
+    beyond float32's range) is a ValueError naming ``what``."""
+    with np.errstate(over="ignore"):
+        f4 = np.ascontiguousarray(a, dtype="<f4")
+    if not np.isfinite(f4).all():
+        raise ValueError(f"{what} is not finite")
+    return f4
+
+
 def save_model(path: str | Path, model: ModelParams,
                opt_state: Optional[AdamState] = None) -> None:
     """Versioned JSON header line + float32 little-endian tensors in the
-    order declared by the header."""
-    items = _saved_tensors(model, opt_state)
+    order declared by the header. A tensor that is not finite in float32 is
+    a ValueError naming it, raised before ``path`` is opened."""
+    items = [(n, _finite_f4(a, f"tensor {n!r}")) for n, a in _saved_tensors(model, opt_state)]
     vocab_list = [t for t, _ in sorted(model.encoder.vocab.items(), key=lambda kv: kv[1])]
     mix = model.encoder.mixer
     header = {
@@ -757,7 +773,7 @@ def save_model(path: str | Path, model: ModelParams,
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
         for _, a in items:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            fh.write(a.tobytes())
 
 
 def _read_header(fh, path) -> dict:
@@ -861,13 +877,18 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
 def write_ctxvec(path: str | Path, d_model: int,
                  records: dict[str, np.ndarray]) -> None:
     """Imported-vector sidecar: JSON header line {d_model, count}, then per
-    record: u32 id length, UTF-8 id, u32 position count, float32 LE vectors."""
+    record: u32 id length, UTF-8 id, u32 position count, float32 LE vectors.
+    A record of the wrong shape, or not finite in float32, is a ValueError
+    naming it, raised before ``path`` is opened."""
+    checked = []
+    for ex_id in sorted(records):
+        vecs = _finite_f4(records[ex_id], f"record {ex_id!r}")
+        if vecs.ndim != 2 or vecs.shape[1] != d_model:
+            raise ValueError(f"record {ex_id!r}: expected (n, {d_model}) vectors")
+        checked.append((ex_id, vecs))
     with open(path, "wb") as fh:
         fh.write(json.dumps({"d_model": d_model, "count": len(records)}).encode() + b"\n")
-        for ex_id in sorted(records):
-            vecs = np.ascontiguousarray(records[ex_id], dtype="<f4")
-            if vecs.ndim != 2 or vecs.shape[1] != d_model:
-                raise ValueError(f"record {ex_id!r}: expected (n, {d_model}) vectors")
+        for ex_id, vecs in checked:
             raw = ex_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)) + raw)
             fh.write(struct.pack("<I", vecs.shape[0]))

@@ -84,7 +84,7 @@ def op_of(cols: tuple[int, int]) -> EditOp:
     return EditOp.SUBSTITUTE if cols[0] < cols[1] else EditOp.PRE_INSERT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddedSpan:
     """A run of rewritten tokens absent from the incomplete utterance.
 

@@ -657,9 +657,16 @@ class TestStrictHeaders:
 
     def test_model_with_empty_vocab_is_a_user_error(self, corpus_dir, tmp_path, capsys):
         # its tensors fit its header (``emb`` has no row), so only the vocab
-        # rule stops the token lookup from indexing an empty table
+        # rule stops the token lookup from indexing an empty table;
+        # ``init_model`` refuses an empty vocab, so the file drops the one
+        # ``[UNK]`` row of a saved model
         bad = tmp_path / "bad.bin"
-        save_model(bad, init_model({}, 8, 4, seed=0))
+        save_model(bad, init_model({"[UNK]": 0}, 8, 4, seed=0))
+        header, tensors = bad.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        assert header["tensors"][0] == ["emb", [1, 8]]
+        header["vocab"], header["tensors"][0][1] = [], [0, 8]
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + tensors[4 * 8:])
         assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
                      "--model", str(bad)]) == 1
         assert f"{bad}: vocab must start with '[UNK]'" in capsys.readouterr().err

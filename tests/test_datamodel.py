@@ -6,9 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from iurkit.datamodel import (DataFormat, Dialogue, Utterance,
+from iurkit.datamodel import (DataFormat, Dialogue, InputSequence, Utterance,
                               build_input_sequence, load_dialogues, tokenize)
-from iurkit.querygen import PronounLexicon, build_query
+from iurkit.querygen import (DependencyParse, KindSummary, PronounLexicon, QueryTemplate,
+                             build_query, read_conllu)
+from iurkit.rewrite import EditSpan
+from iurkit.scoring import TrainExample
+from iurkit.supervision import AddedSpan, EditMatrix
 
 
 def char_loop_tokenize(text):
@@ -162,6 +166,64 @@ class TestLoadDialogues:
             for u, field in zip(utts, fields, strict=True):
                 assert u.tokens == tuple(tokenize(field))
                 assert all(type(t) is str for t in u.tokens)
+
+
+class TestSharedStrings:
+    """A loaded corpus holds one string object per distinct token."""
+
+    @pytest.mark.parametrize("fmt, text", [
+        (DataFormat.CANONICAL_JSONL, "".join(
+            json.dumps({"history": ["the cat sat", "a cat and the mat"],
+                        "incomplete": incomplete, "rewritten": f"the cat {incomplete}"}) + "\n"
+            for incomplete in ("sat there", "and then"))),
+        (DataFormat.TAB_SEPARATED, "".join(
+            f"the cat sat\ta cat and the mat\t{incomplete}\tthe cat {incomplete}\n"
+            for incomplete in ("sat there", "and then"))),
+    ], ids=["jsonl", "tsv"])
+    def test_equal_tokens_are_one_object(self, tmp_path, fmt, text):
+        p = tmp_path / "d.txt"
+        p.write_text(text)
+        dialogues = load_dialogues(p, fmt)
+        tokens = [t for d in dialogues for u in (*d.history, d.incomplete, d.rewritten)
+                  for t in u.tokens]
+        # "cat" recurs across turns and records, "sat" and "and" across an
+        # utterance and the other record's incomplete one; ``tokens`` keeps
+        # every string alive, so distinct ids are distinct objects
+        assert tokens.count("cat") == 2 * 3 and tokens.count("the") == 2 * 3
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+    def test_parse_forms_are_the_utterance_tokens(self, tmp_path):
+        data, parses = tmp_path / "d.jsonl", tmp_path / "p.conllu"
+        data.write_text("".join(json.dumps({"history": ["who ate the cake"],
+                                            "incomplete": incomplete}) + "\n"
+                                for incomplete in ("Tom ate", "Ann ate")))
+        parses.write_text("1\tTom\t2\tnsubj\n2\tate\t0\troot\n\n"
+                          "1\tAnn\t2\tnsubj\n2\tate\t0\troot\n")
+        dialogues, parsed = load_dialogues(data, DataFormat.CANONICAL_JSONL), read_conllu(parses)
+        for d, parse in zip(dialogues, parsed, strict=True):
+            assert all(f is t for f, t in zip(parse.forms, d.incomplete.tokens, strict=True))
+        assert parsed[0].forms[1] is parsed[1].forms[1] is dialogues[0].history[0].tokens[1]
+        assert parsed[0].deprels[0] is parsed[1].deprels[0]
+        assert parsed[0].deprels[1] is parsed[1].deprels[1]
+
+
+def test_record_types_have_no_instance_dict():
+    """The per-record types are slotted: no per-instance ``__dict__``, so
+    no attribute can be added to a record."""
+    utt = Utterance(("a", "b"))
+    dialogue = Dialogue((utt,), utt, utt)
+    seq = build_input_sequence(utt, dialogue)
+    records = [utt, dialogue, seq, QueryTemplate(("a",), KindSummary.COREF_ONLY),
+               DependencyParse((0,), ("root",), ("a",)), AddedSpan(("a",), (0, 1)),
+               EditSpan((0, 1), (0, 1)),
+               TrainExample(seq, EditMatrix.from_cells(seq.context_length,
+                                                       seq.incomplete_length + 1, []))]
+    assert [type(r) for r in records] == [Utterance, Dialogue, InputSequence, QueryTemplate,
+                                          DependencyParse, AddedSpan, EditSpan, TrainExample]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
 
 
 WORD = st.text(alphabet="ab汉[]", min_size=1, max_size=3)

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -384,6 +385,16 @@ class TestVocabAndInit:
         vocab = build_vocab([e.input for e in small_set])
         with pytest.raises(ValueError, match="d_model must be positive and even"):
             init_model(vocab, d_model, 4, mixer=True)
+
+    @pytest.mark.parametrize("vocab", [{"[UNK]": 0, "a": 5}, {"a": 0, "[UNK]": 1}, {},
+                                       {"[UNK]": 0, "a": 0}],
+                             ids=["gap", "unk-not-first", "empty", "repeated-id"])
+    def test_malformed_vocab_rejected(self, vocab):
+        # each once built a model: an id past the table, a word in
+        # [UNK]'s row, no rows at all, or two words in one row
+        with pytest.raises(ValueError, match=re.escape(
+                "vocab ids must be 0..n-1 for its n tokens, with '[UNK]' at 0")):
+            init_model(vocab, 8, 4)
 
     def test_unknown_token_maps_to_unk(self, small_model):
         ids = small_model.encoder.token_ids(["definitely-not-in-vocab"])
@@ -968,6 +979,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="trailing"):
             load_model(p)
 
+    def test_save_refuses_non_finite_tensor_before_opening(self, small_model, tmp_path):
+        """A model that ``load_model`` would reject is not written."""
+        model = copy.deepcopy(small_model)
+        model.encoder.embedding[3, 1] = math.nan
+        p = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match=r"^tensor 'emb' is not finite$"):
+            save_model(p, model)
+        assert not p.exists()
+
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b'{"format": "other"}\n')
@@ -1008,15 +1028,31 @@ class TestCtxVec:
 
     def test_rejects_non_finite_vectors(self, tmp_path):
         p = tmp_path / "v.ctxvec"
-        write_ctxvec(p, 4, {"a": np.ones((2, 4)), "b": np.full((2, 4), np.nan)})
+        # the writer refuses NaN, so record b's float32 2.0s become quiet NaNs
+        write_ctxvec(p, 4, {"a": np.ones((2, 4)), "b": np.full((2, 4), 2.0)})
+        two, quiet, signaling = b"\x00\x00\x00\x40", b"\x00\x00\xc0\x7f", b"\x01\x00\x80\x7f"
+        assert p.read_bytes().count(two) == 8
+        p.write_bytes(p.read_bytes().replace(two, quiet))
         with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
             read_ctxvec(p)
         # signaling NaNs, on which a float64 cast before the check would fail
-        quiet, signaling = b"\x00\x00\xc0\x7f", b"\x01\x00\x80\x7f"
         assert p.read_bytes().count(quiet) == 8
         p.write_bytes(p.read_bytes().replace(quiet, signaling))
         with pytest.raises(ValueError, match=r"v\.ctxvec: record 'b': non-finite"):
             read_ctxvec(p)
+
+    @pytest.mark.parametrize("value", [math.nan, 1e300], ids=["nan", "float32-overflow"])
+    def test_writer_refuses_non_finite_before_opening(self, tmp_path, value):
+        """A record that would not read back is refused with no warning and
+        no file written (an existing one would have been truncated)."""
+        p = tmp_path / "v.ctxvec"
+        vecs = np.zeros((2, 4))
+        vecs[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^record 'x' is not finite$"):
+                write_ctxvec(p, 4, {"a": np.ones((1, 4)), "x": vecs})
+        assert not p.exists()
 
     def test_rejects_duplicate_id(self, tmp_path):
         """Two records with one id: the second no longer silently wins."""

@@ -140,14 +140,15 @@ def tokenize(text: str) -> list[str]:
 
 def read_text(path: str | Path) -> str:
     """The text of a UTF-8 file with newlines translated, as ``Path.read_text``
-    gives it; bytes that are not UTF-8 are a ValueError naming file and line."""
+    gives it, without one leading byte-order mark (U+FEFF); bytes that are
+    not UTF-8 are a ValueError naming file and line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: {exc}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 class DataFormat(Enum):
@@ -232,17 +233,17 @@ def _parse_tsv_record(line: str, lineno: int) -> Dialogue:
 def build_input_sequence(query: "Utterance | object", dialogue: Dialogue) -> InputSequence:
     """Concatenate query, history turns, the incomplete utterance, and [END].
 
-    ``query`` may be an Utterance or anything exposing ``texts()`` (e.g. a
-    query template).
+    ``query`` may be an Utterance or anything with a ``tokens`` tuple (e.g.
+    a query template).
     """
-    tokens = list(query.texts())
+    tokens = list(query.tokens)
     q = len(tokens)
     turn_ranges = []
     for utt in dialogue.history:
         start = len(tokens)
-        tokens += utt.texts()
+        tokens += utt.tokens
         turn_ranges.append((start, len(tokens)))
     h = len(tokens)
-    tokens += dialogue.incomplete.texts()
+    tokens += dialogue.incomplete.tokens
     tokens.append(END_TOKEN)
     return InputSequence(tuple(tokens), q, h, tuple(turn_ranges))

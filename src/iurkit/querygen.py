@@ -37,10 +37,12 @@ class KindSummary(Enum):
 
 @dataclass(frozen=True)
 class PronounLexicon:
-    """Surface forms matched as exact token subsequences, longest first."""
+    """Surface forms matched as exact token subsequences, longest first.
+    ``_firsts`` holds the entries' first tokens: no match starts elsewhere."""
 
     entries: tuple[tuple[str, ...], ...]
     _forms: frozenset = field(init=False, repr=False, compare=False)
+    _firsts: frozenset = field(init=False, repr=False, compare=False)
     _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,6 +51,7 @@ class PronounLexicon:
         if any(len(e) == 0 or any(not t for t in e) for e in self.entries):
             raise ValueError("lexicon entries must be non-empty token sequences")
         object.__setattr__(self, "_forms", frozenset(self.entries))
+        object.__setattr__(self, "_firsts", frozenset(e[0] for e in self.entries))
         object.__setattr__(self, "_lengths",
                            tuple(sorted({len(e) for e in self.entries}, reverse=True)))
 
@@ -193,14 +196,16 @@ def _template(incomplete: Utterance, slots: Sequence[tuple[int, int]],
 
 def _lexicon_slots(incomplete: Utterance, lexicon: PronounLexicon) -> list[tuple[int, int]]:
     """Lexicon matches, left to right without overlap, the longest entry
-    first at each start (at most one entry of each length can match there)."""
-    texts, slots, i = incomplete.tokens, [], 0
-    while i < len(texts):
-        k = next((k for k in lexicon._lengths
-                  if i + k <= len(texts) and texts[i:i + k] in lexicon._forms), 0)
-        if k:
-            slots.append((i, i + k))
-        i += k or 1
+    first at each start (at most one entry of each length can match there).
+    Only a position whose token starts an entry is tried."""
+    texts, slots, done = incomplete.tokens, [], 0
+    for i, text in enumerate(texts):
+        if text in lexicon._firsts and i >= done:
+            k = next((k for k in lexicon._lengths
+                      if i + k <= len(texts) and texts[i:i + k] in lexicon._forms), 0)
+            if k:
+                slots.append((i, i + k))
+                done = i + k
     return slots
 
 

@@ -85,9 +85,10 @@ def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
 
 
 def _components(mask: np.ndarray, rectangles: bool
-                ) -> list[tuple[int, int, int, int, int]]:
+                ) -> list[tuple[int, int, int, int, int, list[int]]]:
     """Bounding boxes ``(b, r0, r1, c0, c1)``, half-open, of the connected
-    components of labeled cells in a (B, R, C) mask, input by input. Cells
+    components of labeled cells in a (B, R, C) mask, input by input, each
+    with its cells: flat indices into the mask, in raster order. Cells
     of one input connect to the cells above and below them, and with
     ``rectangles`` also to those left and right of them (4-connectivity,
     as Substitute); without it components are column runs (as
@@ -139,30 +140,38 @@ def _components(mask: np.ndarray, rectangles: bool
                     i += 1
                 else:
                     j += 1
-    # root -> [b, r0, r1, c0, c1], entered at each component's first run
-    boxes: dict[int, list[int]] = {}
+    # root -> [b, r0, r1, c0, c1, cells], entered at each component's first
+    # run; its runs come in raster order, and so do their cells
+    boxes: dict[int, list] = {}
     for k, (first, last) in enumerate(runs):
         b, (r0, c0) = first // size, divmod(first % size, n_cols)
         r1, c1 = divmod(last % size, n_cols)
-        box = boxes.setdefault(find(k), [b, r0, r1 + 1, c0, c1 + 1])
-        box[2:] = r1 + 1, min(box[3], c0), max(box[4], c1 + 1)
+        box = boxes.setdefault(find(k), [b, r0, r1 + 1, c0, c1 + 1, []])
+        box[2:5] = r1 + 1, min(box[3], c0), max(box[4], c1 + 1)
+        box[5].extend(range(first, last + 1, step))
     return [tuple(box) for box in boxes.values()]
 
 
 def _spans(labels: np.ndarray, values: np.ndarray) -> list[list[EditSpan]]:
     """Each input's spans from labeled cells and their scores, both
     (n_ops, B, R, C) in ``OPS`` order, with one ``_components`` per
-    operation for the whole batch; see ``cells_to_spans``."""
+    operation for the whole batch; see ``cells_to_spans``. A batch with
+    no labeled cell has no spans and does no span work."""
     spans: list[list[EditSpan]] = [[] for _ in range(labels.shape[1])]
+    if not labels.any():
+        return spans
     for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
         mask, scores = labels[OPS.index(op)], values[OPS.index(op)]
-        rectangles = op is EditOp.SUBSTITUTE
-        for b, r0, r1, c0, c1 in _components(mask, rectangles):
-            member = mask[b, r0:r1, c0:c1]
-            cells = scores[b, r0:r1, c0:c1][member]
+        rectangles, flat = op is EditOp.SUBSTITUTE, scores.ravel()
+        for b, r0, r1, c0, c1, cells in _components(mask, rectangles):
+            filled = len(cells) == (r1 - r0) * (c1 - c0)
+            if filled:  # the box is the component's cells, in raster order
+                cells = flat[cells]
+            else:  # the box may also hold another component's cells
+                cells = scores[b, r0:r1, c0:c1][mask[b, r0:r1, c0:c1]]
             score = float(cells.sum() / cells.size)  # np.mean's own sum and division
             cols = (c0, c1 if rectangles else c0)
-            spans[b].append(EditSpan((r0, r1), cols, score, bool(member.all())))
+            spans[b].append(EditSpan((r0, r1), cols, score, filled))
     return spans
 
 
@@ -196,7 +205,10 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
                 input: InputSequence) -> Utterance:
     """Emit the rewritten utterance: walking the spans in column order, copy
     the tokens before each span, then its source rows, then skip its
-    columns. Conflicting spans are rejected, not resolved."""
+    columns. Conflicting spans are rejected, not resolved; without spans
+    the result is ``incomplete`` itself."""
+    if not spans:
+        return incomplete
     ctx, n = input.context_length, len(incomplete)
     for s in spans:
         if not (0 <= s.source_rows[0] and s.source_rows[1] <= ctx):

@@ -70,7 +70,8 @@ class EncoderParams:
         return self.embedding.shape[1]
 
     def token_ids(self, texts: Sequence[str]) -> np.ndarray:
-        return np.array([self.vocab.get(t, UNK_ID) for t in texts], dtype=np.intp)
+        return np.fromiter(map(self.vocab.get, texts, repeat(UNK_ID)), dtype=np.intp,
+                           count=len(texts))
 
 
 @dataclass
@@ -380,8 +381,8 @@ def _encode(input: InputSequence, params: EncoderParams,
                 f"imported vectors for {example_id!r} have shape {h.shape}, "
                 f"expected {(len(input.tokens), params.d_model)}")
         return h, None, None
-    ids = params.token_ids(input.texts())
-    h = params.embedding[ids]
+    ids = params.token_ids(input.tokens)
+    h = params.embedding.take(ids, axis=0)
     cache = None
     if params.mixer is not None:
         h, cache = _mixer_forward(h, params.mixer)

@@ -16,6 +16,8 @@ import iurkit.rewrite as rewrite_module
 import iurkit.supervision as supervision_module
 from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
+from iurkit.datamodel import DataFormat, load_dialogues
+from iurkit.querygen import PronounLexicon, read_conllu
 from iurkit.rewrite import rewrite, rewrite_batch
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
@@ -430,6 +432,42 @@ class TestEvaluate:
         hyp.write_text("a\nb\n")
         ref.write_text("a\n")
         assert main(["evaluate", str(hyp), str(ref)]) == 1
+
+
+def _evaluate_em(path, capsys):
+    """EM of ``path`` as hypothesis against a reference without a BOM."""
+    ref = path.with_name("ref.txt")
+    ref.write_text("hello world\n", encoding="utf-8")
+    assert main(["evaluate", str(path), str(ref), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["em"]
+
+
+# reader -> (file text, how it is read, what it reads)
+BOM_READERS = {
+    "lexicon": ("he\nshe\n", lambda p, _: PronounLexicon.from_file(p).entries,
+                (("he",), ("she",))),
+    "tsv": ("hi there\the said\tthey said\n",
+            lambda p, _: load_dialogues(p, DataFormat.TAB_SEPARATED)[0].history[0].tokens,
+            ("hi", "there")),
+    "jsonl": ('{"history": ["hi"], "incomplete": "he said"}\n',
+              lambda p, _: load_dialogues(p, DataFormat.CANONICAL_JSONL)[0].history[0].tokens,
+              ("hi",)),
+    "conllu": ("1\the\t2\tnsubj\n2\tsaid\t0\troot\n",
+               lambda p, _: read_conllu(p)[0].forms, ("he", "said")),
+    "config": ("theta = 0.3\n", lambda p, _: RunConfig.from_file(p).theta, 0.3),
+    "evaluate": ("hello world\n", _evaluate_em, 1.0),
+}
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("reader", list(BOM_READERS))
+def test_leading_bom_is_ignored(reader, bom, tmp_path, capsys):
+    """Every text reader reads a file the same with or without one leading
+    UTF-8 byte-order mark."""
+    text, read, want = BOM_READERS[reader]
+    path = tmp_path / "input.txt"
+    path.write_text("\ufeff" * bom + text, encoding="utf-8")
+    assert read(path, capsys) == want
 
 
 class TestInspectMatrix:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iurkit.datamodel import (DataFormat, Dialogue, InputSequence, Utterance,
-                              build_input_sequence, load_dialogues, tokenize)
+                              build_input_sequence, load_dialogues, read_text, tokenize)
 from iurkit.querygen import (DependencyParse, KindSummary, PronounLexicon, QueryTemplate,
                              build_query, read_conllu)
 from iurkit.rewrite import EditSpan
@@ -64,6 +64,12 @@ class TestTokenInvariants:
     def test_rejects_empty_text(self):
         with pytest.raises(ValueError):
             Utterance(("",))
+
+
+def test_read_text_drops_one_leading_bom_only(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("\ufeff\ufeffa\ufeffb\r\n", encoding="utf-8")
+    assert read_text(p) == "\ufeffa\ufeffb\n"
 
 
 class TestLoadDialogues:

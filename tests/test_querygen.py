@@ -2,12 +2,12 @@ import re
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iurkit.datamodel import COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, Utterance
 from iurkit.querygen import (OBJECT_LABELS, SUBJECT_LABELS, DependencyParse,
                              KindSummary, PronounLexicon, QueryTemplate,
-                             build_query, read_conllu)
+                             _lexicon_slots, build_query, read_conllu)
 
 MARKERS = (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN)
 # matches nothing in the test utterances, so build_query takes the parse path
@@ -56,6 +56,34 @@ class TestLexicon:
     def test_longest_first(self):
         lex = PronounLexicon.from_surface_forms(["这", "这样"])
         assert build_query(utt("这样"), lex, None, False).tokens == (COREF_TOKEN,)
+
+
+def brute_force_slots(tokens, entries):
+    """Scan left to right; at each position try every entry, longest first,
+    and after a match go on past it."""
+    slots, i = [], 0
+    while i < len(tokens):
+        for e in sorted(entries, key=len, reverse=True):
+            if tuple(tokens[i:i + len(e)]) == e:
+                slots.append((i, i + len(e)))
+                i += len(e)
+                break
+        else:
+            i += 1
+    return slots
+
+
+@given(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from("abcd"), max_size=12))
+@example([("a", "b"), ("a", "c", "d"), ("a",)], list("acdabaxa"))  # one first token
+@settings(max_examples=300, deadline=None)
+def test_lexicon_slots_equal_brute_force(entries, tokens):
+    """``_lexicon_slots``, which tries only positions whose token starts an
+    entry, finds the matches of a scan of every position."""
+    lexicon = PronounLexicon(tuple(entries))
+    assert _lexicon_slots(Utterance(tuple(tokens)), lexicon) == \
+        brute_force_slots(tokens, set(entries))
 
 
 class TestMatchCoref:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iurkit.datamodel import ELLIP_TOKEN, build_input_sequence
+from iurkit.datamodel import ELLIP_TOKEN, END_TOKEN, build_input_sequence
 from iurkit.querygen import PronounLexicon, _template, build_query
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
@@ -165,6 +165,27 @@ def bit_test_model(encoder, examples, order="F", d_head=16):
             e.example_id: np.asarray(rng.normal(size=(len(e.input.tokens), 32)), order=order)
             for e in examples})
     return model
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
+@pytest.mark.parametrize("encoder", ["embedding", "mixer"])
+def test_encode_gathers_embedding_rows(encoder, as_list, small_set, long_set):
+    """``_encode`` returns a C-contiguous float64 array, bit-equal to
+    indexing the embedding with the token ids (an unknown token takes the
+    [UNK] row), whether the input holds its tokens in a tuple or a list."""
+    examples = mixed_lengths(small_set, long_set)
+    enc = bit_test_model(encoder, examples).encoder
+    for ex in examples:
+        tokens = ["never-seen", *ex.input.tokens[1:]]
+        inp = replace(ex.input, tokens=tokens if as_list else tuple(tokens))
+        ids = np.array([enc.vocab.get(t, scoring.UNK_ID) for t in tokens], dtype=np.intp)
+        want = enc.embedding[ids]
+        if enc.mixer is not None:
+            want = _mixer_forward(want, enc.mixer)[0]
+        h, got_ids, _ = _encode(inp, enc)
+        assert inp.tokens[-1] == END_TOKEN and got_ids[0] == scoring.UNK_ID
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        assert np.array_equal(got_ids, ids) and np.array_equal(bits(h), bits(want))
 
 
 class TestRope:

@@ -85,10 +85,9 @@ def merge_matrices(matrices: Sequence[EditMatrix]) -> EditMatrix:
 
 
 def _components(mask: np.ndarray, rectangles: bool
-                ) -> list[tuple[int, int, int, int, int, list[int]]]:
+                ) -> list[tuple[int, int, int, int, int]]:
     """Bounding boxes ``(b, r0, r1, c0, c1)``, half-open, of the connected
-    components of labeled cells in a (B, R, C) mask, input by input, each
-    with its cells: flat indices into the mask, in raster order. Cells
+    components of labeled cells in a (B, R, C) mask, input by input. Cells
     of one input connect to the cells above and below them, and with
     ``rectangles`` also to those left and right of them (4-connectivity,
     as Substitute); without it components are column runs (as
@@ -140,15 +139,13 @@ def _components(mask: np.ndarray, rectangles: bool
                     i += 1
                 else:
                     j += 1
-    # root -> [b, r0, r1, c0, c1, cells], entered at each component's first
-    # run; its runs come in raster order, and so do their cells
-    boxes: dict[int, list] = {}
+    # root -> [b, r0, r1, c0, c1], entered at each component's first run
+    boxes: dict[int, list[int]] = {}
     for k, (first, last) in enumerate(runs):
         b, (r0, c0) = first // size, divmod(first % size, n_cols)
         r1, c1 = divmod(last % size, n_cols)
-        box = boxes.setdefault(find(k), [b, r0, r1 + 1, c0, c1 + 1, []])
-        box[2:5] = r1 + 1, min(box[3], c0), max(box[4], c1 + 1)
-        box[5].extend(range(first, last + 1, step))
+        box = boxes.setdefault(find(k), [b, r0, r1 + 1, c0, c1 + 1])
+        box[2:] = r1 + 1, min(box[3], c0), max(box[4], c1 + 1)
     return [tuple(box) for box in boxes.values()]
 
 
@@ -162,16 +159,13 @@ def _spans(labels: np.ndarray, values: np.ndarray) -> list[list[EditSpan]]:
         return spans
     for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
         mask, scores = labels[OPS.index(op)], values[OPS.index(op)]
-        rectangles, flat = op is EditOp.SUBSTITUTE, scores.ravel()
-        for b, r0, r1, c0, c1, cells in _components(mask, rectangles):
-            filled = len(cells) == (r1 - r0) * (c1 - c0)
-            if filled:  # the box is the component's cells, in raster order
-                cells = flat[cells]
-            else:  # the box may also hold another component's cells
-                cells = scores[b, r0:r1, c0:c1][mask[b, r0:r1, c0:c1]]
+        rectangles = op is EditOp.SUBSTITUTE
+        for b, r0, r1, c0, c1 in _components(mask, rectangles):
+            member = mask[b, r0:r1, c0:c1]
+            cells = scores[b, r0:r1, c0:c1][member]
             score = float(cells.sum() / cells.size)  # np.mean's own sum and division
             cols = (c0, c1 if rectangles else c0)
-            spans[b].append(EditSpan((r0, r1), cols, score, filled))
+            spans[b].append(EditSpan((r0, r1), cols, score, bool(member.all())))
     return spans
 
 

@@ -70,8 +70,7 @@ class EncoderParams:
         return self.embedding.shape[1]
 
     def token_ids(self, texts: Sequence[str]) -> np.ndarray:
-        return np.fromiter(map(self.vocab.get, texts, repeat(UNK_ID)), dtype=np.intp,
-                           count=len(texts))
+        return np.array([self.vocab.get(t, UNK_ID) for t in texts], dtype=np.intp)
 
 
 @dataclass

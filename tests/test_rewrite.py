@@ -276,76 +276,20 @@ class TestChunkDecode:
         assert (other.source_rows, other.cols, other.filled) == ((0, 1), (2, 3), True)
 
 
-def box_scan_spans(labels, values):
-    """Reference spans by box scan: every span's box is sliced out of the
-    mask and the scores, the labeled cells in it gathered, and ``filled``
-    is ``member.all()``. Spans as ``(rows, cols, score.hex(), filled)``."""
-    spans = [[] for _ in range(labels.shape[1])]
-    for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT):
-        mask, scores = labels[OPS.index(op)], values[OPS.index(op)]
-        rectangles = op is EditOp.SUBSTITUTE
-        for b, r0, r1, c0, c1, _ in _components(mask, rectangles):
-            member = mask[b, r0:r1, c0:c1]
-            cells = scores[b, r0:r1, c0:c1][member]
-            spans[b].append(((r0, r1), (c0, c1 if rectangles else c0),
-                             float(cells.sum() / cells.size).hex(), bool(member.all())))
-    return spans
-
-
-def random_chunk(seed, theta, batch=2, rows=30, cols=14):
-    rng = np.random.default_rng(seed)
-    cells = [rng.uniform(-1, 1, (2, rng.integers(1, rows + 1), rng.integers(1, cols + 1)))
-             for _ in range(batch)]
-    return padded_chunk(cells), theta
-
-
-class TestSpanScores:
-    """``_spans`` gives every span the bits of the box-scan formula."""
-
-    @staticmethod
-    def spans_of(values, shapes, theta):
-        labels = _label(values, shapes, theta)
-        got = [[(s.source_rows, s.cols, s.score.hex(), s.filled) for s in spans]
-               for spans in _spans(labels, values)]
-        return got, box_scan_spans(labels, values)
-
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-0.9, -0.5, 0.0, 0.3]),
-           st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_random_chunks(self, seed, theta, batch):
-        (values, shapes), theta = random_chunk(seed, theta, batch)
-        got, want = self.spans_of(values, shapes, theta)
-        assert got == want
-
-    def test_cases_cover_unfilled_and_long_components(self):
-        """Dense chunks hold unfilled Substitute spans and spans of more
-        than eight cells (where numpy's sum is pairwise), and their bits
-        agree too."""
-        (values, shapes), theta = random_chunk(0, -0.5)
-        got, want = self.spans_of(values, shapes, theta)
-        assert got == want
-        spans = [s for per_input in _spans(_label(values, shapes, theta), values)
-                 for s in per_input]
-        assert any(s.op is EditOp.SUBSTITUTE and not s.filled for s in spans)
-        assert any((s.source_rows[1] - s.source_rows[0]) > 8 for s in spans)
-
-
 def reference_components(mask, op):
     """``ndimage.label`` and ``find_objects`` of each input's (R, C) grid of
-    a (B, R, C) mask as ``_components`` boxes: ``(b, r0, r1, c0, c1,
-    cells)``, the cells flat indices into the mask in raster order."""
+    a (B, R, C) mask as ``_components`` boxes: ``(b, r0, r1, c0, c1)``."""
     boxes = []
     for b, grid in enumerate(mask):
         labels, _ = ndimage.label(grid, structure=REFERENCE_STRUCTURE[op])
-        boxes.extend((b, rs.start, rs.stop, cs.start, cs.stop,
-                      (np.flatnonzero(labels == k) + b * grid.size).tolist())
-                     for k, (rs, cs) in enumerate(ndimage.find_objects(labels), 1))
+        boxes.extend((b, rs.start, rs.stop, cs.start, cs.stop)
+                     for rs, cs in ndimage.find_objects(labels))
     return boxes
 
 
 class TestComponents:
-    """``_components`` finds the components, bounding boxes, cells and order
-    of ``ndimage.label`` and ``find_objects`` for both connectivities."""
+    """``_components`` finds the components, bounding boxes and order of
+    ``ndimage.label`` and ``find_objects`` for both connectivities."""
 
     @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
     @pytest.mark.parametrize("op", list(EditOp))

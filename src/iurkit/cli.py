@@ -258,14 +258,12 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
         model, opt_state = load_model(cfg.model)
         if opt_state is None:
             raise UserError(f"{cfg.model}: checkpoint carries no optimizer state")
-        start_epoch = opt_state.epochs_done
     else:
         vocab = build_vocab(ex.input for ex in dataset)
         model = init_model(vocab, cfg.d_model, cfg.d_head, seed=cfg.seed,
                            mixer=cfg.mixer)
-        opt_state, start_epoch = None, 0
-    tlog, opt_state = train(dataset, train_cfg, model,
-                            start_epoch=start_epoch, opt_state=opt_state)
+        opt_state = None
+    tlog, opt_state = train(dataset, train_cfg, model, opt_state=opt_state)
     save_model(cfg.model, model, opt_state)
     Path(cfg.model + ".log.json").write_text(tlog.to_json(), encoding="utf-8")
     if tlog.epoch_losses:

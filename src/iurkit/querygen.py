@@ -143,7 +143,7 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
         if "-" in cols[0] or "." in cols[0]:
             continue
         try:
-            if len(cols) >= 10:
+            if len(cols) == 10:
                 form, head, deprel = cols[1], int(cols[6]), cols[7]
             elif len(cols) == 4:
                 form, head, deprel = cols[1], int(cols[2]), cols[3]

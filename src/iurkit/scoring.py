@@ -74,20 +74,10 @@ class EncoderParams:
 
 
 @dataclass
-class OpHead:
-    """Separate q-side and k-side affine projections for one edit operation."""
-
-    wq: np.ndarray  # (d_out, d_model)
-    bq: np.ndarray  # (d_out,)
-    wk: np.ndarray
-    bk: np.ndarray
-
-
-@dataclass
 class HeadParams:
-    """Every edit operation's ``OpHead``, stacked in ``OPS`` order (leading
-    axis) so one call per side projects every operation. ``per_op`` hands
-    out views of these arrays: update them in place."""
+    """Each edit operation's separate q-side and k-side affine projections,
+    stacked in ``OPS`` order (leading axis) so one call per side projects
+    every operation. ``per_op`` hands out each one's ``HeadParams`` of views."""
 
     wq: np.ndarray  # (n_ops, d_out, d_model)
     bq: np.ndarray  # (n_ops, d_out)
@@ -96,40 +86,45 @@ class HeadParams:
 
     @property
     def d_out(self) -> int:
-        return self.bq.shape[1]
+        return self.bq.shape[-1]
 
     @property
-    def per_op(self) -> dict[EditOp, OpHead]:
-        return {op: OpHead(self.wq[o], self.bq[o], self.wk[o], self.bk[o])
+    def per_op(self) -> dict[EditOp, "HeadParams"]:
+        return {op: HeadParams(self.wq[o], self.bq[o], self.wk[o], self.bk[o])
                 for o, op in enumerate(OPS)}
 
     @property
     def size(self) -> int:
         return sum(a.size for a in (self.wq, self.bq, self.wk, self.bk))
 
-    def views_of(self, vec: np.ndarray) -> "HeadParams":
-        """These tensors' places in ``vec``, a vector in ``ModelParams.flat``'s
-        layout, whose tail holds the heads one operation to a row."""
-        rows = vec[len(vec) - self.size:].reshape(len(OPS), -1)
-        return HeadParams(*_views(rows, [a.shape[1:] for a in
-                                         (self.wq, self.bq, self.wk, self.bk)]))
-
 
 @dataclass
 class ModelParams:
     encoder: EncoderParams
     head: HeadParams
-    flat: np.ndarray  # the trainable parameters: ``params_items`` are views of it
+    flat: np.ndarray  # the trainable parameters: the model's tensors are views of it
+
+    def views(self, vec: np.ndarray) -> "ModelParams":
+        """This model's tensors as views of ``vec``, laid out like ``flat``
+        (a gradient, an Adam moment, a copy). An imported-vector model's
+        ``vec`` holds the heads only; its embedding and records are shared."""
+        enc = self.encoder
+        body = [] if enc.imported is not None else \
+            [enc.embedding, *(vars(enc.mixer).values() if enc.mixer else ())]
+        *body, rows = _views(vec, [a.shape for a in body] + [(len(OPS), -1)])
+        head = HeadParams(*_views(rows, [a.shape[1:] for a in vars(self.head).values()]))
+        emb, *mix = body or [enc.embedding]
+        return ModelParams(EncoderParams(enc.vocab, emb, MixerParams(*mix) if mix else None,
+                                         enc.imported), head, vec)
 
     def __deepcopy__(self, memo) -> "ModelParams":
         """A copy whose tensors are views of its own copy of ``flat``."""
-        enc, mix = self.encoder, self.encoder.mixer
-        model = _build_model(enc.vocab, enc.d_model, self.head.d_out, mix is not None,
-                             len(mix.b1) if mix else None, lambda *shape: np.zeros(shape))
-        model.encoder.embedding[...] = enc.embedding  # outside ``flat`` if imported
-        model.flat[-self.flat.size:] = self.flat
-        return model if enc.imported is None else with_imported_vectors(
-            model, {k: v.copy() for k, v in enc.imported.items()})
+        model, enc = self.views(self.flat.copy()), self.encoder
+        model.encoder.vocab = dict(enc.vocab)
+        if enc.imported is not None:  # the embedding lies outside ``flat``
+            model.encoder.embedding = enc.embedding.copy()
+            model.encoder.imported = {k: v.copy() for k, v in enc.imported.items()}
+        return model
 
 
 @dataclass
@@ -202,8 +197,9 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
                  d_ff: Optional[int], fill) -> ModelParams:
     """The one statement of the model's tensors and their shapes. Every
     weight is ``fill(*shape)``, called in this order; biases start at zero.
-    All are views of ``flat`` in ``params_items`` order; each head is a row
-    in ``OPS`` order, but Substitute's are filled first (a seeded init's draws)."""
+    ``ModelParams.views`` cuts them from ``flat`` in ``params_items`` order,
+    each head a row in ``OPS`` order; Substitute's are filled first (a
+    seeded init's draws)."""
     if vocab.get(UNK_TOKEN) != UNK_ID or sorted(vocab.values()) != list(range(len(vocab))):
         # unknown tokens take row UNK_ID, and every id must have its row
         raise ValueError(f"vocab ids must be 0..n-1 for its n tokens, "
@@ -219,11 +215,9 @@ def _build_model(vocab: dict[str, int], d_model: int, d_head: int, mixer: bool,
                  np.zeros(d_ff), fill(d_ff, d_model), np.zeros(d_model)]
     heads = {op: [fill(d_head, d_model), np.zeros(d_head), fill(d_head, d_model),
                   np.zeros(d_head)] for op in (EditOp.SUBSTITUTE, EditOp.PRE_INSERT)}
-    flat = np.concatenate([a.ravel() for a in body + [a for op in OPS for a in heads[op]]])
-    emb, *mix, rows = _views(flat, [a.shape for a in body] + [(len(OPS), -1)])
-    head = HeadParams(*_views(rows, [a.shape for a in heads[EditOp.SUBSTITUTE]]))
-    enc = EncoderParams(dict(vocab), emb, MixerParams(*mix) if mix else None)
-    return ModelParams(encoder=enc, head=head, flat=flat)
+    enc = EncoderParams(dict(vocab), body[0], MixerParams(*body[1:]) if mixer else None)
+    shaped = ModelParams(enc, HeadParams(*map(np.stack, zip(*(heads[op] for op in OPS)))), None)
+    return shaped.views(np.concatenate([a.ravel() for _, a in params_items(shaped)]))
 
 
 def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
@@ -242,11 +236,10 @@ def init_model(vocab: dict[str, int], d_model: int, d_head: int, seed: int = 0,
     return _build_model(vocab, d_model, d_head, mixer, 2 * d_model, u)
 
 
-def params_items(model: ModelParams, vec: Optional[np.ndarray] = None
-                 ) -> list[tuple[str, np.ndarray]]:
-    """Trainable tensors in a fixed order (the declared serialization order
-    and their order in ``model.flat``); given ``vec``, a vector in that
-    layout such as ``grad``'s, the same names for views of ``vec``."""
+def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Trainable tensors by name, in a fixed order: the declared
+    serialization order and their order in ``model.flat``. The parts of
+    another vector in that layout are ``params_items(model.views(vec))``."""
     items: list[tuple[str, np.ndarray]] = []
     if model.encoder.imported is None:
         items.append(("emb", model.encoder.embedding))
@@ -254,8 +247,6 @@ def params_items(model: ModelParams, vec: Optional[np.ndarray] = None
             items += [(f"mixer.{k}", a) for k, a in vars(model.encoder.mixer).items()]
     items += [(f"head.{op.value}.{k}", a) for op, h in model.head.per_op.items()
               for k, a in vars(h).items()]
-    if vec is not None:
-        items = list(zip([n for n, _ in items], _views(vec, [a.shape for _, a in items])))
     return items
 
 
@@ -344,25 +335,26 @@ def _mixer_forward(x: np.ndarray, p: MixerParams):
     return x2, cache
 
 
-def _mixer_backward(dx2: np.ndarray, p: MixerParams, cache, grads: dict):
+def _mixer_backward(dx2: np.ndarray, p: MixerParams, cache, g: MixerParams):
+    """Add the block's parameter gradients into ``g`` and return the input's."""
     x, q, k, v, a, av, x1, pre, f = cache
     d = x.shape[1]
-    grads["mixer.w2"] += f.T @ dx2
-    grads["mixer.b2"] += dx2.sum(axis=0)
+    g.w2 += f.T @ dx2
+    g.b2 += dx2.sum(axis=0)
     dpre = (dx2 @ p.w2.T) * (pre > 0)
-    grads["mixer.w1"] += x1.T @ dpre
-    grads["mixer.b1"] += dpre.sum(axis=0)
+    g.w1 += x1.T @ dpre
+    g.b1 += dpre.sum(axis=0)
     dx1 = dx2 + dpre @ p.w1.T
-    grads["mixer.wo"] += av.T @ dx1
+    g.wo += av.T @ dx1
     dav = dx1 @ p.wo.T
     da = dav @ v.T
     dv = a.T @ dav
     dz = a * (da - (da * a).sum(axis=1, keepdims=True))
     dq = dz @ k / np.sqrt(d)
     dk = dz.T @ q / np.sqrt(d)
-    grads["mixer.wq"] += x.T @ dq
-    grads["mixer.wk"] += x.T @ dk
-    grads["mixer.wv"] += x.T @ dv
+    g.wq += x.T @ dq
+    g.wk += x.T @ dk
+    g.wv += x.T @ dv
     return dx1 + dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
 
 
@@ -469,18 +461,16 @@ def _forward(model: ModelParams, inputs: Sequence[InputSequence],
     return values, shapes, (encoded, shapes, row_rot, col_rot, rq, rk)
 
 
-def _backward(model: ModelParams, cache, dvalues: np.ndarray,
-              grads: dict[str, np.ndarray], dhead: HeadParams) -> None:
-    """Accumulate into ``grads`` (by name) and ``dhead`` (the heads' views of
-    the same vector) the gradients of a loss whose derivatives with respect
-    to ``_forward``'s padded scores are ``dvalues``. The score matmuls write
-    into padded arrays, so the inverse rotation runs once over the batch;
-    the rest runs per input, in batch order, in stacked calls over the
-    operations, which issue the same per-operation matmuls and sums as a
-    loop over them would. One ``np.add.at`` then adds every input's rows to
-    the embedding, cell by cell on its flat view (faster than adding
-    rows): it adds in index order, so input by input and row by row, as
-    one call per input would."""
+def _backward(model: ModelParams, cache, dvalues: np.ndarray, g: ModelParams) -> None:
+    """Add into ``g``, ``model.views`` of a gradient vector, the gradients of
+    a loss whose derivatives with respect to ``_forward``'s padded scores
+    are ``dvalues``. The score matmuls write into padded arrays, so the
+    inverse rotation runs once over the batch; the rest runs per input, in
+    batch order, in stacked calls over the operations, which issue the
+    same per-operation matmuls and sums as a loop over them would. One
+    ``np.add.at`` then adds every input's rows to the embedding, cell by
+    cell on its flat view (faster than adding rows): it adds in index
+    order, so input by input and row by row, as one call per input would."""
     encoded, shapes, row_rot, col_rot, rq, rk = cache
     head = model.head
     gq, gk = np.zeros_like(rq), np.zeros_like(rk)
@@ -495,20 +485,20 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray,
     for b, ((h, ids, mix_cache), (ctx, width)) in enumerate(zip(encoded, shapes)):
         hq, hk = h[:ctx], h[ctx:]
         dq, dk = dq_all[:, b, :ctx], dk_all[:, b, :width]  # (n_ops, rows, d_out)
-        dhead.wq += np.matmul(dq.swapaxes(1, 2), hq)
-        dhead.bq += dq.sum(axis=1)
-        dhead.wk += np.matmul(dk.swapaxes(1, 2), hk)
-        dhead.bk += dk.sum(axis=1)
+        g.head.wq += np.matmul(dq.swapaxes(1, 2), hq)
+        g.head.bq += dq.sum(axis=1)
+        g.head.wk += np.matmul(dk.swapaxes(1, 2), hk)
+        g.head.bk += dk.sum(axis=1)
         dh = np.zeros_like(h)
         dh[:ctx] += np.matmul(dq, head.wq).sum(axis=0)
         dh[ctx:] += np.matmul(dk, head.wk).sum(axis=0)
         if ids is not None:
             if mix_cache is not None:
-                dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
+                dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, g.encoder.mixer)
             all_ids.append(ids)
             all_dh.append(dh)
     if all_ids:
-        emb, ids = grads["emb"], np.concatenate(all_ids)
+        emb, ids = g.encoder.embedding, np.concatenate(all_ids)
         cells = (ids[:, None] * emb.shape[1] + np.arange(emb.shape[1])).ravel()
         np.add.at(emb.reshape(-1), cells, np.concatenate(all_dh).ravel())
 
@@ -615,11 +605,10 @@ def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExamp
 
 def grad(model: ModelParams, batch: Sequence[TrainExample]
          ) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and the exact gradient vector (named by
-    ``params_items(model, grads)``), one padded forward and backward pass
-    per token-bounded chunk. Raises on a non-finite loss, naming the example."""
-    grads = np.zeros_like(model.flat)
-    named, dhead = dict(params_items(model, grads)), model.head.views_of(grads)
+    """Mean loss over the batch and the exact gradient vector, laid out like
+    ``model.flat``, one padded forward and backward pass per token-bounded
+    chunk. Raises on a non-finite loss, naming the example."""
+    g = model.views(np.zeros_like(model.flat))
     total = 0.0
     for chunk in _token_chunks(batch):
         ids = [ex.example_id for ex in chunk]
@@ -630,11 +619,11 @@ def grad(model: ModelParams, batch: Sequence[TrainExample]
         if not finite.all():
             raise TrainingDiverged(f"non-finite loss on example "
                                    f"{ids[int(np.argmin(finite))]!r}")
-        _backward(model, cache, dvalues, named, dhead)
+        _backward(model, cache, dvalues, g)
         for loss in losses.tolist():
             total += loss
-    grads /= len(batch)
-    return total / len(batch), grads
+    g.flat /= len(batch)
+    return total / len(batch), g.flat
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +661,19 @@ def _adam_step(model: ModelParams, grads: np.ndarray, state: AdamState,
     v[...] = _q32(v)
 
 
+def _require_rewrites(examples: Sequence[TrainExample]) -> None:
+    for ex in examples:
+        if ex.dialogue is None or ex.dialogue.rewritten is None:
+            raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
+
+
 def train_em(model: ModelParams, examples: Sequence[TrainExample],
              theta: float) -> float:
     """Exact match of the rewrites of ``examples`` at ``theta``; ValueError
-    on an empty set."""
+    on an empty set, or on an example without a dialogue and its rewrite."""
     if not examples:
         raise ValueError("no dev example")
+    _require_rewrites(examples)
     from .rewrite import _decode_chunks, apply_edits  # rewrite imports this module
 
     decoded = _decode_chunks([ex.input for ex in examples], model, theta,
@@ -690,17 +686,19 @@ def train_em(model: ModelParams, examples: Sequence[TrainExample],
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported below
 def train(dataset: Sequence[TrainExample], config: TrainConfig,
           model: ModelParams, dev: Optional[Sequence[TrainExample]] = None,
-          start_epoch: int = 0, opt_state: Optional[AdamState] = None
-          ) -> tuple[TrainingLog, AdamState]:
-    """Adam over shuffled batches; shuffle order is keyed by (seed, epoch)
-    so a run resumed from a checkpoint retraces the uninterrupted one.
+          opt_state: Optional[AdamState] = None) -> tuple[TrainingLog, AdamState]:
+    """Adam over shuffled batches, from epoch ``opt_state.epochs_done`` (0
+    without a state) to ``config.epochs``; shuffle order is keyed by (seed,
+    epoch) so a run resumed from a checkpoint retraces the uninterrupted one.
     Raises ``TrainingDiverged`` on a non-finite loss, or on a non-finite
-    tensor after an epoch's last update, and ValueError on an empty dataset."""
+    tensor after an epoch's last update, and ValueError, before any update,
+    on an empty dataset or a ``dev`` example without a rewrite."""
     if not dataset:
         raise ValueError("no training example")
+    _require_rewrites(dev or ())
     state = opt_state or AdamState.for_model(model)
-    log = TrainingLog(start_epoch=start_epoch)
-    for epoch in range(start_epoch, config.epochs):
+    log = TrainingLog(start_epoch=state.epochs_done)
+    for epoch in range(state.epochs_done, config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
@@ -733,8 +731,8 @@ def _saved_tensors(model: ModelParams, opt_state: Optional[AdamState]
     """The parameters, then each one's Adam moments, as a model file holds them."""
     items = params_items(model)
     if opt_state is not None:
-        for (n, m), (_, v) in zip(params_items(model, opt_state.m),
-                                  params_items(model, opt_state.v)):
+        for (n, m), (_, v) in zip(params_items(model.views(opt_state.m)),
+                                  params_items(model.views(opt_state.v))):
             items += [(f"adam.m.{n}", m), (f"adam.v.{n}", v)]
     return items
 

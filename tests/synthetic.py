@@ -20,13 +20,15 @@ from iurkit.querygen import DependencyParse
 
 PRONOUNS = ["he", "she", "it", "they", "this", "that"]
 VOCAB = [f"word{i:03d}" for i in range(400)]
+# the spans of ``make_learnable_example``: no filler word is an entity
+ENTITIES = [f"ent{i:03d}" for i in range(200)]
 
 
 @dataclass
 class SyntheticExample:
     dialogue: Dialogue
     parse: DependencyParse  # for the incomplete utterance
-    kind: str               # "coref" | "ellipsis"
+    kind: str               # "coref" | "ellipsis"; "prepend" | "append" when learnable
 
 
 def _utt(words, turn):
@@ -65,6 +67,38 @@ def make_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
     deprels = tuple(["root"] + ["dep"] * (len(incomplete) - 1))
     parse = DependencyParse(heads, deprels, tuple(incomplete))
     return SyntheticExample(dlg, parse, kind)
+
+
+def make_learnable_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
+    """An example whose edit its tokens reveal: the span is one to two
+    entity words, planted among filler words in the history. Half of the
+    examples are coref (a pronoun stands for the span). The rest drop the
+    span, from the front (the parse has an object and no subject) or the
+    back (a subject and no object), so ``_ellipsis_slots`` places exactly
+    one marker, where the span goes."""
+    span = rng.choice(ENTITIES, size=int(rng.integers(1, 3)), replace=False).tolist()
+    words = rng.choice(VOCAB, size=12, replace=False).tolist()
+    at = int(rng.integers(0, 5))
+    history = [_utt(words[:at] + span + words[at:6], 0)]
+    if rng.random() < 0.5:
+        history.append(_utt(words[6:9], 1))
+    rest = words[9:9 + int(rng.integers(2, 4))]
+    kind = "coref" if rng.random() < 0.5 else str(rng.choice(["prepend", "append"]))
+    if kind == "coref":
+        cut = int(rng.integers(0, len(rest) + 1))
+        incomplete = rest[:cut] + [str(rng.choice(PRONOUNS))] + rest[cut:]
+        rewritten = rest[:cut] + span + rest[cut:]
+        heads, deprels = [0] + [1] * len(rest), ["root"] + ["dep"] * len(rest)
+    elif kind == "prepend":  # verb, object, ...: the subject is missing
+        incomplete, rewritten = rest, span + rest
+        heads, deprels = [0] + [1] * (len(rest) - 1), ["root", "obj"] + ["dep"] * (len(rest) - 2)
+    else:  # subject, verb, ...: the object is missing
+        incomplete, rewritten = rest, rest + span
+        heads, deprels = [2, 0] + [2] * (len(rest) - 2), ["nsubj", "root"] + ["dep"] * (len(rest) - 2)
+    n = len(history)
+    dlg = Dialogue(tuple(history), _utt(incomplete, n), _utt(rewritten, n), example_id=eid)
+    return SyntheticExample(dlg, DependencyParse(tuple(heads), tuple(deprels),
+                                                 tuple(incomplete)), kind)
 
 
 def make_corpus(n: int, seed: int = 0) -> list[SyntheticExample]:

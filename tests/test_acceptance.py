@@ -105,7 +105,7 @@ def test_4_gradient_check():
     batch = [prepare(e)[0] for e in make_corpus(3, seed=4)]
     vocab = build_vocab([e.input for e in batch])
     model = init_model(vocab, d_model=8, d_head=4, seed=0)
-    analytic = dict(params_items(model, grad(model, batch)[1]))
+    analytic = dict(params_items(model.views(grad(model, batch)[1])))
     worst = 0.0
     h = 1e-4
     for name, p in params_items(model):
@@ -134,7 +134,7 @@ def test_5_overfit_harness():
     while start < 500:
         epochs = min(start + 25, 500)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=epochs, seed=0)
-        _, state = train(data, cfg, model, start_epoch=start, opt_state=state)
+        _, state = train(data, cfg, model, opt_state=state)
         start = epochs
         em = train_em(model, data, theta=0.1)
         if em >= 0.90:
@@ -190,7 +190,7 @@ def test_8_imported_vectors_beat_copy_baseline(tmp_path):
     while start < 400:
         epochs = start + 50
         cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=epochs, seed=0)
-        _, state = train(data, cfg, model, start_epoch=start, opt_state=state)
+        _, state = train(data, cfg, model, opt_state=state)
         start = epochs
         if train_em(model, data, theta=0.1) >= 0.5:
             break

@@ -261,6 +261,16 @@ class TestConllu:
                 f"{p}: line {line}: token id '{token_id}', expected {expected}")):
             read_conllu(p)
 
+    @pytest.mark.parametrize("width", [3, 5, 9, 11])
+    def test_other_column_counts_rejected(self, tmp_path, width):
+        # an 11-column line once loaded as if it had 10
+        cols = ["1", "a", "a", "X", "_", "_", "0", "root", "_", "_", "extra"]
+        p = tmp_path / "p.conllu"
+        p.write_text("1\ta\t0\troot\n\n" + "\t".join((cols * 2)[:width]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line 3: expected 4 or 10 columns")):
+            read_conllu(p)
+
     def test_ranges_and_empty_nodes_skipped(self, tmp_path):
         p = tmp_path / "p.conllu"
         p.write_text("1-2\tab\t_\t_\n1\ta\t0\troot\n1.1\te\t_\t_\n2\tb\t1\tobj\n")

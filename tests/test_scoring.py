@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from iurkit.datamodel import ELLIP_TOKEN, END_TOKEN, build_input_sequence
 from iurkit.querygen import PronounLexicon, _template, build_query
+import iurkit.rewrite as rewrite_module
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
@@ -125,7 +126,8 @@ def reference_grad(model, ex, grads=None):
         dh[cols] += dk @ head.wk
     if ids is not None:
         if mix_cache is not None:
-            dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, grads)
+            dh = _mixer_backward(dh, model.encoder.mixer, mix_cache, MixerParams(
+                *(grads[f"mixer.{f.name}"] for f in fields(MixerParams))))
         np.add.at(grads["emb"], ids, dh)
     return loss, grads
 
@@ -266,7 +268,7 @@ class TestRotaryTable:
                 assert np.array_equal(bits(g), bits(want_values[op]))
             want_loss, want_grads = reference_grad(model, ex)
             loss, grads = grad(model, [ex])
-            grads = dict(params_items(model, grads))
+            grads = dict(params_items(model.views(grads)))
             assert np.array_equal(bits(loss), bits(want_loss))
             assert grads.keys() == want_grads.keys()
             for name in grads:
@@ -441,8 +443,9 @@ class TestParameterVector:
     def assert_views_of_flat(self, model):
         for a in named_tensors(model):
             assert np.shares_memory(a, model.flat)
-        # the layout ``params_items(model, vec)`` names is the model's own
-        for (n, a), (m, b) in zip(params_items(model), params_items(model, model.flat)):
+        # the layout ``params_items(model.views(vec))`` names is the model's own
+        for (n, a), (m, b) in zip(params_items(model),
+                                  params_items(model.views(model.flat))):
             assert n == m and a.__array_interface__ == b.__array_interface__
         assert model.flat.size == sum(a.size for _, a in params_items(model))
 
@@ -620,7 +623,7 @@ class TestCircleLoss:
 
 def fd_check(model, batch, h=1e-4):
     """Central finite differences over every trainable scalar."""
-    analytic = dict(params_items(model, grad(model, batch)[1]))
+    analytic = dict(params_items(model.views(grad(model, batch)[1])))
     worst = 0.0
     for name, p in params_items(model):
         it = np.nditer(p, flags=["multi_index"])
@@ -656,7 +659,7 @@ class TestGradients:
         out, cache = _mixer_forward(x, p)
         assert np.min(np.abs(cache[7])) > 1e-2
         names = ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2")
-        grads = {f"mixer.{k}": np.zeros_like(getattr(p, k)) for k in names}
+        grads = MixerParams(*(np.zeros_like(getattr(p, k)) for k in names))
         _mixer_backward(out.copy(), p, cache, grads)
         step = 1e-5
         for k in names:
@@ -671,7 +674,7 @@ class TestGradients:
                 lm = 0.5 * np.sum(_mixer_forward(x, p)[0] ** 2)
                 a[idx] = orig
                 fd = (lp - lm) / (2 * step)
-                assert abs(grads[f"mixer.{k}"][idx] - fd) < 1e-5 * max(abs(fd), 1.0)
+                assert abs(getattr(grads, k)[idx] - fd) < 1e-5 * max(abs(fd), 1.0)
 
     def test_loss_equals_circle_loss_of_score_all(self, long_set):
         # training and inference share one forward pass, so the loss that
@@ -686,7 +689,7 @@ class TestGradients:
     def test_mean_over_batch(self, small_set, small_model):
         l1, g1 = grad(small_model, small_set[:1])
         l2, g2 = grad(small_model, small_set[:1] * 3)
-        g1, g2 = dict(params_items(small_model, g1)), dict(params_items(small_model, g2))
+        g1, g2 = (dict(params_items(small_model.views(g))) for g in (g1, g2))
         assert abs(l1 - l2) < 1e-12
         for name in g1:
             assert np.allclose(g1[name], g2[name])
@@ -707,7 +710,7 @@ class TestBatchedTraining:
         for batch in (examples, examples[:5], examples[5:6]):
             want_loss, want_grads = reference_batch_grad(model, batch)
             loss, grads = grad(model, batch)
-            grads = dict(params_items(model, grads))
+            grads = dict(params_items(model.views(grads)))
             assert np.array_equal(bits(loss), bits(want_loss))
             assert grads.keys() == want_grads.keys()
             for name in grads:
@@ -726,7 +729,7 @@ class TestBatchedTraining:
         assert set(ids[0].tolist()) & set(ids[1].tolist())
         want_loss, want_grads = reference_batch_grad(model, batch)
         loss, grads = grad(model, batch)
-        grads = dict(params_items(model, grads))
+        grads = dict(params_items(model.views(grads)))
         assert np.array_equal(bits(loss), bits(want_loss))
         for name in grads:
             assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
@@ -812,6 +815,23 @@ class TestTraining:
         with pytest.raises(ValueError, match="^no dev example$"):
             train_em(small_model, [], 0.1)
 
+    @pytest.mark.parametrize("gap", ["no-dialogue", "no-rewrite"])
+    def test_dev_example_without_rewrite_rejected(self, gap, small_set, small_model,
+                                                  monkeypatch):
+        """An example that EM cannot be taken of is a ValueError naming it,
+        raised before any decoding or update (once an AttributeError)."""
+        ex = small_set[0]
+        bad = replace(ex, example_id="bad", dialogue=None if gap == "no-dialogue"
+                      else replace(ex.dialogue, rewritten=None))
+        monkeypatch.setattr(rewrite_module, "_decode_chunks", None)
+        message = "^example 'bad' has no gold rewrite$"
+        with pytest.raises(ValueError, match=message):
+            train_em(small_model, [small_set[1], bad], 0.1)
+        model = copy.deepcopy(small_model)
+        with pytest.raises(ValueError, match=message):
+            train(small_set, self.cfg(), model, dev=[small_set[1], bad])
+        assert np.array_equal(model.flat, small_model.flat)
+
     def test_loss_decreases(self, small_set, small_model):
         model = copy.deepcopy(small_model)
         log, _ = train(small_set, self.cfg(epochs=20), model)
@@ -839,7 +859,7 @@ class TestTraining:
         replay, replay_state, want = copy.deepcopy(small_model), None, []
         for epoch in range(cfg.epochs):
             _, replay_state = train(small_set, replace(cfg, epochs=epoch + 1), replay,
-                                    start_epoch=epoch, opt_state=replay_state)
+                                    opt_state=replay_state)
             want.append(train_em(replay, small_set, cfg.theta))
         assert log.dev_em == want
         assert max(want) > 0
@@ -895,8 +915,8 @@ class TestPersistence:
             assert na == nb and np.array_equal(a, b)
         assert lstate.step == state.step
         assert lstate.epochs_done == state.epochs_done
-        m, v = dict(params_items(model, state.m)), dict(params_items(model, state.v))
-        lm, lv = dict(params_items(loaded, lstate.m)), dict(params_items(loaded, lstate.v))
+        m, v = (dict(params_items(model.views(a))) for a in (state.m, state.v))
+        lm, lv = (dict(params_items(loaded.views(a))) for a in (lstate.m, lstate.v))
         for n in m:
             assert np.array_equal(m[n], lm[n])
             assert np.array_equal(v[n], lv[n])
@@ -945,8 +965,7 @@ class TestPersistence:
         p = tmp_path / "ckpt.bin"
         save_model(p, half, state)
         resumed, rstate = load_model(p)
-        train(small_set, cfg, resumed, start_epoch=rstate.epochs_done,
-              opt_state=rstate)
+        train(small_set, cfg, resumed, opt_state=rstate)
         for (_, a), (_, b) in zip(params_items(straight), params_items(resumed)):
             assert np.array_equal(a, b)
 
@@ -977,7 +996,7 @@ class TestPersistence:
                                                 for k in ("m", "v")])
         loaded, lstate = load_model(p)
         resumed = with_imported_vectors(loaded, records)
-        train(small_set, cfg, resumed, start_epoch=lstate.epochs_done, opt_state=lstate)
+        train(small_set, cfg, resumed, opt_state=lstate)
         for (_, a), (_, b) in zip(params_items(straight), params_items(resumed)):
             assert np.array_equal(bits(a), bits(b))
 

@@ -14,9 +14,8 @@ from synthetic import PRONOUNS, make_corpus
 
 from iurkit import (PronounLexicon, build_edit_matrix, build_input_sequence,
                     build_query, evaluate)
-from iurkit.rewrite import rewrite
-from iurkit.scoring import (TrainConfig, TrainExample, build_vocab, init_model,
-                            train, train_em)
+from iurkit.rewrite import rewrite, train_em
+from iurkit.scoring import TrainConfig, TrainExample, build_vocab, init_model, train
 
 lexicon = PronounLexicon.from_surface_forms(PRONOUNS)
 

@@ -12,14 +12,12 @@ from .metrics import EvalResult, bleu, evaluate, exact_match, rouge_l, rouge_n
 from .querygen import (DependencyParse, KindSummary, PronounLexicon,
                        QueryTemplate, build_query, read_conllu)
 from .rewrite import (Diagnostics, EditSpan, apply_edits, cells_to_spans,
-                      decode_labels, merge_matrices, resolve_conflicts,
-                      rewrite_batch)
+                      resolve_conflicts, rewrite_batch)
 from .scoring import (AdamState, EncoderParams, HeadParams, ModelParams,
-                      ScoreGrid, TrainConfig, TrainExample, TrainingLog,
-                      build_vocab, circle_loss, encode, grad, init_model,
-                      load_model, project, read_ctxvec, rope_rotate,
-                      save_model, score_all, score_batch, score_grid, train,
-                      with_imported_vectors, write_ctxvec)
+                      TrainConfig, TrainExample, TrainingLog, build_vocab,
+                      circle_loss, encode, grad, init_model, load_model,
+                      read_ctxvec, rope_rotate, save_model, score_all,
+                      score_batch, train, with_imported_vectors, write_ctxvec)
 from .supervision import (AddedSpan, EditMatrix, EditOp, SupervisionReport,
                           build_edit_matrix, diff_spans, lcs_align,
                           locate_in_context)

@@ -110,7 +110,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.lr, batch_size=self.batch_size,
-                           epochs=self.epochs, theta=self.theta, seed=self.seed)
+                           epochs=self.epochs, seed=self.seed)
 
     def load_lexicon(self) -> PronounLexicon:
         if self.lexicon:

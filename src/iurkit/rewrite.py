@@ -14,7 +14,7 @@ import numpy as np
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import QueryTemplate, build_query
-from .scoring import _score_chunks
+from .scoring import TrainExample, _score_chunks
 from .supervision import OPS, EditMatrix, EditOp, op_of
 
 @dataclass(frozen=True, slots=True)
@@ -311,3 +311,20 @@ def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
             unify: bool = True) -> tuple[Utterance, Diagnostics]:
     """``rewrite_batch`` of one dialogue."""
     return next(rewrite_batch([dialogue], model, theta, lexicon, [parse], unify))
+
+
+def train_em(model, examples: Sequence[TrainExample], theta: float) -> float:
+    """Exact match of the rewrites of ``examples`` decoded at ``theta`` from
+    their assembled inputs, as ``rewrite_batch`` decodes them; ValueError on
+    an empty set, or on an example without a dialogue and its rewrite, before
+    anything is scored. Training never calls it: see ``scoring.train``."""
+    if not examples:
+        raise ValueError("no dev example")
+    for ex in examples:
+        if ex.dialogue is None or ex.dialogue.rewritten is None:
+            raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
+    decoded = _decode_chunks([ex.input for ex in examples], model, theta,
+                             [ex.example_id for ex in examples])
+    return sum(apply_edits(ex.dialogue.incomplete, spans, ex.input).texts()
+               == ex.dialogue.rewritten.texts()
+               for ex, (_, spans) in zip(examples, decoded)) / len(examples)

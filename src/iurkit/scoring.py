@@ -132,13 +132,11 @@ class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 16
     epochs: int = 1
-    theta: float = 0.1  # 0.1 preset; 0.05 for the longer-context presets
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         for name in ("batch_size", "epochs", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -162,13 +160,13 @@ class TrainExample:
 @dataclass
 class TrainingLog:
     epoch_losses: list[float] = field(default_factory=list)
-    dev_em: list[float] = field(default_factory=list)
     start_epoch: int = 0
 
     def to_json(self) -> str:
+        # training decodes no dev split; "dev_em" stays, empty, so the format holds
         return json.dumps({"start_epoch": self.start_epoch,
                            "epoch_losses": self.epoch_losses,
-                           "dev_em": self.dev_em})
+                           "dev_em": []})
 
 
 # ---------------------------------------------------------------------------
@@ -661,41 +659,20 @@ def _adam_step(model: ModelParams, grads: np.ndarray, state: AdamState,
     v[...] = _q32(v)
 
 
-def _require_rewrites(examples: Sequence[TrainExample]) -> None:
-    for ex in examples:
-        if ex.dialogue is None or ex.dialogue.rewritten is None:
-            raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
-
-
-def train_em(model: ModelParams, examples: Sequence[TrainExample],
-             theta: float) -> float:
-    """Exact match of the rewrites of ``examples`` at ``theta``; ValueError
-    on an empty set, or on an example without a dialogue and its rewrite."""
-    if not examples:
-        raise ValueError("no dev example")
-    _require_rewrites(examples)
-    from .rewrite import _decode_chunks, apply_edits  # rewrite imports this module
-
-    decoded = _decode_chunks([ex.input for ex in examples], model, theta,
-                             [ex.example_id for ex in examples])
-    return sum(apply_edits(ex.dialogue.incomplete, spans, ex.input).texts()
-               == ex.dialogue.rewritten.texts()
-               for ex, (_, spans) in zip(examples, decoded)) / len(examples)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is reported below
 def train(dataset: Sequence[TrainExample], config: TrainConfig,
-          model: ModelParams, dev: Optional[Sequence[TrainExample]] = None,
-          opt_state: Optional[AdamState] = None) -> tuple[TrainingLog, AdamState]:
+          model: ModelParams, opt_state: Optional[AdamState] = None
+          ) -> tuple[TrainingLog, AdamState]:
     """Adam over shuffled batches, from epoch ``opt_state.epochs_done`` (0
     without a state) to ``config.epochs``; shuffle order is keyed by (seed,
     epoch) so a run resumed from a checkpoint retraces the uninterrupted one.
-    Raises ``TrainingDiverged`` on a non-finite loss, or on a non-finite
-    tensor after an epoch's last update, and ValueError, before any update,
-    on an empty dataset or a ``dev`` example without a rewrite."""
+    Training decodes nothing: to follow dev EM per epoch, call ``train`` with
+    ``epochs`` raised by one each time, passing the returned state, and
+    ``rewrite.train_em`` after each call. Raises ``TrainingDiverged`` on a
+    non-finite loss, or on a non-finite tensor after an epoch's last update,
+    and ValueError on an empty dataset."""
     if not dataset:
         raise ValueError("no training example")
-    _require_rewrites(dev or ())
     state = opt_state or AdamState.for_model(model)
     log = TrainingLog(start_epoch=state.epochs_done)
     for epoch in range(state.epochs_done, config.epochs):
@@ -717,8 +694,6 @@ def train(dataset: Sequence[TrainExample], config: TrainConfig,
                                    f"tensor {name!r} is non-finite after the update")
         log.epoch_losses.append(epoch_loss / (n + 1))
         state.epochs_done = epoch + 1
-        if dev:
-            log.dev_em.append(train_em(model, dev, config.theta))
     return log, state
 
 
@@ -807,7 +782,7 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         if header.get("format") != "iurkit-model" or header.get("version") != 1:
             raise ValueError(f"{path}: not an iurkit model file")
         # older version-1 headers also carry "heads", which never changed the model
-        _require(header, path, "mode", "d_model", "has_mixer", "vocab", "tensors")
+        _require(header, path, "mode", "d_model", "has_mixer", "vocab", "tensors", "d_out")
         entries = header["tensors"]
         if not isinstance(entries, list) or not all(
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
@@ -842,9 +817,11 @@ def load_model(path: str | Path) -> tuple[ModelParams, Optional[AdamState]]:
         raise ValueError(f"{path}: mode must be 'trainable' or 'imported', got {mode!r}")
     if not isinstance(has_mixer, bool):
         raise ValueError(f"{path}: has_mixer must be true or false, got {has_mixer!r}")
+    if has_mixer:
+        _require(header, path, "d_ff")
     d_model = _count(header["d_model"], path, "d_model")
-    d_out = _count(header.get("d_out"), path, "d_out")
-    d_ff = _count(header.get("d_ff"), path, "d_ff") if has_mixer else None
+    d_out = _count(header["d_out"], path, "d_out")
+    d_ff = _count(header["d_ff"], path, "d_ff") if has_mixer else None
     try:
         model = _build_model(vocab, d_model, d_out, has_mixer, d_ff,
                              lambda *shape: np.zeros(shape))

@@ -13,11 +13,12 @@ from iurkit.cli import main
 from iurkit.datamodel import Utterance, build_input_sequence
 from iurkit.metrics import bleu, evaluate
 from iurkit.querygen import PronounLexicon, build_query
-from iurkit.rewrite import apply_edits, cells_to_spans, resolve_conflicts, rewrite
+from iurkit.rewrite import (apply_edits, cells_to_spans, resolve_conflicts, rewrite,
+                            train_em)
 from iurkit.scoring import (TrainConfig, TrainExample, build_vocab,
                             circle_loss, encode, grad, init_model, load_model,
                             params_items, read_ctxvec, rope_rotate, save_model,
-                            train, train_em, with_imported_vectors, write_ctxvec)
+                            train, with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix, lcs_align
 from synthetic import PRONOUNS, make_corpus, write_corpus_files
 

@@ -18,10 +18,10 @@ from iurkit import scoring
 from iurkit.cli import RunConfig, _prepare, main
 from iurkit.datamodel import DataFormat, load_dialogues
 from iurkit.querygen import PronounLexicon, read_conllu
-from iurkit.rewrite import rewrite, rewrite_batch
+from iurkit.rewrite import rewrite, rewrite_batch, train_em
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
                             load_model, read_ctxvec, save_model, score_batch,
-                            train_em, with_imported_vectors, write_ctxvec)
+                            with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, diff_spans
 from synthetic import lengthen, make_corpus, write_corpus_files
 
@@ -185,6 +185,8 @@ class TestTrain:
     def test_outputs_model_and_log(self, trained, capsys):
         assert trained.exists()
         log = json.loads((trained.parent / "model.bin.log.json").read_text())
+        assert sorted(log) == ["dev_em", "epoch_losses", "start_epoch"]
+        assert log["dev_em"] == []
         assert len(log["epoch_losses"]) == 40
         assert log["epoch_losses"][-1] < log["epoch_losses"][0]
 
@@ -674,12 +676,16 @@ class TestStrictHeaders:
          "vocab must start with '[UNK]'"),
         (lambda h: {**h, "vocab": h["vocab"][:-1] + h["vocab"][1:2]}, True,
          "vocab repeats '[END]'"),
+        (lambda h: {k: v for k, v in h.items() if k != "d_out"}, True, "header lacks d_out"),
+        (lambda h: {**{k: v for k, v in h.items() if k != "d_ff"}, "has_mixer": True}, True,
+         "header lacks d_ff"),
     ], ids=["list", "missing-keys", "missing-tensor", "negative-shape", "float-shape",
             "tensor-map", "string-d_model", "negative-d_model", "vocab-map",
             "optimizer-step", "1d-emb", "emb-rows-vs-vocab", "swapped-head-wq",
             "swapped-adam-moment", "misspelled-mode", "extra-tensor", "optimizer-list",
             "zero-d_model", "zero-d_ff", "string-has_mixer", "int-has_mixer",
-            "empty-vocab", "vocab-without-unk-first", "repeated-vocab-word"])
+            "empty-vocab", "vocab-without-unk-first", "repeated-vocab-word",
+            "missing-d_out", "missing-d_ff"])
     def test_malformed_model_header(self, edit, keep_tensors, message, corpus_dir,
                                     trained, tmp_path, capsys):
         header, tensors = trained.read_bytes().split(b"\n", 1)

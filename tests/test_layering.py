@@ -15,10 +15,6 @@ LAYERS = [["datamodel"], ["querygen"], ["supervision"], ["metrics", "scoring"],
           ["rewrite"], ["cli", "__init__"]]
 RANK = {name: i for i, layer in enumerate(LAYERS) for name in layer}
 
-# (module, enclosing function, imported module) allowed to point up a layer:
-# exact-match accuracy decodes with the rewrite path
-EXCEPTIONS = {("scoring", "train_em", "rewrite")}
-
 
 def _imports(tree: ast.Module):
     """(enclosing function or None, imported iurkit module) for every
@@ -51,7 +47,7 @@ def test_imports_point_down_the_layers():
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for func, target in _imports(ast.parse(path.read_text(encoding="utf-8"))):
-            if RANK[target] >= RANK[module] and (module, func, target) not in EXCEPTIONS:
+            if RANK[target] >= RANK[module]:
                 wrong.append(f"{module}{'.' + func if func else ''} imports {target}")
     assert wrong == []
 

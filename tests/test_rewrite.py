@@ -13,9 +13,9 @@ from iurkit.datamodel import Dialogue, Utterance, build_input_sequence
 from iurkit.querygen import DependencyParse, PronounLexicon, build_query
 from iurkit.rewrite import (Diagnostics, EditSpan, _components, _label, _spans,
                             apply_edits, cells_to_spans, decode_labels, merge_matrices,
-                            resolve_conflicts, rewrite, rewrite_batch)
+                            resolve_conflicts, rewrite, rewrite_batch, train_em)
 from iurkit.scoring import (ScoreGrid, TrainExample, build_vocab, init_model,
-                            load_model, params_items, save_model, score_all, train_em)
+                            load_model, params_items, save_model, score_all)
 from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, make_corpus
 

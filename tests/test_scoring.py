@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from iurkit.datamodel import ELLIP_TOKEN, END_TOKEN, build_input_sequence
 from iurkit.querygen import PronounLexicon, _template, build_query
 import iurkit.rewrite as rewrite_module
+from iurkit.rewrite import train_em
 from iurkit import scoring
 from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
@@ -20,7 +21,7 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
-                            score_batch, score_grid, train, train_em,
+                            score_batch, score_grid, train,
                             with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, lengthen, make_corpus
@@ -819,7 +820,7 @@ class TestTraining:
     def test_dev_example_without_rewrite_rejected(self, gap, small_set, small_model,
                                                   monkeypatch):
         """An example that EM cannot be taken of is a ValueError naming it,
-        raised before any decoding or update (once an AttributeError)."""
+        raised before any decoding (once an AttributeError)."""
         ex = small_set[0]
         bad = replace(ex, example_id="bad", dialogue=None if gap == "no-dialogue"
                       else replace(ex.dialogue, rewritten=None))
@@ -827,10 +828,6 @@ class TestTraining:
         message = "^example 'bad' has no gold rewrite$"
         with pytest.raises(ValueError, match=message):
             train_em(small_model, [small_set[1], bad], 0.1)
-        model = copy.deepcopy(small_model)
-        with pytest.raises(ValueError, match=message):
-            train(small_set, self.cfg(), model, dev=[small_set[1], bad])
-        assert np.array_equal(model.flat, small_model.flat)
 
     def test_loss_decreases(self, small_set, small_model):
         model = copy.deepcopy(small_model)
@@ -848,36 +845,27 @@ class TestTraining:
 
     def test_dev_em_per_epoch_leaves_model_unchanged(self, small_set, small_model,
                                                       tmp_path):
-        """``dev`` appends one EM per epoch, ``train_em`` of the model after
-        that epoch, and changes nothing else: the saved model is
-        byte-identical to one trained without it."""
+        """The per-epoch dev EM recipe: ``train`` one epoch at a time, passing
+        its state on, and ``train_em`` after each call. Decoding changes
+        nothing: the saved model is byte-identical to one ``train`` call's."""
         cfg = self.cfg(learning_rate=3e-2, epochs=10)
-        with_dev = copy.deepcopy(small_model)
-        log, state = train(small_set, cfg, with_dev, dev=small_set)
-        # replay epoch by epoch without dev; a resumed run retraces the
-        # uninterrupted one
-        replay, replay_state, want = copy.deepcopy(small_model), None, []
+        stepped, state, em = copy.deepcopy(small_model), None, []
         for epoch in range(cfg.epochs):
-            _, replay_state = train(small_set, replace(cfg, epochs=epoch + 1), replay,
-                                    opt_state=replay_state)
-            want.append(train_em(replay, small_set, cfg.theta))
-        assert log.dev_em == want
-        assert max(want) > 0
-        without = copy.deepcopy(small_model)
-        _, without_state = train(small_set, cfg, without)
-        files = {}
-        for name, model, st in (("dev", with_dev, state), ("replay", replay, replay_state),
-                                ("plain", without, without_state)):
-            save_model(tmp_path / name, model, st)
-            files[name] = (tmp_path / name).read_bytes()
-        assert files["dev"] == files["plain"] == files["replay"]
+            _, state = train(small_set, replace(cfg, epochs=epoch + 1), stepped,
+                             opt_state=state)
+            em.append(train_em(stepped, small_set, 0.1))
+        assert len(em) == cfg.epochs and max(em) > 0
+        plain = copy.deepcopy(small_model)
+        _, plain_state = train(small_set, cfg, plain)
+        save_model(tmp_path / "stepped", stepped, state)
+        save_model(tmp_path / "plain", plain, plain_state)
+        assert (tmp_path / "stepped").read_bytes() == (tmp_path / "plain").read_bytes()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         # NaN passes ``<= 0``; it must fail before any update, not after an epoch
-        for name, value in (("learning_rate", math.nan), ("learning_rate", math.inf),
-                            ("theta", math.nan), ("theta", math.inf), ("theta", -math.inf)):
+        for name, value in (("learning_rate", math.nan), ("learning_rate", math.inf)):
             with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
                 TrainConfig(**{name: value})
         # 2.5 and NaN pass ``<= 0`` and True is an int: each fails here, not in ``train``

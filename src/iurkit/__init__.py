@@ -17,7 +17,7 @@ from .scoring import (AdamState, EncoderParams, HeadParams, ModelParams,
                       TrainConfig, TrainExample, TrainingLog, build_vocab,
                       circle_loss, encode, grad, init_model, load_model,
                       read_ctxvec, rope_rotate, save_model, score_all,
-                      score_batch, train, with_imported_vectors, write_ctxvec)
+                      train, with_imported_vectors, write_ctxvec)
 from .supervision import (AddedSpan, EditMatrix, EditOp, SupervisionReport,
                           build_edit_matrix, diff_spans, lcs_align,
                           locate_in_context)

@@ -22,7 +22,7 @@ from typing import Optional
 import click
 
 from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
-                        load_dialogues, read_text)
+                        load_dialogues, read_lines)
 from .metrics import evaluate as evaluate_corpus
 from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
                        build_query, read_conllu)
@@ -64,7 +64,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         cfg = cls()
-        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        for lineno, raw in enumerate(read_lines(path), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -300,11 +300,9 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     model = _load_model_for_inference(cfg, vectors)
     lexicon, inputs = cfg.load_inputs()
     start = time.perf_counter()
-    dialogues = [dlg for dlg, _ in inputs]
-    batch = rewrite_batch(dialogues, model, cfg.theta, lexicon,
-                          [parse for _, parse in inputs], cfg.unify)
+    batch = rewrite_batch(inputs, model, cfg.theta, lexicon, unify=cfg.unify)
     results = [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
-               for dlg, (out, _) in zip(dialogues, batch)]
+               for (dlg, _), (out, _) in zip(inputs, batch)]
     _write_jsonl(out_path, results)
     log.info("rewrote %d dialogues in %d chunks of up to %d in %.3f s", len(inputs),
              math.ceil(len(inputs) / INFERENCE_CHUNK), INFERENCE_CHUNK,
@@ -319,8 +317,7 @@ def cmd_evaluate(hyp, ref, as_json):
     """Score a hypothesis file against a reference file (one utterance per line)."""
 
     def read(path):
-        lines = read_text(path).splitlines()
-        return [Utterance.from_text(line) for line in lines]
+        return [Utterance.from_text(line) for line in read_lines(path)]
 
     hyps, refs = read(hyp), read(ref)
     if len(hyps) != len(refs):
@@ -362,6 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
+        return 1
+    except MemoryError as exc:
+        click.echo(f"error: out of memory ({exc})", err=True)
         return 1
     except click.Abort:
         return 1

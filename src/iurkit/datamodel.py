@@ -151,6 +151,14 @@ def read_text(path: str | Path) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of ``read_text(path)``, broken at "\\n" only (not at the
+    other breaks ``str.splitlines`` knows, such as U+2028 or \\x1c). A final
+    newline ends the last line; it does not start an empty one."""
+    text = read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 class DataFormat(Enum):
     CANONICAL_JSONL = "jsonl"
     TAB_SEPARATED = "tsv"
@@ -170,7 +178,7 @@ def load_dialogues(path: str | Path, format: DataFormat) -> list[Dialogue]:
              DataFormat.TAB_SEPARATED: _parse_tsv_record}[DataFormat(format)]
     dialogues: list[Dialogue] = []
     id_lines: dict[str, int] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line.strip():
             try:
                 dialogue = parse(line, lineno)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .datamodel import (COREF_TOKEN, ELLIP_TOKEN, UNK_TOKEN, TokenizeMode,
-                        Utterance, read_text, tokenize)
+                        Utterance, read_lines, tokenize)
 
 # DEPREL labels treated as subject/object evidence (UD and Chinese
 # treebank spellings).
@@ -64,7 +64,7 @@ class PronounLexicon:
     def from_file(cls, path: str | Path,
                   mode: Optional[TokenizeMode] = None) -> "PronounLexicon":
         """``mode`` is unused; see the note on ``datamodel.Role``."""
-        forms = [line.split("#", 1)[0] for line in read_text(path).splitlines()]
+        forms = [line.split("#", 1)[0] for line in read_lines(path)]
         try:
             return cls.from_surface_forms(forms)
         except ValueError as exc:
@@ -133,7 +133,7 @@ def read_conllu(path: str | Path) -> list[DependencyParse]:
             raise ValueError(f"{path}: sentence {len(parses) + 1}: {exc}") from exc
         rows.clear()
 
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             flush()
             continue

@@ -7,13 +7,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
-from .querygen import QueryTemplate, build_query
+from .querygen import DependencyParse, QueryTemplate, build_query
 from .scoring import TrainExample, _score_chunks
 from .supervision import OPS, EditMatrix, EditOp, op_of
 
@@ -224,12 +223,11 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
     return Utterance(tuple(out), incomplete.speaker_turn)
 
 
-def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
-                   example_ids: Iterable[Optional[str]]
-                   ) -> Iterator[tuple[np.ndarray, list[EditSpan]]]:
+def _decode_chunks(items: Iterable[tuple[InputSequence, Optional[str]]], model,
+                   theta: float) -> Iterator[tuple[np.ndarray, list[EditSpan]]]:
     """Each input's scores and surviving spans, in order: ``_score_chunks``,
     then one threshold and one labeling per operation for each chunk."""
-    for values, shapes, scores in _score_chunks(inputs, model, example_ids):
+    for values, shapes, scores in _score_chunks(items, model):
         proposed = _spans(_label(values, shapes, theta), values)
         yield from zip(scores, map(resolve_conflicts, proposed))
 
@@ -237,7 +235,7 @@ def _decode_chunks(inputs: Iterable[InputSequence], model, theta: float,
 @dataclass
 class Diagnostics:
     """Every intermediate of one rewrite. ``matrix`` is built from ``scores``
-    (see ``score_batch``) and ``theta`` on first read."""
+    (a view of its chunk's; see ``_score_chunks``) and ``theta`` on first read."""
 
     scores: Optional[np.ndarray] = None
     spans: list[EditSpan] = field(default_factory=list)
@@ -269,11 +267,12 @@ def example_error(dialogue: Dialogue, exc: ValueError) -> ValueError:
     return ValueError(f"example {dialogue.example_id!r}: {exc}")
 
 
-def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
-                  parses: Optional[Sequence] = None, unify: bool = True
+def rewrite_batch(records: Iterable[tuple[Dialogue, Optional[DependencyParse]]],
+                  model, theta: float, lexicon, *, unify: bool = True
                   ) -> Iterator[tuple[Utterance, Diagnostics]]:
-    """Full inference pipeline for any number of dialogues (``parses`` by
-    position), yielding each one's ``(output, diagnostics)`` in order.
+    """Full inference pipeline for any number of ``(dialogue, parse)``
+    records, read from any iterable as scoring reaches them, yielding each
+    dialogue's ``(output, diagnostics)`` in order.
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
@@ -281,24 +280,20 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
     only one chunk's are held at a time, and each chunk is decoded at
     once. Each dialogue's diagnostics carry every intermediate. The
     results equal ``rewrite`` of each dialogue, and a ValueError names the
-    example it arose from. A ``parses`` of another length than
-    ``dialogues`` raises before any result.
+    example it arose from.
     """
-    if parses is not None and len(parses) != len(dialogues):
-        raise ValueError(f"{len(parses)} parses for {len(dialogues)} dialogues")
     built = deque()  # (dialogue, query, input) awaiting their scores
 
     def inputs():
-        for dialogue, parse in zip(dialogues, repeat(None) if parses is None else parses):
+        for dialogue, parse in records:
             try:
                 query = build_query(dialogue.incomplete, lexicon, parse, unify)
                 built.append((dialogue, query, build_input_sequence(query, dialogue)))
             except ValueError as exc:
                 raise example_error(dialogue, exc) from exc
-            yield built[-1][2]
+            yield built[-1][2], dialogue.example_id
 
-    decoded = _decode_chunks(inputs(), model, theta, (d.example_id for d in dialogues))
-    for scores, spans in decoded:
+    for scores, spans in _decode_chunks(inputs(), model, theta):
         dialogue, query, input_seq = built.popleft()
         try:
             output = apply_edits(dialogue.incomplete, spans, input_seq)
@@ -310,7 +305,7 @@ def rewrite_batch(dialogues: Sequence[Dialogue], model, theta: float, lexicon,
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
             unify: bool = True) -> tuple[Utterance, Diagnostics]:
     """``rewrite_batch`` of one dialogue."""
-    return next(rewrite_batch([dialogue], model, theta, lexicon, [parse], unify))
+    return next(rewrite_batch([(dialogue, parse)], model, theta, lexicon, unify=unify))
 
 
 def train_em(model, examples: Sequence[TrainExample], theta: float) -> float:
@@ -323,8 +318,8 @@ def train_em(model, examples: Sequence[TrainExample], theta: float) -> float:
     for ex in examples:
         if ex.dialogue is None or ex.dialogue.rewritten is None:
             raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
-    decoded = _decode_chunks([ex.input for ex in examples], model, theta,
-                             [ex.example_id for ex in examples])
+    decoded = _decode_chunks([(ex.input, ex.example_id) for ex in examples],
+                             model, theta)
     return sum(apply_edits(ex.dialogue.incomplete, spans, ex.input).texts()
                == ex.dialogue.rewritten.texts()
                for ex, (_, spans) in zip(examples, decoded)) / len(examples)

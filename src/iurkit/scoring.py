@@ -22,7 +22,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -252,7 +252,7 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # forward pieces
 
 
-# Inputs per padded forward pass in ``score_batch``. Larger chunks pay the
+# Inputs per padded forward pass in ``_score_chunks``. Larger chunks pay the
 # per-call numpy cost less often, but a chunk of ~200-row inputs then
 # outgrows the CPU's L2 cache and holds more memory.
 INFERENCE_CHUNK = 8
@@ -501,27 +501,21 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray, g: ModelParams) ->
         np.add.at(emb.reshape(-1), cells, np.concatenate(all_dh).ravel())
 
 
-def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
-                  example_ids: Optional[Iterable[Optional[str]]] = None
+def _score_chunks(items: Iterable[tuple[InputSequence, Optional[str]]],
+                  model: ModelParams
                   ) -> Iterator[tuple[np.ndarray, list[tuple[int, int]], list[np.ndarray]]]:
     """``_forward`` over consecutive chunks of at most ``INFERENCE_CHUNK``
-    inputs, each taken from the iterables only when the stream reaches it,
-    so the inputs and score arrays in memory are one chunk's whatever the
-    number of inputs. Yields per chunk its padded scores (n_ops, B, R, C)
-    in ``OPS`` order, the ``(rows, cols)`` each input fills of them, and
-    each input's scores (n_ops, rows, cols), a view of its cells.
-    Raises on a non-finite score, naming the example, and on running out
-    of ``example_ids`` before inputs."""
-    inputs = iter(inputs)
-    example_ids = repeat(None) if example_ids is None else iter(example_ids)
-    seen = 0
-    while chunk := list(islice(inputs, INFERENCE_CHUNK)):
-        ids = list(islice(example_ids, len(chunk)))
-        if len(ids) < len(chunk):
-            raise ValueError(f"{seen + len(ids)} example ids for at least "
-                             f"{seen + len(chunk)} inputs")
-        seen += len(chunk)
-        values, shapes, _ = _forward(model, chunk, ids)
+    ``(input, example_id)`` pairs, each taken from ``items`` only when the
+    stream reaches it, so the inputs and score arrays in memory are one
+    chunk's whatever the number of inputs. Yields per chunk its padded
+    scores (n_ops, B, R, C) in ``OPS`` order, the ``(rows, cols)`` each
+    input fills of them, and each input's scores: float64 (n_ops,
+    context_length, incomplete_length + 1), a view of its cells. Raises on
+    a non-finite score, naming the example."""
+    items = iter(items)
+    while chunk := list(islice(items, INFERENCE_CHUNK)):
+        inputs, ids = zip(*chunk)
+        values, shapes, _ = _forward(model, inputs, ids)
         if not np.isfinite(values).all():
             b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
             raise ValueError(f"score grid of example {ids[b]!r} is not finite")
@@ -530,19 +524,10 @@ def _score_chunks(inputs: Iterable[InputSequence], model: ModelParams,
         del values  # not held while the next chunk is scored
 
 
-def score_batch(inputs: Iterable[InputSequence], model: ModelParams,
-                example_ids: Optional[Iterable[Optional[str]]] = None
-                ) -> Iterator[np.ndarray]:
-    """Each input's scores in turn: float64 (len(OPS), context_length,
-    incomplete_length + 1) in ``OPS`` order, a view of its chunk's (``_score_chunks``)."""
-    for _, _, scores in _score_chunks(inputs, model, example_ids):
-        yield from scores
-
-
 def score_all(input: InputSequence, model: ModelParams,
               example_id: Optional[str] = None) -> np.ndarray:
-    """One input's scores (see ``score_batch``): a batch of one."""
-    return next(score_batch([input], model, [example_id]))
+    """One input's scores (see ``_score_chunks``): a batch of one."""
+    return next(_score_chunks([(input, example_id)], model))[2][0]
 
 
 # ---------------------------------------------------------------------------

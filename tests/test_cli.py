@@ -20,7 +20,7 @@ from iurkit.datamodel import DataFormat, load_dialogues
 from iurkit.querygen import PronounLexicon, read_conllu
 from iurkit.rewrite import rewrite, rewrite_batch, train_em
 from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
-                            load_model, read_ctxvec, save_model, score_batch,
+                            load_model, read_ctxvec, save_model,
                             with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, diff_spans
 from synthetic import lengthen, make_corpus, write_corpus_files
@@ -435,6 +435,18 @@ class TestEvaluate:
         ref.write_text("a\n")
         assert main(["evaluate", str(hyp), str(ref)]) == 1
 
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_lines_break_at_newline_only(self, brk, tmp_path, capsys):
+        """A line break other than "\\n" inside a line does not start
+        another line (once "line counts differ: 2 vs 1")."""
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text(f"x{brk}y z\n", encoding="utf-8")
+        ref.write_text("x y z\n", encoding="utf-8")
+        assert main(["evaluate", str(hyp), str(ref), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["em"] == 1.0
+
 
 def _evaluate_em(path, capsys):
     """EM of ``path`` as hypothesis against a reference without a BOM."""
@@ -549,15 +561,17 @@ class TestChunkDecode:
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0
         assert built.count("op") == 0
 
-    def test_score_batch_yields_views_of_the_chunk_scores(self, corpus_dir, trained):
-        examples, _ = _prepare(RunConfig.from_file(corpus_dir / "config.ini"))
-        inputs = [ex.input for ex in examples]
+    def test_diagnostics_scores_are_views_of_the_chunk_scores(self, corpus_dir, trained):
+        cfg = RunConfig.from_file(corpus_dir / "config.ini")
+        lexicon, inputs = cfg.load_inputs()
         assert len(inputs) > INFERENCE_CHUNK
         model, _ = load_model(trained)
-        scores = list(score_batch(inputs, model))
-        for inp, s in zip(inputs, scores, strict=True):
+        diags = [diag for _, diag in rewrite_batch(inputs, model, cfg.theta, lexicon)]
+        scores = [diag.scores for diag in diags]
+        for diag, s in zip(diags, scores, strict=True):
             assert s.dtype == np.float64
-            assert s.shape == (len(OPS), inp.context_length, inp.incomplete_length + 1)
+            assert s.shape == (len(OPS), diag.input.context_length,
+                               diag.input.incomplete_length + 1)
         chunk = scores[0].base  # the first chunk's padded (n_ops, B, R, C) scores
         assert chunk.shape[:2] == (len(OPS), INFERENCE_CHUNK) and scores[1].base is chunk
         assert np.shares_memory(chunk, scores[0]) and np.shares_memory(chunk, scores[1])
@@ -796,7 +810,7 @@ def test_duplicate_vector_id_is_user_error(corpus_dir, trained, vectors, tmp_pat
 
 class TestRewriteChunks:
     """``iurkit rewrite`` scores ``INFERENCE_CHUNK`` dialogues per forward
-    pass (in ``score_batch``); its output is that of rewriting each
+    pass (in ``_score_chunks``); its output is that of rewriting each
     dialogue on its own."""
 
     @pytest.mark.parametrize("chunk", [1, 3, INFERENCE_CHUNK])
@@ -872,24 +886,38 @@ class TestRewriteChunks:
 
 def test_rewrite_batch_builds_inputs_as_scoring_reaches_them(corpus_dir, trained,
                                                               monkeypatch):
-    """Queries and inputs are built a chunk at a time, not all up front."""
+    """Records are pulled from a one-shot iterable, and their queries and
+    inputs built, a chunk at a time, not all up front; the results are
+    those of ``rewrite`` of each record."""
     cfg = RunConfig.from_file(corpus_dir / "config.ini")
     lexicon, inputs = cfg.load_inputs()
     assert len(inputs) > INFERENCE_CHUNK
     built, build = [], rewrite_module.build_input_sequence
     monkeypatch.setattr(rewrite_module, "build_input_sequence",
                         lambda query, dlg: built.append(dlg) or build(query, dlg))
+    pulled = []
+
+    def records():
+        for record in inputs:
+            pulled.append(record)
+            yield record
+
     model, _ = load_model(trained)
-    stream = rewrite_batch([d for d, _ in inputs], model, cfg.theta, lexicon,
-                           [p for _, p in inputs])
-    next(stream)
+    stream = rewrite_batch(records(), model, cfg.theta, lexicon)
+    first = next(stream)
+    assert pulled == inputs[:INFERENCE_CHUNK]
     assert built == [d for d, _ in inputs[:INFERENCE_CHUNK]]
-    assert len(list(stream)) == len(inputs) - 1
-    assert built == [d for d, _ in inputs]
+    outputs = [out for out, _ in (first, *stream)]
+    assert pulled == inputs and built == [d for d, _ in inputs]
+    assert outputs == [rewrite(d, model, cfg.theta, lexicon, p)[0] for d, p in inputs]
 
 
-@pytest.mark.parametrize("caller", ["score_batch", "rewrite_batch", "train_em",
-                                    "iurkit rewrite"])
+def test_rewrite_batch_of_no_records_yields_nothing(trained):
+    model, _ = load_model(trained)
+    assert list(rewrite_batch(iter(()), model, 0.1, PronounLexicon.default("en"))) == []
+
+
+@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em", "iurkit rewrite"])
 def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
     """Whatever the number of inputs, every public caller scores them in
     consecutive ``_forward`` passes of at most ``INFERENCE_CHUNK``."""
@@ -911,12 +939,9 @@ def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
         return forward(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "_forward", recording_forward)
-    if caller == "score_batch":
-        assert len(list(score_batch([ex.input for ex in examples], model))) == n
-    elif caller == "rewrite_batch":
+    if caller == "rewrite_batch":
         lexicon, inputs = cfg.load_inputs()
-        assert len(list(rewrite_batch([d for d, _ in inputs], model, cfg.theta, lexicon,
-                                      [p for _, p in inputs]))) == n
+        assert len(list(rewrite_batch(inputs, model, cfg.theta, lexicon))) == n
     elif caller == "train_em":
         train_em(model, examples, cfg.theta)
     else:
@@ -991,6 +1016,19 @@ def test_corrupt_jsonl_is_result_or_user_error(kind, at, value, corpus_dir, trai
                  ["make-query", "--out", str(out / "queries.jsonl")],
                  ["train", "--model", str(out / "model.bin"), "--epochs", "1"]):
         assert main([*argv, *common]) in (0, 1), argv[0]
+
+
+def test_out_of_memory_is_a_user_error(corpus_dir, tmp_path, monkeypatch, capsys):
+    """An allocation the machine cannot make, such as that of a huge
+    ``d_model``, is exit 1 (once an internal error, exit 2)."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 88.7 GiB for an array")
+
+    monkeypatch.setattr(cli_module, "init_model", no_memory)
+    assert main(["train", "--config", str(corpus_dir / "config.ini"),
+                 "--model", str(tmp_path / "m.bin")]) == 1
+    assert capsys.readouterr().err == \
+        "error: out of memory (Unable to allocate 88.7 GiB for an array)\n"
 
 
 def test_comments_only_lexicon_names_file(corpus_dir, tmp_path, capsys):

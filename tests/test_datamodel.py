@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iurkit.datamodel import (DataFormat, Dialogue, InputSequence, Utterance,
-                              build_input_sequence, load_dialogues, read_text, tokenize)
+                              build_input_sequence, load_dialogues, read_lines,
+                              read_text, tokenize)
 from iurkit.querygen import (DependencyParse, KindSummary, PronounLexicon, QueryTemplate,
                              build_query, read_conllu)
 from iurkit.rewrite import EditSpan
@@ -70,6 +71,20 @@ def test_read_text_drops_one_leading_bom_only(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("\ufeff\ufeffa\ufeffb\r\n", encoding="utf-8")
     assert read_text(p) == "\ufeffa\ufeffb\n"
+
+
+OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines breaks at these too
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]),
+    ("a\r\nb\rc", ["a", "b", "c"]), (f"a{OTHER_BREAKS}b\n", [f"a{OTHER_BREAKS}b"])])
+def test_read_lines_breaks_at_newline_only(text, lines, tmp_path):
+    """A final newline ends the last line; no other break than a newline
+    (after ``read_text`` translates "\\r\\n" and "\\r") ends one."""
+    p = tmp_path / "t.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert read_lines(p) == lines
 
 
 class TestLoadDialogues:

@@ -271,6 +271,20 @@ class TestConllu:
                 f"{p}: line 3: expected 4 or 10 columns")):
             read_conllu(p)
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\x1c", "\x85", "\f"])
+    def test_line_break_in_comment_is_not_a_new_line(self, tmp_path, brk):
+        """Lines break at "\\n" only: a comment holding another break is one
+        line, and a bad line after it is named by its own number."""
+        p = tmp_path / "p.conllu"
+        text = f"# text = he{brk}ran\n1\the\t2\tnsubj\n2\tran\t0\troot\n"
+        p.write_text(text, encoding="utf-8")
+        (parse,) = read_conllu(p)
+        assert parse.forms == ("he", "ran")
+        p.write_text(text + "3\tbad\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: line 4: expected 4 or 10 columns")):
+            read_conllu(p)
+
     def test_ranges_and_empty_nodes_skipped(self, tmp_path):
         p = tmp_path / "p.conllu"
         p.write_text("1-2\tab\t_\t_\n1\ta\t0\troot\n1.1\te\t_\t_\n2\tb\t1\tobj\n")

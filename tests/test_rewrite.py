@@ -324,7 +324,7 @@ def test_non_finite_theta_raises(caller, theta):
     inp = prepared(d)
     model = init_model(build_vocab([inp]), 8, 4, seed=0)
     call = {
-        "rewrite_batch": lambda: next(rewrite_batch([d], model, theta, lex)),
+        "rewrite_batch": lambda: next(rewrite_batch([(d, None)], model, theta, lex)),
         "rewrite": lambda: rewrite(d, model, theta, lex),
         "decode": lambda: Diagnostics(score_all(inp, model), theta=theta).matrix,
         "train_em": lambda: train_em(
@@ -603,15 +603,6 @@ class TestRewritePipeline:
             assert all(type(v) is float for row in cells for v in row)
             assert np.array_equal(np.array(cells, dtype=np.float64), grid)
         assert [s["score"] for s in obj["spans"]] == [s.score for s in diag.spans]
-
-    @pytest.mark.parametrize("n_parses", [2, 6])
-    def test_batch_parse_count_mismatch_raises_before_any_result(self, n_parses):
-        dialogues = [zh_dialogue(["历史"], "不，他不关心。", eid=str(i)) for i in range(5)]
-        model = init_model(build_vocab([prepared(dialogues[0])]), 8, 4, seed=0)
-        parses = [flat_parse(dialogues[0].incomplete)] * n_parses
-        batch = rewrite_batch(dialogues, model, 0.1, PronounLexicon.default("zh"), parses)
-        with pytest.raises(ValueError, match=f"^{n_parses} parses for 5 dialogues$"):
-            next(batch)
 
     def test_empty_diagnostics(self):
         diag = Diagnostics()

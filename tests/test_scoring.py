@@ -18,10 +18,11 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
                             TrainExample, TrainingDiverged, _encode, _forward,
                             _mixer_backward, _mixer_forward, _rope_table, _rotate,
+                            _score_chunks,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
-                            score_batch, score_grid, train,
+                            score_grid, train,
                             with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, EditOp, build_edit_matrix
 from synthetic import PRONOUNS, lengthen, make_corpus
@@ -321,14 +322,15 @@ class TestBatchedScoring:
                 values, shapes, _ = _forward(model, inputs, ids)
                 rows = max(inp.context_length for inp in inputs)
                 assert values.shape[:3] == (2, len(chunk), rows)
-                for b, (ex, (r, c), scores) in enumerate(zip(chunk, shapes,
-                                                             score_batch(inputs, model, ids))):
+                streamed = [s for _, _, scores in _score_chunks(zip(inputs, ids), model)
+                            for s in scores]
+                for b, (ex, (r, c), scores) in enumerate(zip(chunk, shapes, streamed)):
                     for op, v in want[ex.example_id].items():
                         assert np.array_equal(bits(values[OPS.index(op), b, :r, :c]), bits(v))
                         assert np.array_equal(bits(scores[OPS.index(op)]), bits(v))
 
     def test_empty_batch(self, small_model):
-        assert list(score_batch([], small_model)) == []
+        assert list(_score_chunks([], small_model)) == []
 
     def test_non_finite_score_names_example(self, small_set, small_model):
         records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
@@ -337,19 +339,7 @@ class TestBatchedScoring:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=rf"score grid of example "
                                                  rf"'{small_set[2].example_id}' is not finite"):
-                list(score_batch([e.input for e in small_set], model,
-                                 [e.example_id for e in small_set]))
-
-    @pytest.mark.parametrize("n_ids", [0, 1, scoring.INFERENCE_CHUNK,
-                                       scoring.INFERENCE_CHUNK + 1])
-    def test_too_few_example_ids_states_counts(self, n_ids, long_set, small_model):
-        examples = long_set[:scoring.INFERENCE_CHUNK + 2]
-        scored = min(len(examples), (n_ids // scoring.INFERENCE_CHUNK + 1)
-                     * scoring.INFERENCE_CHUNK)
-        with pytest.raises(ValueError,
-                           match=f"^{n_ids} example ids for at least {scored} inputs$"):
-            list(score_batch([e.input for e in examples], small_model,
-                             [e.example_id for e in examples[:n_ids]]))
+                list(_score_chunks([(e.input, e.example_id) for e in small_set], model))
 
     def test_non_finite_score_in_a_later_chunk_names_example(self, long_set,
                                                             small_model):
@@ -358,14 +348,12 @@ class TestBatchedScoring:
         records = {e.example_id: encode(e.input, small_model.encoder) for e in examples}
         records[bad] = records[bad] * 1e200
         model = with_imported_vectors(small_model, records)
-        grids = score_batch([e.input for e in examples], model,
-                            [e.example_id for e in examples])
+        chunks = _score_chunks(((e.input, e.example_id) for e in examples), model)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(scoring.INFERENCE_CHUNK):  # the first chunk is finite
-                next(grids)
+            next(chunks)  # the first chunk is finite
             with pytest.raises(ValueError,
                                match=rf"score grid of example '{bad}' is not finite"):
-                next(grids)
+                next(chunks)
 
 
 class TestProject:

@@ -22,12 +22,12 @@ from typing import Optional
 import click
 
 from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
-                        load_dialogues, read_lines)
+                        load_dialogues, read_lines, read_uncommented)
 from .metrics import evaluate as evaluate_corpus
 from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
                        build_query, read_conllu)
 from .rewrite import example_error, rewrite, rewrite_batch
-from .scoring import (INFERENCE_CHUNK, AdamState, ModelParams, TrainConfig,
+from .scoring import (CHUNK_TOKENS, AdamState, ModelParams, TrainConfig,
                       TrainExample, build_vocab, init_model, load_model, read_ctxvec,
                       save_model, train, with_imported_vectors)
 from .supervision import (AddedSpan, SupervisionReport, aggregate_report,
@@ -64,8 +64,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         cfg = cls()
-        for lineno, raw in enumerate(read_lines(path), 1):
-            line = raw.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(read_uncommented(path), 1):
+            line = raw.strip()
             if not line:
                 continue
             if "=" not in line:
@@ -304,9 +304,8 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     results = [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
                for (dlg, _), (out, _) in zip(inputs, batch)]
     _write_jsonl(out_path, results)
-    log.info("rewrote %d dialogues in %d chunks of up to %d in %.3f s", len(inputs),
-             math.ceil(len(inputs) / INFERENCE_CHUNK), INFERENCE_CHUNK,
-             time.perf_counter() - start)
+    log.info("rewrote %d dialogues in passes of up to %d tokens in %.3f s", len(inputs),
+             CHUNK_TOKENS, time.perf_counter() - start)
 
 
 @cli.command("evaluate")

@@ -159,6 +159,11 @@ def read_lines(path: str | Path) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
+def read_uncommented(path: str | Path) -> list[str]:
+    """``read_lines(path)``, each cut before a ``#`` that starts it or follows whitespace."""
+    return [re.split(r"(?:^|\s)#", line, maxsplit=1)[0] for line in read_lines(path)]
+
+
 class DataFormat(Enum):
     CANONICAL_JSONL = "jsonl"
     TAB_SEPARATED = "tsv"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -13,8 +12,9 @@ import numpy as np
 
 from .datamodel import Dialogue, InputSequence, Utterance, build_input_sequence
 from .querygen import DependencyParse, QueryTemplate, build_query
-from .scoring import TrainExample, _score_chunks
+from .scoring import TrainExample, _score, _token_chunks
 from .supervision import OPS, EditMatrix, EditOp, op_of
+
 
 @dataclass(frozen=True, slots=True)
 class EditSpan:
@@ -223,19 +223,10 @@ def apply_edits(incomplete: Utterance, spans: Sequence[EditSpan],
     return Utterance(tuple(out), incomplete.speaker_turn)
 
 
-def _decode_chunks(items: Iterable[tuple[InputSequence, Optional[str]]], model,
-                   theta: float) -> Iterator[tuple[np.ndarray, list[EditSpan]]]:
-    """Each input's scores and surviving spans, in order: ``_score_chunks``,
-    then one threshold and one labeling per operation for each chunk."""
-    for values, shapes, scores in _score_chunks(items, model):
-        proposed = _spans(_label(values, shapes, theta), values)
-        yield from zip(scores, map(resolve_conflicts, proposed))
-
-
 @dataclass
 class Diagnostics:
     """Every intermediate of one rewrite. ``matrix`` is built from ``scores``
-    (a view of its chunk's; see ``_score_chunks``) and ``theta`` on first read."""
+    (a view of its chunk's; see ``_score``) and ``theta`` on first read."""
 
     scores: Optional[np.ndarray] = None
     spans: list[EditSpan] = field(default_factory=list)
@@ -267,6 +258,16 @@ def example_error(dialogue: Dialogue, exc: ValueError) -> ValueError:
     return ValueError(f"example {dialogue.example_id!r}: {exc}")
 
 
+def _build(dialogue: Dialogue, parse: Optional[DependencyParse], lexicon,
+           unify: bool) -> tuple[Dialogue, QueryTemplate, InputSequence]:
+    """``dialogue`` with its query and the input assembled from them."""
+    try:
+        query = build_query(dialogue.incomplete, lexicon, parse, unify)
+        return dialogue, query, build_input_sequence(query, dialogue)
+    except ValueError as exc:
+        raise example_error(dialogue, exc) from exc
+
+
 def rewrite_batch(records: Iterable[tuple[Dialogue, Optional[DependencyParse]]],
                   model, theta: float, lexicon, *, unify: bool = True
                   ) -> Iterator[tuple[Utterance, Diagnostics]]:
@@ -276,30 +277,25 @@ def rewrite_batch(records: Iterable[tuple[Dialogue, Optional[DependencyParse]]],
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. Queries and inputs are built as scoring reaches them, so
-    only one chunk's are held at a time, and each chunk is decoded at
-    once. Each dialogue's diagnostics carry every intermediate. The
-    results equal ``rewrite`` of each dialogue, and a ValueError names the
-    example it arose from.
+    application. Records are read and their inputs built a ``_token_chunks``
+    run (and one record past it) at a time; each run is scored in one padded
+    pass, decoded at once and dropped before the next is built. Diagnostics
+    carry every intermediate. The results equal ``rewrite`` of each
+    dialogue, and a ValueError names the example it arose from.
     """
-    built = deque()  # (dialogue, query, input) awaiting their scores
-
-    def inputs():
-        for dialogue, parse in records:
+    built = (_build(dialogue, parse, lexicon, unify) for dialogue, parse in records)
+    for chunk in _token_chunks(built, lambda item: item[2]):
+        values, shapes = _score(model, [inp for _, _, inp in chunk],
+                                [dlg.example_id for dlg, _, _ in chunk])
+        proposed = _spans(_label(values, shapes, theta), values)
+        for b, ((dialogue, query, inp), (rows, cols)) in enumerate(zip(chunk, shapes)):
+            spans = resolve_conflicts(proposed[b])
             try:
-                query = build_query(dialogue.incomplete, lexicon, parse, unify)
-                built.append((dialogue, query, build_input_sequence(query, dialogue)))
+                output = apply_edits(dialogue.incomplete, spans, inp)
             except ValueError as exc:
                 raise example_error(dialogue, exc) from exc
-            yield built[-1][2], dialogue.example_id
-
-    for scores, spans in _decode_chunks(inputs(), model, theta):
-        dialogue, query, input_seq = built.popleft()
-        try:
-            output = apply_edits(dialogue.incomplete, spans, input_seq)
-        except ValueError as exc:
-            raise example_error(dialogue, exc) from exc
-        yield output, Diagnostics(scores, spans, theta, query, input_seq)
+            yield output, Diagnostics(values[:, b, :rows, :cols], spans, theta, query, inp)
+        del chunk, values  # not held while the next chunk is built and scored
 
 
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
@@ -318,8 +314,13 @@ def train_em(model, examples: Sequence[TrainExample], theta: float) -> float:
     for ex in examples:
         if ex.dialogue is None or ex.dialogue.rewritten is None:
             raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
-    decoded = _decode_chunks([(ex.input, ex.example_id) for ex in examples],
-                             model, theta)
-    return sum(apply_edits(ex.dialogue.incomplete, spans, ex.input).texts()
-               == ex.dialogue.rewritten.texts()
-               for ex, (_, spans) in zip(examples, decoded)) / len(examples)
+    hits = 0
+    for chunk in _token_chunks(examples, lambda ex: ex.input):
+        values, shapes = _score(model, [ex.input for ex in chunk],
+                                [ex.example_id for ex in chunk])
+        proposed = _spans(_label(values, shapes, theta), values)
+        del values  # not held while the next chunk is scored
+        hits += sum(apply_edits(ex.dialogue.incomplete, resolve_conflicts(spans), ex.input)
+                    .texts() == ex.dialogue.rewritten.texts()
+                    for ex, spans in zip(chunk, proposed))
+    return hits / len(examples)

@@ -22,9 +22,9 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -252,13 +252,10 @@ def params_items(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 # forward pieces
 
 
-# Inputs per padded forward pass in ``_score_chunks``. Larger chunks pay the
-# per-call numpy cost less often, but a chunk of ~200-row inputs then
-# outgrows the CPU's L2 cache and holds more memory.
-INFERENCE_CHUNK = 8
-# Input tokens per padded forward and backward pass in ``grad``: enough for
-# a batch of short inputs, two ~200-token ones at a time.
-TRAIN_CHUNK_TOKENS = 512
+# Input tokens per padded pass (``_token_chunks``), in training and inference:
+# a batch of short inputs, or two ~200-token ones. Larger chunks pay the
+# per-call numpy cost less often, but hold more (in training, backward caches).
+CHUNK_TOKENS = 512
 
 # Rotary factors for positions 0..n-1, one table per rotary width, shared by
 # every ``_forward``/``_backward`` call and grown by doubling.
@@ -501,33 +498,43 @@ def _backward(model: ModelParams, cache, dvalues: np.ndarray, g: ModelParams) ->
         np.add.at(emb.reshape(-1), cells, np.concatenate(all_dh).ravel())
 
 
-def _score_chunks(items: Iterable[tuple[InputSequence, Optional[str]]],
-                  model: ModelParams
-                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int]], list[np.ndarray]]]:
-    """``_forward`` over consecutive chunks of at most ``INFERENCE_CHUNK``
-    ``(input, example_id)`` pairs, each taken from ``items`` only when the
-    stream reaches it, so the inputs and score arrays in memory are one
-    chunk's whatever the number of inputs. Yields per chunk its padded
-    scores (n_ops, B, R, C) in ``OPS`` order, the ``(rows, cols)`` each
-    input fills of them, and each input's scores: float64 (n_ops,
-    context_length, incomplete_length + 1), a view of its cells. Raises on
-    a non-finite score, naming the example."""
-    items = iter(items)
-    while chunk := list(islice(items, INFERENCE_CHUNK)):
-        inputs, ids = zip(*chunk)
-        values, shapes, _ = _forward(model, inputs, ids)
-        if not np.isfinite(values).all():
-            b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
-            raise ValueError(f"score grid of example {ids[b]!r} is not finite")
-        yield values, shapes, [values[:, b, :rows, :cols]
-                               for b, (rows, cols) in enumerate(shapes)]
-        del values  # not held while the next chunk is scored
+def _token_chunks(items: Iterable, input_of: Callable[..., InputSequence]
+                  ) -> Iterator[list]:
+    """Consecutive runs of ``items`` whose inputs (``input_of(item)``) hold
+    at most ``CHUNK_TOKENS`` tokens in total; a longer input is a run of its
+    own. ``items`` is read as the runs are: a run is yielded once the item
+    after it is read, so at most one item past it has been taken."""
+    chunk, tokens = [], 0
+    for item in items:
+        n = len(input_of(item).tokens)
+        if chunk and tokens + n > CHUNK_TOKENS:
+            yield chunk
+            chunk, tokens = [], 0
+        chunk.append(item)
+        tokens += n
+    if chunk:
+        yield chunk
+
+
+def _score(model: ModelParams, inputs: Sequence[InputSequence],
+           example_ids: Sequence[Optional[str]]
+           ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """``_forward`` of one chunk, without its cache: the padded scores
+    (n_ops, B, R, C) in ``OPS`` order and the ``(rows, cols)`` each input
+    fills of them. Input b's scores, float64 (n_ops, context_length,
+    incomplete_length + 1), are ``values[:, b, :rows, :cols]``. Raises on a
+    non-finite score, naming the example."""
+    values, shapes, _ = _forward(model, inputs, example_ids)
+    if not np.isfinite(values).all():
+        b = int(np.argmin(np.isfinite(values).all(axis=(0, 2, 3))))
+        raise ValueError(f"score grid of example {example_ids[b]!r} is not finite")
+    return values, shapes
 
 
 def score_all(input: InputSequence, model: ModelParams,
               example_id: Optional[str] = None) -> np.ndarray:
-    """One input's scores (see ``_score_chunks``): a batch of one."""
-    return next(_score_chunks([(input, example_id)], model))[2][0]
+    """One input's scores (see ``_score``): a batch of one."""
+    return _score(model, [input], [example_id])[0][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,27 +580,14 @@ def circle_loss(scores: np.ndarray, gold: EditMatrix) -> float:
     return float(_circle_loss_grad(values, [values.shape[2:]], [gold], [None])[0][0])
 
 
-def _token_chunks(batch: Sequence[TrainExample]) -> Iterator[Sequence[TrainExample]]:
-    """Consecutive runs of ``batch`` of at most ``TRAIN_CHUNK_TOKENS`` input
-    tokens in total; a longer input is a run of its own."""
-    c0, tokens = 0, 0
-    for i, ex in enumerate(batch):
-        tokens += len(ex.input.tokens)
-        if i > c0 and tokens > TRAIN_CHUNK_TOKENS:
-            yield batch[c0:i]
-            c0, tokens = i, len(ex.input.tokens)
-    if batch:
-        yield batch[c0:]
-
-
 def grad(model: ModelParams, batch: Sequence[TrainExample]
          ) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and the exact gradient vector, laid out like
-    ``model.flat``, one padded forward and backward pass per token-bounded
-    chunk. Raises on a non-finite loss, naming the example."""
+    ``model.flat``, one padded forward and backward pass per
+    ``_token_chunks`` run. Raises on a non-finite loss, naming the example."""
     g = model.views(np.zeros_like(model.flat))
     total = 0.0
-    for chunk in _token_chunks(batch):
+    for chunk in _token_chunks(batch, lambda ex: ex.input):
         ids = [ex.example_id for ex in chunk]
         values, shapes, cache = _forward(model, [ex.input for ex in chunk], ids,
                                          for_backward=True)

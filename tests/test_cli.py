@@ -1,9 +1,11 @@
+import collections
 import hashlib
 import json
 import logging
 import math
 import re
 import struct
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,12 +21,14 @@ from iurkit.cli import RunConfig, _prepare, main
 from iurkit.datamodel import DataFormat, load_dialogues
 from iurkit.querygen import PronounLexicon, read_conllu
 from iurkit.rewrite import rewrite, rewrite_batch, train_em
-from iurkit.scoring import (INFERENCE_CHUNK, build_vocab, encode, init_model,
-                            load_model, read_ctxvec, save_model,
+from iurkit.scoring import (CHUNK_TOKENS, _token_chunks, build_vocab, encode,
+                            grad, init_model, load_model, read_ctxvec, save_model,
                             with_imported_vectors, write_ctxvec)
 from iurkit.supervision import OPS, EditMatrix, diff_spans
 from synthetic import lengthen, make_corpus, write_corpus_files
 
+# cuts the 10 dialogues of ``corpus_dir`` (155 input tokens) into several chunks
+SMALL_BUDGET = 64
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -88,12 +92,33 @@ class TestRunConfig:
         cfg = RunConfig.from_file(p)
         assert cfg.lang == "zh"
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        """A ``#`` starts a comment only at the start of a line or after
+        whitespace, so a path that holds one is read whole."""
+        p = tmp_path / "c.ini"
+        p.write_text("#run\ndata = runs/odd#dir/d.jsonl\t# the data\n")
+        assert RunConfig.from_file(p).data == "runs/odd#dir/d.jsonl"
+
+    def test_hash_path_from_file_reads_the_file(self, tmp_path, capsys):
+        (tmp_path / "odd#dir").mkdir()
+        data = tmp_path / "odd#dir" / "d.jsonl"
+        data.write_text('{"history": ["tom came"], "incomplete": "he left"}\n')
+        (tmp_path / "c.ini").write_text(f"data = {data}\nlang = en\n")
+        assert main(["make-query", "--config", str(tmp_path / "c.ini")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_readme_keys_are_the_config_fields(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         sentence = re.search(r"^Keys: (.*?)\.\s", readme, re.M | re.S).group(1)
         keys = [k.strip() for group in re.findall(r"`([^`]*)`", sentence)
                 for k in group.split(",")]
         assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+    def test_readme_states_the_chunk_budget(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        stated = re.findall(r"`CHUNK_TOKENS`\s+\((\d+)\b", readme)
+        assert stated and all(int(n) == CHUNK_TOKENS for n in stated)
+        assert "INFERENCE_CHUNK" not in readme and "TRAIN_CHUNK_TOKENS" not in readme
 
     @pytest.mark.parametrize("key, value", [
         ("format", "json"), ("lang", "fr"), ("query_mode", "gld"), ("mixer", "maybe"),
@@ -532,6 +557,8 @@ class TestChunkDecode:
 
     def test_rewrite_builds_no_matrix_and_labels_once_per_op_per_chunk(
             self, corpus_dir, trained, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "CHUNK_TOKENS", SMALL_BUDGET)  # several chunks
+        examples, _ = _prepare(RunConfig.from_file(corpus_dir / "config.ini"))
         events, forward, label = [], scoring._forward, rewrite_module._components
         post_init = EditMatrix.__post_init__
         monkeypatch.setattr(EditMatrix, "__post_init__",
@@ -545,7 +572,7 @@ class TestChunkDecode:
         assert "matrix" not in events
         per_chunk = [chunk.count("label") for chunk in
                      " ".join(events).split("forward")[1:]]
-        assert len(per_chunk) == -(-10 // INFERENCE_CHUNK)
+        assert len(per_chunk) == len(list(_token_chunks(examples, lambda ex: ex.input))) > 1
         assert sum(per_chunk) > 0 and max(per_chunk) <= 2  # two operations
 
     def test_rewrite_builds_no_score_grid(self, corpus_dir, trained, tmp_path,
@@ -561,21 +588,24 @@ class TestChunkDecode:
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0
         assert built.count("op") == 0
 
-    def test_diagnostics_scores_are_views_of_the_chunk_scores(self, corpus_dir, trained):
+    def test_diagnostics_scores_are_views_of_the_chunk_scores(self, corpus_dir, trained,
+                                                              monkeypatch):
+        monkeypatch.setattr(scoring, "CHUNK_TOKENS", SMALL_BUDGET)  # several chunks
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
         lexicon, inputs = cfg.load_inputs()
-        assert len(inputs) > INFERENCE_CHUNK
         model, _ = load_model(trained)
         diags = [diag for _, diag in rewrite_batch(inputs, model, cfg.theta, lexicon)]
+        first = len(next(_token_chunks([diag.input for diag in diags], lambda inp: inp)))
+        assert 1 < first < len(inputs)
         scores = [diag.scores for diag in diags]
         for diag, s in zip(diags, scores, strict=True):
             assert s.dtype == np.float64
             assert s.shape == (len(OPS), diag.input.context_length,
                                diag.input.incomplete_length + 1)
         chunk = scores[0].base  # the first chunk's padded (n_ops, B, R, C) scores
-        assert chunk.shape[:2] == (len(OPS), INFERENCE_CHUNK) and scores[1].base is chunk
+        assert chunk.shape[:2] == (len(OPS), first) and scores[1].base is chunk
         assert np.shares_memory(chunk, scores[0]) and np.shares_memory(chunk, scores[1])
-        assert not np.shares_memory(chunk, scores[INFERENCE_CHUNK])
+        assert not np.shares_memory(chunk, scores[first])
 
     def test_diagnostics_match_recorded_digests(self, corpus_dir, trained, capsys):
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
@@ -809,18 +839,18 @@ def test_duplicate_vector_id_is_user_error(corpus_dir, trained, vectors, tmp_pat
 
 
 class TestRewriteChunks:
-    """``iurkit rewrite`` scores ``INFERENCE_CHUNK`` dialogues per forward
-    pass (in ``_score_chunks``); its output is that of rewriting each
-    dialogue on its own."""
+    """``iurkit rewrite`` scores runs of at most ``CHUNK_TOKENS`` input
+    tokens per forward pass (``_token_chunks``); its output is that of
+    rewriting each dialogue on its own."""
 
-    @pytest.mark.parametrize("chunk", [1, 3, INFERENCE_CHUNK])
+    # a budget of 1 scores each dialogue alone; the whole corpus fits in 512
+    @pytest.mark.parametrize("budget", [1, SMALL_BUDGET, CHUNK_TOKENS])
     @pytest.mark.parametrize("imported", [False, True])
-    def test_output_equals_per_dialogue_rewrite(self, chunk, imported, corpus_dir,
+    def test_output_equals_per_dialogue_rewrite(self, budget, imported, corpus_dir,
                                                 trained, vectors, tmp_path, monkeypatch):
-        monkeypatch.setattr(scoring, "INFERENCE_CHUNK", chunk)
+        monkeypatch.setattr(scoring, "CHUNK_TOKENS", budget)
         cfg = RunConfig.from_file(corpus_dir / "config.ini")
         lexicon, inputs = cfg.load_inputs()
-        assert len(inputs) > INFERENCE_CHUNK
         model, _ = load_model(trained)
         flags = []
         if imported:
@@ -873,9 +903,8 @@ class TestRewriteChunks:
                      "--out", str(tmp_path / "hyp.jsonl")]) == 0
         [record] = [r for r in caplog.records if r.name == "iurkit"]
         assert record.levelno == logging.INFO
-        chunks = -(-10 // INFERENCE_CHUNK)
-        assert re.fullmatch(rf"rewrote 10 dialogues in {chunks} chunks of up to "
-                            rf"{INFERENCE_CHUNK} in \d+\.\d{{3}} s", record.getMessage())
+        assert re.fullmatch(rf"rewrote 10 dialogues in passes of up to {CHUNK_TOKENS} "
+                            rf"tokens in \d+\.\d{{3}} s", record.getMessage())
 
     def test_quiet_at_default_level(self, corpus_dir, trained, tmp_path, caplog, capsys):
         assert main(["rewrite", "--config", str(corpus_dir / "config.ini"),
@@ -887,11 +916,14 @@ class TestRewriteChunks:
 def test_rewrite_batch_builds_inputs_as_scoring_reaches_them(corpus_dir, trained,
                                                               monkeypatch):
     """Records are pulled from a one-shot iterable, and their queries and
-    inputs built, a chunk at a time, not all up front; the results are
-    those of ``rewrite`` of each record."""
+    inputs built, a chunk (and one record past it) at a time, not all up
+    front; the results are those of ``rewrite`` of each record."""
+    monkeypatch.setattr(scoring, "CHUNK_TOKENS", SMALL_BUDGET)  # several chunks
     cfg = RunConfig.from_file(corpus_dir / "config.ini")
     lexicon, inputs = cfg.load_inputs()
-    assert len(inputs) > INFERENCE_CHUNK
+    examples, _ = _prepare(cfg)
+    run = len(next(_token_chunks(examples, lambda ex: ex.input)))
+    assert run + 1 < len(inputs)
     built, build = [], rewrite_module.build_input_sequence
     monkeypatch.setattr(rewrite_module, "build_input_sequence",
                         lambda query, dlg: built.append(dlg) or build(query, dlg))
@@ -905,8 +937,8 @@ def test_rewrite_batch_builds_inputs_as_scoring_reaches_them(corpus_dir, trained
     model, _ = load_model(trained)
     stream = rewrite_batch(records(), model, cfg.theta, lexicon)
     first = next(stream)
-    assert pulled == inputs[:INFERENCE_CHUNK]
-    assert built == [d for d, _ in inputs[:INFERENCE_CHUNK]]
+    assert pulled == inputs[:run + 1]
+    assert built == [d for d, _ in inputs[:run + 1]]
     outputs = [out for out, _ in (first, *stream)]
     assert pulled == inputs and built == [d for d, _ in inputs]
     assert outputs == [rewrite(d, model, cfg.theta, lexicon, p)[0] for d, p in inputs]
@@ -917,11 +949,9 @@ def test_rewrite_batch_of_no_records_yields_nothing(trained):
     assert list(rewrite_batch(iter(()), model, 0.1, PronounLexicon.default("en"))) == []
 
 
-@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em", "iurkit rewrite"])
-def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
-    """Whatever the number of inputs, every public caller scores them in
-    consecutive ``_forward`` passes of at most ``INFERENCE_CHUNK``."""
-    n = 2 * INFERENCE_CHUNK + 1
+def _stream_run(tmp_path, n):
+    """A config over ``n`` synthetic dialogues, their prepared examples and
+    a small model saved where the config names it."""
     write_corpus_files(make_corpus(n, seed=4), tmp_path / "d.jsonl",
                        tmp_path / "p.conllu", tmp_path / "lex.txt")
     config = tmp_path / "c.ini"
@@ -932,10 +962,21 @@ def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
     examples, _ = _prepare(cfg)
     model = init_model(build_vocab(ex.input for ex in examples), 8, 4, seed=0)
     save_model(cfg.model, model)
-    sizes, forward = [], scoring._forward
+    return config, cfg, examples, model
+
+
+@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em", "iurkit rewrite", "grad"])
+def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
+    """Whatever the number of inputs, every caller scores them in
+    consecutive ``_forward`` passes of at most ``CHUNK_TOKENS`` input
+    tokens (an input longer than that alone), each cut only where the next
+    input would not fit."""
+    n = 80  # about 1200 input tokens
+    config, cfg, examples, model = _stream_run(tmp_path, n)
+    passes, forward = [], scoring._forward
 
     def recording_forward(model, inputs, *args, **kwargs):
-        sizes.append(len(inputs))
+        passes.append([inp.tokens for inp in inputs])
         return forward(model, inputs, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "_forward", recording_forward)
@@ -944,11 +985,42 @@ def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
         assert len(list(rewrite_batch(inputs, model, cfg.theta, lexicon))) == n
     elif caller == "train_em":
         train_em(model, examples, cfg.theta)
+    elif caller == "grad":
+        grad(model, examples)
     else:
         out = tmp_path / "hyp.jsonl"
         assert main(["rewrite", "--config", str(config), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == n
-    assert sizes == [INFERENCE_CHUNK, INFERENCE_CHUNK, 1]
+    assert [t for p in passes for t in p] == [ex.input.tokens for ex in examples]
+    sizes = [[len(t) for t in p] for p in passes]
+    for p, later in zip(sizes, sizes[1:] + [None]):
+        assert len(p) == 1 or sum(p) <= CHUNK_TOKENS
+        if later is not None:
+            assert sum(p) + later[0] > CHUNK_TOKENS
+    assert len(passes) >= 2
+
+
+@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em"])
+def test_one_chunk_of_scores_alive_at_a_time(caller, tmp_path, monkeypatch):
+    """When a chunk is scored, no earlier chunk's scores are still held,
+    whether or not the caller keeps the diagnostics it was handed."""
+    n = 80
+    _, cfg, examples, model = _stream_run(tmp_path, n)
+    alive, forward = [], scoring._forward
+
+    def recording_forward(*args, **kwargs):
+        assert [ref for ref in alive if ref() is not None] == []
+        out = forward(*args, **kwargs)
+        alive.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(scoring, "_forward", recording_forward)
+    if caller == "rewrite_batch":
+        lexicon, inputs = cfg.load_inputs()
+        collections.deque(rewrite_batch(iter(inputs), model, cfg.theta, lexicon), maxlen=0)
+    else:
+        train_em(model, examples, cfg.theta)
+    assert len(alive) >= 2
 
 
 @pytest.mark.parametrize("fmt, record, message", [

@@ -47,6 +47,13 @@ class TestLexicon:
         lex = PronounLexicon.from_file(p)
         assert ("他",) in lex.entries and ("她",) in lex.entries
 
+    def test_hash_inside_a_form_is_kept(self, tmp_path):
+        """A ``#`` starts a comment only at the start of a line or after
+        whitespace, as in a config file."""
+        p = tmp_path / "lex.txt"
+        p.write_text("#pronouns\nhe\nx#y\t# odd\n", encoding="utf-8")
+        assert PronounLexicon.from_file(p).entries == (("he",), ("x", "#", "y"))
+
     def test_comments_only_file_is_named(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("# pronouns\n\n  # none yet\n", encoding="utf-8")

@@ -4,10 +4,11 @@ import math
 import re
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iurkit.datamodel import ELLIP_TOKEN, END_TOKEN, build_input_sequence
 from iurkit.querygen import PronounLexicon, _template, build_query
@@ -18,7 +19,7 @@ from iurkit.scoring import (AdamState, EncoderParams, HeadParams, MixerParams,
                             ModelParams, ScoreGrid, TrainConfig,
                             TrainExample, TrainingDiverged, _encode, _forward,
                             _mixer_backward, _mixer_forward, _rope_table, _rotate,
-                            _score_chunks,
+                            _score, _token_chunks,
                             build_vocab, circle_loss, encode, grad,
                             init_model, load_model, params_items, project,
                             read_ctxvec, rope_rotate, save_model, score_all,
@@ -322,15 +323,15 @@ class TestBatchedScoring:
                 values, shapes, _ = _forward(model, inputs, ids)
                 rows = max(inp.context_length for inp in inputs)
                 assert values.shape[:3] == (2, len(chunk), rows)
-                streamed = [s for _, _, scores in _score_chunks(zip(inputs, ids), model)
-                            for s in scores]
+                scored, _ = _score(model, inputs, ids)
+                streamed = [scored[:, b, :r, :c] for b, (r, c) in enumerate(shapes)]
                 for b, (ex, (r, c), scores) in enumerate(zip(chunk, shapes, streamed)):
                     for op, v in want[ex.example_id].items():
                         assert np.array_equal(bits(values[OPS.index(op), b, :r, :c]), bits(v))
                         assert np.array_equal(bits(scores[OPS.index(op)]), bits(v))
 
-    def test_empty_batch(self, small_model):
-        assert list(_score_chunks([], small_model)) == []
+    def test_empty_batch(self):
+        assert list(_token_chunks(iter(()), lambda ex: ex.input)) == []
 
     def test_non_finite_score_names_example(self, small_set, small_model):
         records = {e.example_id: encode(e.input, small_model.encoder) for e in small_set}
@@ -339,21 +340,24 @@ class TestBatchedScoring:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=rf"score grid of example "
                                                  rf"'{small_set[2].example_id}' is not finite"):
-                list(_score_chunks([(e.input, e.example_id) for e in small_set], model))
+                _score(model, [e.input for e in small_set], [e.example_id for e in small_set])
 
     def test_non_finite_score_in_a_later_chunk_names_example(self, long_set,
                                                             small_model):
-        examples = long_set[:scoring.INFERENCE_CHUNK + 2]
+        examples = long_set[:4]
         bad = examples[-1].example_id
         records = {e.example_id: encode(e.input, small_model.encoder) for e in examples}
         records[bad] = records[bad] * 1e200
         model = with_imported_vectors(small_model, records)
-        chunks = _score_chunks(((e.input, e.example_id) for e in examples), model)
+        first, *later = _token_chunks(examples, lambda e: e.input)
+        assert later and len(later[-1]) > 1 and later[-1][-1].example_id == bad
         with np.errstate(over="ignore", invalid="ignore"):
-            next(chunks)  # the first chunk is finite
+            for chunk in (first, *later[:-1]):  # the earlier chunks are finite
+                _score(model, [e.input for e in chunk], [e.example_id for e in chunk])
             with pytest.raises(ValueError,
                                match=rf"score grid of example '{bad}' is not finite"):
-                next(chunks)
+                _score(model, [e.input for e in later[-1]],
+                       [e.example_id for e in later[-1]])
 
 
 class TestProject:
@@ -684,9 +688,38 @@ class TestGradients:
             assert np.allclose(g1[name], g2[name])
 
 
+class TestTokenChunks:
+    """``_token_chunks`` cuts every padded pass, in training and inference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 1200), max_size=40))
+    @example([])
+    def test_runs_are_token_bounded_in_order_and_read_lazily(self, lengths):
+        items = [SimpleNamespace(tokens=range(n)) for n in lengths]
+        pulled = 0
+
+        def stream():
+            nonlocal pulled
+            for item in items:
+                pulled += 1
+                yield item
+
+        chunks, yielded = [], 0
+        for chunk in _token_chunks(stream(), lambda item: item):
+            yielded += len(chunk)
+            assert pulled <= yielded + 1  # at most one item past the chunk
+            chunks.append(chunk)
+        assert [id(i) for c in chunks for i in c] == [id(i) for i in items]
+        sizes = [[len(i.tokens) for i in c] for c in chunks]
+        for p, later in zip(sizes, sizes[1:] + [None]):
+            assert len(p) == 1 or sum(p) <= scoring.CHUNK_TOKENS
+            if later is not None:  # a run stops only where the next input would not fit
+                assert sum(p) + later[0] > scoring.CHUNK_TOKENS
+
+
 class TestBatchedTraining:
     """``grad`` runs one padded forward, loss and backward pass per run of
-    consecutive examples of at most ``TRAIN_CHUNK_TOKENS`` input tokens;
+    consecutive examples of at most ``CHUNK_TOKENS`` input tokens;
     it must equal the per-example loop bit for bit."""
 
     @pytest.mark.parametrize("encoder", ["embedding", "mixer", "imported"])
@@ -694,7 +727,7 @@ class TestBatchedTraining:
         examples = mixed_lengths(small_set, long_set)
         order = np.random.default_rng(4).permutation(len(examples))
         examples = [examples[i] for i in order]
-        assert sum(len(e.input.tokens) for e in examples) > 2 * scoring.TRAIN_CHUNK_TOKENS
+        assert sum(len(e.input.tokens) for e in examples) > 2 * scoring.CHUNK_TOKENS
         model = bit_test_model(encoder, examples)
         for batch in (examples, examples[:5], examples[5:6]):
             want_loss, want_grads = reference_batch_grad(model, batch)
@@ -711,7 +744,7 @@ class TestBatchedTraining:
         # tokens within themselves: the order in which the pass's single
         # np.add.at adds the rows of a repeated token decides its bits
         batch = [replace(e, example_id=str(i)) for i, e in enumerate(small_set)]
-        assert sum(len(e.input.tokens) for e in batch) <= scoring.TRAIN_CHUNK_TOKENS
+        assert sum(len(e.input.tokens) for e in batch) <= scoring.CHUNK_TOKENS
         model = bit_test_model(encoder, batch)
         ids = [model.encoder.token_ids(e.input.texts()) for e in batch]
         assert all(len(set(i.tolist())) < len(i) for i in ids)
@@ -735,7 +768,7 @@ class TestBatchedTraining:
                                                    monkeypatch):
         oversized = prepare(lengthen(make_corpus(1, seed=8)[0], np.random.default_rng(1),
                                      turns=40), en_lexicon)
-        assert len(oversized.input.tokens) > scoring.TRAIN_CHUNK_TOKENS
+        assert len(oversized.input.tokens) > scoring.CHUNK_TOKENS
         batch = small_set[:3] + long_set[:3] + [oversized] + small_set[3:] + long_set[3:5]
         model = init_model(build_vocab([e.input for e in batch]), d_model=8, d_head=4)
         passes, forward = [], scoring._forward
@@ -751,9 +784,9 @@ class TestBatchedTraining:
         assert [oversized.input] in passes
         sizes = [[len(inp.tokens) for inp in p] for p in passes]
         for p, later in zip(sizes, sizes[1:] + [None]):
-            assert len(p) == 1 or sum(p) <= scoring.TRAIN_CHUNK_TOKENS
+            assert len(p) == 1 or sum(p) <= scoring.CHUNK_TOKENS
             if later is not None:  # a pass stops only where the next input would not fit
-                assert sum(p) + later[0] > scoring.TRAIN_CHUNK_TOKENS
+                assert sum(p) + later[0] > scoring.CHUNK_TOKENS
         assert len(passes) >= 4
 
     def test_non_finite_loss_in_a_later_chunk_names_example(self, small_set, long_set,
@@ -763,8 +796,8 @@ class TestBatchedTraining:
         examples = long_set[:3] + [replace(e, example_id=f"s{i}")
                                    for i, e in enumerate(small_set[:3])]
         lengths = [len(e.input.tokens) for e in examples]
-        assert sum(lengths[:2]) <= scoring.TRAIN_CHUNK_TOKENS < sum(lengths[:3])
-        assert sum(lengths[2:]) <= scoring.TRAIN_CHUNK_TOKENS
+        assert sum(lengths[:2]) <= scoring.CHUNK_TOKENS < sum(lengths[:3])
+        assert sum(lengths[2:]) <= scoring.CHUNK_TOKENS
         bad = examples[3].example_id
         records = {e.example_id: encode(e.input, small_model.encoder) for e in examples}
         records[bad] = records[bad] * 1e200
@@ -812,7 +845,7 @@ class TestTraining:
         ex = small_set[0]
         bad = replace(ex, example_id="bad", dialogue=None if gap == "no-dialogue"
                       else replace(ex.dialogue, rewritten=None))
-        monkeypatch.setattr(rewrite_module, "_decode_chunks", None)
+        monkeypatch.setattr(rewrite_module, "_score", None)
         message = "^example 'bad' has no gold rewrite$"
         with pytest.raises(ValueError, match=message):
             train_em(small_model, [small_set[1], bad], 0.1)

@@ -16,22 +16,22 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 import click
 
-from .datamodel import (DataFormat, Dialogue, Utterance, build_input_sequence,
-                        load_dialogues, read_lines, read_uncommented)
+from .datamodel import (DataFormat, Dialogue, Utterance, load_dialogues, read_lines,
+                        read_uncommented)
 from .metrics import evaluate as evaluate_corpus
-from .querygen import (DependencyParse, PronounLexicon, QueryTemplate,
-                       build_query, read_conllu)
-from .rewrite import example_error, rewrite, rewrite_batch
-from .scoring import (CHUNK_TOKENS, AdamState, ModelParams, TrainConfig,
-                      TrainExample, build_vocab, init_model, load_model, read_ctxvec,
-                      save_model, train, with_imported_vectors)
-from .supervision import (AddedSpan, SupervisionReport, aggregate_report,
-                          build_edit_matrix, diff_spans)
+from .querygen import DependencyParse, PronounLexicon, read_conllu
+from .rewrite import _build, rewrite, rewrite_batch
+from .scoring import (CHUNK_TOKENS, ModelParams, TrainConfig, TrainExample, build_vocab,
+                      init_model, load_model, read_ctxvec, save_model, train,
+                      with_imported_vectors)
+from .supervision import (SupervisionReport, aggregate_report, build_edit_matrix,
+                          diff_spans)
 
 log = logging.getLogger("iurkit")
 
@@ -39,6 +39,7 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 _CHOICES = {"format": ("jsonl", "tsv"), "lang": ("zh", "en"),
             "query_mode": ("lexicon", "gold")}
+_QUOTES = ("'", '"')
 
 
 @dataclass
@@ -72,7 +73,11 @@ class RunConfig:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             try:
-                cfg.set(key, value.strip("\"'"))
+                if value[:1] in _QUOTES or value[-1:] in _QUOTES:  # one matching pair
+                    if len(value) < 2 or value[0] != value[-1]:
+                        raise ValueError(f"config key {key!r}: unmatched quote in {value!r}")
+                    value = value[1:-1]
+                cfg.set(key, value)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
         return cfg
@@ -145,20 +150,6 @@ def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
     return cfg
 
 
-def _query_for(dialogue: Dialogue, parse: Optional[DependencyParse],
-               lexicon: PronounLexicon, cfg: RunConfig,
-               gold_spans: Optional[list[AddedSpan]] = None) -> QueryTemplate:
-    """The query of ``dialogue``; ``gold_spans``, the gold rewrite's added
-    spans when given, fix the substituted intervals."""
-    gold = None if gold_spans is None else [s.cols for s in gold_spans
-                                            if s.cols[0] < s.cols[1]]
-    try:
-        return build_query(dialogue.incomplete, lexicon, parse, cfg.unify,
-                           gold_replace_intervals=gold)
-    except ValueError as exc:
-        raise example_error(dialogue, exc) from exc
-
-
 def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport]]:
     """Training examples with their gold matrices, and each matrix's report."""
     lexicon, inputs = cfg.load_inputs()
@@ -168,8 +159,8 @@ def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport
         if dlg.rewritten is None:
             raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
         diff = diff_spans(dlg.incomplete, dlg.rewritten)
-        query = _query_for(dlg, parse, lexicon, cfg, diff[0] if use_gold else None)
-        inp = build_input_sequence(query, dlg)
+        gold = [s.cols for s in diff[0] if s.cols[0] < s.cols[1]] if use_gold else None
+        _, _, _, inp = _build(dlg, parse, lexicon, cfg.unify, gold)
         gold, report = build_edit_matrix(dlg, inp, diff)
         examples.append(TrainExample(input=inp, gold=gold,
                                      example_id=dlg.example_id, dialogue=dlg))
@@ -231,7 +222,7 @@ def cmd_make_query(config_path, data, out_path, unify):
     lexicon, inputs = cfg.load_inputs()
     results = []
     for dlg, parse in inputs:
-        query = _query_for(dlg, parse, lexicon, cfg)
+        _, _, query, _ = _build(dlg, parse, lexicon, cfg.unify)
         results.append({"id": dlg.example_id,
                         "incomplete": dlg.incomplete.text(cfg.separator),
                         "query": query.text(cfg.separator),
@@ -300,9 +291,11 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     model = _load_model_for_inference(cfg, vectors)
     lexicon, inputs = cfg.load_inputs()
     start = time.perf_counter()
-    batch = rewrite_batch(inputs, model, cfg.theta, lexicon, unify=cfg.unify)
+    # outputs only: a Diagnostics held here would keep its chunk's scores alive
+    outputs = map(itemgetter(0), rewrite_batch(inputs, model, cfg.theta, lexicon,
+                                               unify=cfg.unify))
     results = [{"id": dlg.example_id, "rewritten": out.text(cfg.separator)}
-               for (dlg, _), (out, _) in zip(inputs, batch)]
+               for (dlg, _), out in zip(inputs, outputs)]
     _write_jsonl(out_path, results)
     log.info("rewrote %d dialogues in passes of up to %d tokens in %.3f s", len(inputs),
              CHUNK_TOKENS, time.perf_counter() - start)

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -259,13 +260,37 @@ def example_error(dialogue: Dialogue, exc: ValueError) -> ValueError:
 
 
 def _build(dialogue: Dialogue, parse: Optional[DependencyParse], lexicon,
-           unify: bool) -> tuple[Dialogue, QueryTemplate, InputSequence]:
-    """``dialogue`` with its query and the input assembled from them."""
+           unify: bool, gold: Optional[Sequence[tuple[int, int]]] = None
+           ) -> tuple[str, Dialogue, QueryTemplate, InputSequence]:
+    """``dialogue``'s item for ``_decode``: its id, itself, its query and the
+    input assembled from them. ``gold``, the gold rewrite's non-empty
+    substituted intervals when given, fix the query's coreference slots."""
     try:
-        query = build_query(dialogue.incomplete, lexicon, parse, unify)
-        return dialogue, query, build_input_sequence(query, dialogue)
+        query = build_query(dialogue.incomplete, lexicon, parse, unify, gold)
+        return dialogue.example_id, dialogue, query, build_input_sequence(query, dialogue)
     except ValueError as exc:
         raise example_error(dialogue, exc) from exc
+
+
+def _decode(items: Iterable[tuple[str, Dialogue, Optional[QueryTemplate], InputSequence]],
+            model, theta: float) -> Iterator[tuple[Utterance, Diagnostics]]:
+    """``(output, diagnostics)`` of each ``(example_id, dialogue, query,
+    input)`` item, in order, its input scored under ``example_id``. Items are
+    read a ``_token_chunks`` run (and one item past it) at a time; each run
+    is scored in one padded pass, decoded at once and dropped before the
+    next is read. A ValueError of applying the edits names the example."""
+    for chunk in _token_chunks(items, itemgetter(3)):
+        values, shapes = _score(model, [item[3] for item in chunk],
+                                [item[0] for item in chunk])
+        proposed = _spans(_label(values, shapes, theta), values)
+        for b, ((_, dialogue, query, inp), (rows, cols)) in enumerate(zip(chunk, shapes)):
+            spans = resolve_conflicts(proposed[b])
+            try:
+                output = apply_edits(dialogue.incomplete, spans, inp)
+            except ValueError as exc:
+                raise example_error(dialogue, exc) from exc
+            yield output, Diagnostics(values[:, b, :rows, :cols], spans, theta, query, inp)
+        del chunk, values  # not held while the next chunk is read and scored
 
 
 def rewrite_batch(records: Iterable[tuple[Dialogue, Optional[DependencyParse]]],
@@ -277,25 +302,12 @@ def rewrite_batch(records: Iterable[tuple[Dialogue, Optional[DependencyParse]]],
 
     query construction -> input assembly -> encode -> per-op scoring ->
     threshold decode -> span extraction -> conflict resolution -> edit
-    application. Records are read and their inputs built a ``_token_chunks``
-    run (and one record past it) at a time; each run is scored in one padded
-    pass, decoded at once and dropped before the next is built. Diagnostics
-    carry every intermediate. The results equal ``rewrite`` of each
-    dialogue, and a ValueError names the example it arose from.
+    application: ``_decode`` of each record's ``_build``. Diagnostics carry
+    every intermediate. The results equal ``rewrite`` of each dialogue, and
+    a ValueError names the example it arose from.
     """
-    built = (_build(dialogue, parse, lexicon, unify) for dialogue, parse in records)
-    for chunk in _token_chunks(built, lambda item: item[2]):
-        values, shapes = _score(model, [inp for _, _, inp in chunk],
-                                [dlg.example_id for dlg, _, _ in chunk])
-        proposed = _spans(_label(values, shapes, theta), values)
-        for b, ((dialogue, query, inp), (rows, cols)) in enumerate(zip(chunk, shapes)):
-            spans = resolve_conflicts(proposed[b])
-            try:
-                output = apply_edits(dialogue.incomplete, spans, inp)
-            except ValueError as exc:
-                raise example_error(dialogue, exc) from exc
-            yield output, Diagnostics(values[:, b, :rows, :cols], spans, theta, query, inp)
-        del chunk, values  # not held while the next chunk is built and scored
+    return _decode((_build(dialogue, parse, lexicon, unify) for dialogue, parse in records),
+                   model, theta)
 
 
 def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
@@ -305,22 +317,16 @@ def rewrite(dialogue: Dialogue, model, theta: float, lexicon, parse=None,
 
 
 def train_em(model, examples: Sequence[TrainExample], theta: float) -> float:
-    """Exact match of the rewrites of ``examples`` decoded at ``theta`` from
-    their assembled inputs, as ``rewrite_batch`` decodes them; ValueError on
-    an empty set, or on an example without a dialogue and its rewrite, before
-    anything is scored. Training never calls it: see ``scoring.train``."""
+    """Exact match of the rewrites of ``examples`` that ``_decode`` decodes at
+    ``theta`` from their assembled inputs; ValueError on an empty set, or on
+    an example without a dialogue and its rewrite, before anything is scored.
+    Training never calls it: see ``scoring.train``."""
     if not examples:
         raise ValueError("no dev example")
     for ex in examples:
         if ex.dialogue is None or ex.dialogue.rewritten is None:
             raise ValueError(f"example {ex.example_id!r} has no gold rewrite")
-    hits = 0
-    for chunk in _token_chunks(examples, lambda ex: ex.input):
-        values, shapes = _score(model, [ex.input for ex in chunk],
-                                [ex.example_id for ex in chunk])
-        proposed = _spans(_label(values, shapes, theta), values)
-        del values  # not held while the next chunk is scored
-        hits += sum(apply_edits(ex.dialogue.incomplete, resolve_conflicts(spans), ex.input)
-                    .texts() == ex.dialogue.rewritten.texts()
-                    for ex, spans in zip(chunk, proposed))
-    return hits / len(examples)
+    items = ((ex.example_id, ex.dialogue, None, ex.input) for ex in examples)
+    outputs = map(itemgetter(0), _decode(items, model, theta))
+    return sum(out.texts() == ex.dialogue.rewritten.texts()
+               for ex, out in zip(examples, outputs)) / len(examples)

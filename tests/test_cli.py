@@ -92,6 +92,26 @@ class TestRunConfig:
         cfg = RunConfig.from_file(p)
         assert cfg.lang == "zh"
 
+    @pytest.mark.parametrize("line", ['data = "runs/my #1/d.jsonl"', """lang = 'zh\""""],
+                             ids=["cut-by-comment", "mismatched"])
+    def test_unmatched_quote_names_file_line_and_key(self, line, tmp_path, capsys):
+        """A value that starts or ends with a quote mark is one matching
+        pair around the rest, or an error: no quote mark is dropped alone."""
+        p = tmp_path / "c.ini"
+        p.write_text(f"# run\n{line}  # comment\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"line 2: config key '{key}': unmatched quote"):
+            RunConfig.from_file(p)
+        assert main(["make-query", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {p}: line 2: config key '{key}': unmatched quote in ")
+
+    def test_matching_quotes_are_one_pair(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("""data = "bob's file.jsonl"\nlexicon = ''\n""")
+        cfg = RunConfig.from_file(p)
+        assert (cfg.data, cfg.lexicon) == ("bob's file.jsonl", "")
+
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         """A ``#`` starts a comment only at the start of a line or after
         whitespace, so a path that holds one is read whole."""
@@ -376,6 +396,24 @@ def test_record_error_names_example(command, corpus_dir, trained, tmp_path, caps
     assert main([*command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "example 'bad'" in err and "parse length 4" in err
+
+
+@pytest.mark.parametrize("command", ["make-query", "train", "build-supervision"])
+def test_no_pronoun_and_no_parse_names_example(command, tmp_path, capsys):
+    """Every command that builds queries names the record whose query
+    cannot be built, and writes nothing."""
+    (tmp_path / "d.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in [
+        {"history": ["tom came"], "incomplete": "he left", "rewritten": "tom left"},
+        {"history": ["tom came"], "incomplete": "then left",
+         "rewritten": "then tom left", "id": "k"}]))
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"data = {tmp_path / 'd.jsonl'}\nmodel = {tmp_path / 'm.bin'}\n"
+                   f"out = {out}\nlang = en\n")
+    flags = ["--out", str(out)] if command == "make-query" else []
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: example 'k': no pronoun matched")
+    assert not out.exists() and not (tmp_path / "m.bin").exists()
 
 
 def _config_with_parses(corpus_dir, tmp_path, blocks):
@@ -944,6 +982,27 @@ def test_rewrite_batch_builds_inputs_as_scoring_reaches_them(corpus_dir, trained
     assert outputs == [rewrite(d, model, cfg.theta, lexicon, p)[0] for d, p in inputs]
 
 
+@pytest.mark.parametrize("imported", [False, True])
+def test_train_em_is_exact_match_of_rewrite_batch(imported, corpus_dir, trained, vectors,
+                                                  monkeypatch):
+    """``train_em`` of the prepared examples is the exact match of
+    ``rewrite_batch``'s outputs on the same records, over several chunks."""
+    monkeypatch.setattr(scoring, "CHUNK_TOKENS", SMALL_BUDGET)  # several chunks
+    cfg = RunConfig.from_file(corpus_dir / "config.ini")
+    lexicon, inputs = cfg.load_inputs()
+    examples, _ = _prepare(cfg)
+    assert len(list(_token_chunks(examples, lambda ex: ex.input))) > 1
+    model, _ = load_model(trained)
+    if imported:
+        model = with_imported_vectors(model, read_ctxvec(vectors)[1])
+    for theta in (cfg.theta, 0.05):
+        batch = rewrite_batch(inputs, model, theta, lexicon)
+        hits = [out.texts() == dlg.rewritten.texts()
+                for (dlg, _), (out, _) in zip(inputs, batch, strict=True)]
+        assert 0 < sum(hits) < len(hits)  # neither bound, so a mismatch would show
+        assert train_em(model, examples, theta) == sum(hits) / len(hits)
+
+
 def test_rewrite_batch_of_no_records_yields_nothing(trained):
     model, _ = load_model(trained)
     assert list(rewrite_batch(iter(()), model, 0.1, PronounLexicon.default("en"))) == []
@@ -1000,12 +1059,12 @@ def test_forward_never_passed_more_than_a_chunk(caller, tmp_path, monkeypatch):
     assert len(passes) >= 2
 
 
-@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em"])
+@pytest.mark.parametrize("caller", ["rewrite_batch", "train_em", "iurkit rewrite"])
 def test_one_chunk_of_scores_alive_at_a_time(caller, tmp_path, monkeypatch):
     """When a chunk is scored, no earlier chunk's scores are still held,
     whether or not the caller keeps the diagnostics it was handed."""
     n = 80
-    _, cfg, examples, model = _stream_run(tmp_path, n)
+    config, cfg, examples, model = _stream_run(tmp_path, n)
     alive, forward = [], scoring._forward
 
     def recording_forward(*args, **kwargs):
@@ -1018,8 +1077,11 @@ def test_one_chunk_of_scores_alive_at_a_time(caller, tmp_path, monkeypatch):
     if caller == "rewrite_batch":
         lexicon, inputs = cfg.load_inputs()
         collections.deque(rewrite_batch(iter(inputs), model, cfg.theta, lexicon), maxlen=0)
-    else:
+    elif caller == "train_em":
         train_em(model, examples, cfg.theta)
+    else:
+        assert main(["rewrite", "--config", str(config),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 0
     assert len(alive) >= 2
 
 

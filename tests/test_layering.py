@@ -52,6 +52,27 @@ def test_imports_point_down_the_layers():
     assert wrong == []
 
 
+def test_every_module_level_import_is_used():
+    """Each module uses every name it imports at module level (``__init__``
+    re-exports its imports; a name used only in a string annotation would
+    count as unused)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names if name not in used]
+    assert unused == []
+
+
 def test_no_scipy_at_run_time():
     """Importing the package and its command line loads no scipy module:
     scipy is a test-only dependency."""

@@ -138,12 +138,8 @@ class RunConfig:
         return lexicon, list(zip(dialogues, parses))
 
 
-class UserError(click.ClickException):
-    pass
-
-
 def _load_config(config_path: Optional[str], **overrides) -> RunConfig:
-    cfg = RunConfig.from_file(config_path) if config_path else RunConfig()
+    cfg = RunConfig() if config_path is None else RunConfig.from_file(config_path)
     for key, value in overrides.items():
         if value is not None:
             cfg.set(key, str(value))
@@ -157,7 +153,7 @@ def _prepare(cfg: RunConfig) -> tuple[list[TrainExample], list[SupervisionReport
     examples, reports = [], []
     for dlg, parse in inputs:
         if dlg.rewritten is None:
-            raise UserError(f"example {dlg.example_id!r} has no gold rewritten utterance")
+            raise ValueError(f"example {dlg.example_id!r} has no gold rewritten utterance")
         diff = diff_spans(dlg.incomplete, dlg.rewritten)
         gold = [s.cols for s in diff[0] if s.cols[0] < s.cols[1]] if use_gold else None
         _, _, _, inp = _build(dlg, parse, lexicon, cfg.unify, gold)
@@ -177,8 +173,8 @@ def _write_jsonl(out_path: str, records: list[dict]) -> None:
 
 
 def config_option(fn):
-    return click.option("--config", "config_path", type=click.Path(exists=True),
-                        default=None, help="key = value configuration file")(fn)
+    return click.option("--config", "config_path", default=None,
+                        help="key = value configuration file")(fn)
 
 
 @click.group()
@@ -189,7 +185,7 @@ def cli():
 
 @cli.command("build-supervision")
 @config_option
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None)
 @click.option("--out", default=None, help="output directory")
 def cmd_build_supervision(config_path, data, out):
     """Write per-example edit matrices and an aggregate report."""
@@ -197,7 +193,7 @@ def cmd_build_supervision(config_path, data, out):
     examples, reports = _prepare(cfg)
     for ex in examples:  # each id names a file in matrices/
         if ex.example_id in ("", ".", "..") or any(c in ex.example_id for c in "/\\\0"):
-            raise UserError(f"example {ex.example_id!r}: id cannot be a file name")
+            raise ValueError(f"example {ex.example_id!r}: id cannot be a file name")
     out_dir = Path(cfg.out)
     (out_dir / "matrices").mkdir(parents=True, exist_ok=True)
     for ex in examples:
@@ -208,12 +204,12 @@ def cmd_build_supervision(config_path, data, out):
                                          encoding="utf-8")
     click.echo(f"full={agg['full']} partial={agg['partial']} failed={agg['failed']}")
     if agg["full"] == 0:
-        raise UserError("no fully-expressible example in the corpus")
+        raise ValueError("no fully-expressible example in the corpus")
 
 
 @cli.command("make-query")
 @config_option
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None)
 @click.option("--out", "out_path", default="-", help="output JSONL ('-' = stdout)")
 @click.option("--unify/--no-unify", default=None)
 def cmd_make_query(config_path, data, out_path, unify):
@@ -232,10 +228,10 @@ def cmd_make_query(config_path, data, out_path, unify):
 
 @cli.command("train")
 @config_option
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None)
 @click.option("--model", "model_path", default=None)
-@click.option("--seed", default=None, type=int)
-@click.option("--epochs", default=None, type=int)
+@click.option("--seed", default=None)
+@click.option("--epochs", default=None)
 @click.option("--resume", is_flag=True, help="continue from a saved checkpoint")
 def cmd_train(config_path, data, model_path, seed, epochs, resume):
     """Train the scoring network and persist the model + a JSON log."""
@@ -244,11 +240,11 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
     train_cfg = cfg.train_config()  # a key out of range fails before data is read
     dataset, _ = _prepare(cfg)
     if not dataset:
-        raise UserError(f"{cfg.data}: no dialogue to train on")
+        raise ValueError(f"{cfg.data}: no dialogue to train on")
     if resume:
         model, opt_state = load_model(cfg.model)
         if opt_state is None:
-            raise UserError(f"{cfg.model}: checkpoint carries no optimizer state")
+            raise ValueError(f"{cfg.model}: checkpoint carries no optimizer state")
     else:
         vocab = build_vocab(ex.input for ex in dataset)
         model = init_model(vocab, cfg.d_model, cfg.d_head, seed=cfg.seed,
@@ -263,26 +259,23 @@ def cmd_train(config_path, data, model_path, seed, epochs, resume):
 
 
 def _load_model_for_inference(cfg: RunConfig, vectors: Optional[str]) -> ModelParams:
-    if not Path(cfg.model).exists():
-        raise UserError(f"model file not found: {cfg.model}")
     model, _ = load_model(cfg.model)
-    if vectors:
+    if vectors is not None:
         d_model, records = read_ctxvec(vectors)
         if d_model != model.encoder.d_model:
-            raise UserError(f"{vectors}: d_model {d_model} does not match model "
-                            f"{model.encoder.d_model}")
+            raise ValueError(f"{vectors}: d_model {d_model} does not match model "
+                             f"{model.encoder.d_model}")
         model = with_imported_vectors(model, records)
     return model
 
 
 @cli.command("rewrite")
 @config_option
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None)
 @click.option("--model", "model_path", default=None)
-@click.option("--theta", default=None, type=float)
+@click.option("--theta", default=None)
 @click.option("--unify/--no-unify", default=None)
-@click.option("--vectors", default=None, type=click.Path(exists=True),
-              help="imported contextual-vector sidecar (.ctxvec)")
+@click.option("--vectors", default=None, help="imported contextual-vector sidecar (.ctxvec)")
 @click.option("--out", "out_path", default="-", help="output JSONL ('-' = stdout)")
 def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
     """Rewrite every dialogue in the input JSONL."""
@@ -302,8 +295,8 @@ def cmd_rewrite(config_path, data, model_path, theta, unify, vectors, out_path):
 
 
 @cli.command("evaluate")
-@click.argument("hyp", type=click.Path(exists=True))
-@click.argument("ref", type=click.Path(exists=True))
+@click.argument("hyp")
+@click.argument("ref")
 @click.option("--json", "as_json", is_flag=True, help="print JSON instead of a table")
 def cmd_evaluate(hyp, ref, as_json):
     """Score a hypothesis file against a reference file (one utterance per line)."""
@@ -311,22 +304,17 @@ def cmd_evaluate(hyp, ref, as_json):
     def read(path):
         return [Utterance.from_text(line) for line in read_lines(path)]
 
-    hyps, refs = read(hyp), read(ref)
-    if len(hyps) != len(refs):
-        raise UserError(f"line counts differ: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise UserError("empty corpus")
-    result = evaluate_corpus(hyps, refs)
+    result = evaluate_corpus(read(hyp), read(ref))
     click.echo(result.to_json() if as_json else result.table())
 
 
 @cli.command("inspect-matrix")
 @config_option
 @click.argument("example_id")
-@click.option("--data", default=None, type=click.Path(exists=True))
+@click.option("--data", default=None)
 @click.option("--model", "model_path", default=None)
-@click.option("--theta", default=None, type=float)
-@click.option("--vectors", default=None, type=click.Path(exists=True))
+@click.option("--theta", default=None)
+@click.option("--vectors", default=None)
 def cmd_inspect_matrix(config_path, example_id, data, model_path, theta, vectors):
     """Dump decoding diagnostics (grids, labels, spans) for one example."""
     cfg = _load_config(config_path, data=data, model=model_path, theta=theta)
@@ -337,7 +325,7 @@ def cmd_inspect_matrix(config_path, example_id, data, model_path, theta, vectors
             _, diag = rewrite(dlg, model, cfg.theta, lexicon, parse, cfg.unify)
             click.echo(diag.to_json())
             return
-    raise UserError(f"example id {example_id!r} not found in {cfg.data}")
+    raise ValueError(f"example id {example_id!r} not found in {cfg.data}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

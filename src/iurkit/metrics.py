@@ -47,7 +47,8 @@ def _ngrams(texts: list[str], n: int) -> Counter:
 
 def _check_corpus(hyps: Sequence[Utterance], refs: Sequence[Utterance]) -> None:
     if not hyps or len(hyps) != len(refs):
-        raise ValueError("need equally many hypotheses and references, at least one")
+        raise ValueError("need equally many hypotheses and references, at least one; "
+                         f"got {len(hyps)} and {len(refs)}")
 
 
 def bleu(hyps: Sequence[Utterance], refs: Sequence[Utterance], max_n: int = 4) -> float:

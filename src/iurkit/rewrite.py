@@ -96,26 +96,27 @@ def _components(mask: np.ndarray, rectangles: bool
 
     One pass over the labeled cells in raster order grows runs: along a
     row with ``rectangles``, else down a column, where a run is already a
-    component. A union-find then joins the row runs of adjacent rows of
-    one input whose column intervals overlap. The cost grows with the
-    number of labeled cells, not with the size of the mask."""
+    component. A union-find then joins each row run to the runs it touches
+    in the row above, within one input, found by walking that row's cells
+    through ``run_of`` and jumping past each run met. The cost grows with
+    the number of labeled cells, not with the size of the mask."""
     cells = mask.ravel().nonzero()[0].tolist()  # np.flatnonzero, less overhead
     if not cells:
         return []
     n_rows, n_cols = mask.shape[1:]
     size = n_rows * n_cols
-    # a cell grows the run whose last cell is one step before it, unless
-    # it starts a row (along rows) or its input's grid (down columns)
+    # a cell grows the run of the cell one step before it, unless it
+    # starts a row (along rows) or its input's grid (down columns)
     step, wrap = (1, n_cols) if rectangles else (n_cols, size)
     runs: list[list[int]] = []  # [first, last] flat cell, in order of first
-    ends: dict[int, list[int]] = {}  # last cell -> its run
+    run_of: dict[int, int] = {}  # labeled cell -> index of its run
     for i in cells:
-        run = ends.pop(i - step, None) if i % wrap >= step else None
-        if run is None:
-            run = [i, i]
-            runs.append(run)
-        run[1] = i
-        ends[i] = run
+        k = run_of.get(i - step) if i % wrap >= step else None
+        if k is None:
+            k = len(runs)
+            runs.append([i, i])
+        runs[k][1] = i
+        run_of[i] = k
     parent = list(range(len(runs)))
 
     def find(k: int) -> int:
@@ -124,21 +125,16 @@ def _components(mask: np.ndarray, rectangles: bool
         return k
 
     if rectangles:
-        by_row: dict[int, list[int]] = {}  # row -> its runs, left to right
-        for k, (first, _) in enumerate(runs):
-            by_row.setdefault(first // n_cols, []).append(k)
-        for row, here in by_row.items():
-            above = by_row.get(row - 1, []) if row % n_rows else []
-            i = j = 0
-            while i < len(above) and j < len(here):
-                (a0, a1), (b0, b1) = runs[above[i]], runs[here[j]]
-                a0, a1 = a0 + n_cols, a1 + n_cols  # moved down to this row
-                if a0 <= b1 and b0 <= a1:
-                    parent[find(above[i])] = find(here[j])
-                if a1 <= b1:
-                    i += 1
-                else:
-                    j += 1
+        for k, (first, last) in enumerate(runs):
+            if first // n_cols % n_rows:  # not its input's first row
+                j, end = first - n_cols, last - n_cols
+                while j <= end:
+                    above = run_of.get(j)
+                    if above is None:
+                        j += 1
+                    else:
+                        parent[find(above)] = find(k)
+                        j = runs[above][1] + 1
     # root -> [b, r0, r1, c0, c1], entered at each component's first run
     boxes: dict[int, list[int]] = {}
     for k, (first, last) in enumerate(runs):

@@ -69,19 +69,30 @@ def make_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
     return SyntheticExample(dlg, parse, kind)
 
 
-def make_learnable_example(rng: np.random.Generator, eid: str) -> SyntheticExample:
+def make_learnable_example(rng: np.random.Generator, eid: str,
+                           distractors: bool = False) -> SyntheticExample:
     """An example whose edit its tokens reveal: the span is one to two
     entity words, planted among filler words in the history. Half of the
     examples are coref (a pronoun stands for the span). The rest drop the
     span, from the front (the parse has an object and no subject) or the
     back (a subject and no object), so ``_ellipsis_slots`` places exactly
-    one marker, where the span goes."""
+    one marker, where the span goes.
+
+    With ``distractors`` an earlier turn holds one or two other entities
+    and the span is the entity of the later, last turn; without it the
+    draws are those of the generator before the option existed."""
     span = rng.choice(ENTITIES, size=int(rng.integers(1, 3)), replace=False).tolist()
     words = rng.choice(VOCAB, size=12, replace=False).tolist()
     at = int(rng.integers(0, 5))
-    history = [_utt(words[:at] + span + words[at:6], 0)]
-    if rng.random() < 0.5:
-        history.append(_utt(words[6:9], 1))
+    turns = [words[:at] + span + words[at:6]]
+    if distractors:
+        others = rng.choice([e for e in ENTITIES if e not in span],
+                            size=int(rng.integers(1, 3)), replace=False).tolist()
+        cut = int(rng.integers(0, 4))
+        turns.insert(0, words[6:6 + cut] + others + words[6 + cut:9])
+    elif rng.random() < 0.5:
+        turns.append(words[6:9])
+    history = [_utt(t, turn) for turn, t in enumerate(turns)]
     rest = words[9:9 + int(rng.integers(2, 4))]
     kind = "coref" if rng.random() < 0.5 else str(rng.choice(["prepend", "append"]))
     if kind == "coref":

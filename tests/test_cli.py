@@ -1231,12 +1231,117 @@ def test_invalid_utf8_names_file_and_line(target, corpus_dir, trained, vectors, 
 class TestFlagValidation:
     """Flags go through the same validation as config-file values."""
 
+    @pytest.mark.parametrize("command, key, value", [
+        (["train"], "seed", "1.5"), (["train"], "epochs", "two"),
+        (["rewrite"], "theta", "abc"), (["inspect-matrix", "0"], "theta", "abc")],
+        ids=["seed", "epochs", "rewrite-theta", "inspect-theta"])
+    def test_flag_fails_as_its_config_line(self, command, key, value, tmp_path, capsys):
+        """The data file does not exist: the value fails first, either way."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"{key} = {value}\n")
+        data = str(tmp_path / "missing.jsonl")
+        assert main([*command, "--data", data, f"--{key}", value]) == 1
+        from_flag = capsys.readouterr().err
+        assert main([*command, "--config", str(cfg), "--data", data]) == 1
+        from_file = capsys.readouterr().err
+        assert from_flag == f"error: config key {key!r}: expected a finite " \
+            f"{'float' if key == 'theta' else 'int'}, got {value!r}\n"
+        assert from_file == from_flag.replace("error: ", f"error: {cfg}: line 1: ", 1)
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, key", [
+        (["make-query"], "data"), (["build-supervision"], "data"), (["train"], "data"),
+        (["rewrite"], "model"), (["inspect-matrix", "0"], "model")],
+        ids=["make-query", "build-supervision", "train", "rewrite", "inspect-matrix"])
+    def test_missing_file_fails_as_from_the_config(self, command, key, corpus_dir,
+                                                   tmp_path, capsys):
+        """The reader that opens the path names it, whichever way it came."""
+        missing = tmp_path / "missing"
+        out = {"train": ["--model", str(tmp_path / "m.bin")],
+               "inspect-matrix": []}.get(command[0], ["--out", str(tmp_path / "out")])
+        base = ["--config", str(corpus_dir / "config.ini"), *out]
+        assert main([*command, *base, f"--{key}", str(missing)]) == 1
+        from_flag = capsys.readouterr().err
+        cfg = _config_with(corpus_dir, tmp_path, **{key: missing})
+        assert main([*command, "--config", str(cfg), *out]) == 1
+        assert capsys.readouterr().err == from_flag == \
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("command", [["rewrite"], ["inspect-matrix", "0"]])
     def test_nan_theta_flag_is_user_error(self, command, corpus_dir, trained, capsys):
         assert main([*command, "--config", str(corpus_dir / "config.ini"),
                      "--theta", "nan"]) == 1
         assert "config key 'theta': expected a finite float, got 'nan'" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--data", "--vectors"])
+def test_empty_path_flag_is_read_as_a_path(flag, corpus_dir, trained, tmp_path, capsys):
+    """An empty path is not "no path": its reader refuses it, as the
+    directory '.' where it goes through ``Path``."""
+    config = [] if flag == "--config" else ["--config", str(corpus_dir / "config.ini")]
+    out = tmp_path / "out.jsonl"
+    assert main(["rewrite", *config, flag, "", "--out", str(out)]) == 1
+    assert capsys.readouterr().err in ("error: [Errno 2] No such file or directory: ''\n",
+                                       "error: [Errno 21] Is a directory: '.'\n")
+    assert not out.exists()
+
+
+def _user_error_case(case, corpus_dir, trained, tmp_path):
+    """argv of a command that fails on its input, and what its error says."""
+    config = str(corpus_dir / "config.ini")
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.bin"
+    recs = [json.loads(l) for l in (corpus_dir / "data.jsonl").read_text().splitlines()]
+    out = ["--out", str(tmp_path / "out")]
+    if case == "missing-gold":
+        del recs[1]["rewritten"]
+        argv, message = ["build-supervision", "--config", config, *out], \
+            "example '1' has no gold rewritten utterance"
+    elif case == "id-no-file-name":
+        recs[1]["id"] = "a/b"
+        argv, message = ["build-supervision", "--config", config, *out], \
+            "example 'a/b': id cannot be a file name"
+    elif case == "none-fully-expressible":
+        recs = [{**r, "rewritten": r["rewritten"] + " novelword"} for r in recs]
+        argv, message = ["build-supervision", "--config", config, *out], \
+            "no fully-expressible example in the corpus"
+    elif case == "no-dialogue":
+        recs, config = [], str(_config_with(corpus_dir, tmp_path, parses=""))
+        argv, message = ["train", "--config", config, "--model", str(model)], \
+            f"{data}: no dialogue to train on"
+    elif case == "resume-without-state":
+        save_model(model, load_model(trained)[0])
+        argv, message = ["train", "--config", config, "--model", str(model), "--resume"], \
+            f"{model}: checkpoint carries no optimizer state"
+    elif case == "ctxvec-d_model":
+        vectors = tmp_path / "v.ctxvec"
+        write_ctxvec(vectors, 16, {})
+        argv, message = ["rewrite", "--config", config, "--vectors", str(vectors), *out], \
+            f"{vectors}: d_model 16 does not match model 8"
+    elif case in ("evaluate-counts", "evaluate-empty"):
+        hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+        hyp.write_text("a\nb\n" if case == "evaluate-counts" else "")
+        ref.write_text("a\n" if case == "evaluate-counts" else "")
+        counts = "2 and 1" if case == "evaluate-counts" else "0 and 0"
+        argv, message = ["evaluate", str(hyp), str(ref)], \
+            f"need equally many hypotheses and references, at least one; got {counts}"
+    else:
+        argv, message = ["inspect-matrix", "nope", "--config", config], \
+            f"example id 'nope' not found in {data}"
+    data.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return [*argv, "--data", str(data)] if argv[0] != "evaluate" else argv, message
+
+
+@pytest.mark.parametrize("case", [
+    "missing-gold", "id-no-file-name", "none-fully-expressible", "no-dialogue",
+    "resume-without-state", "ctxvec-d_model", "evaluate-counts", "evaluate-empty",
+    "unknown-example-id"])
+def test_user_error_is_one_error_line(case, corpus_dir, trained, tmp_path, capsys):
+    """Every user error leaves as one ``error: `` line on stderr and exit 1."""
+    argv, message = _user_error_case(case, corpus_dir, trained, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_diverging_training_is_user_error(corpus_dir, tmp_path, capsys):

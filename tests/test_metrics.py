@@ -83,6 +83,11 @@ class TestRouge:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("n_hyps, n_refs", [(2, 1), (0, 0)])
+    def test_corpus_error_names_both_counts(self, n_hyps, n_refs):
+        with pytest.raises(ValueError, match=f"; got {n_hyps} and {n_refs}$"):
+            evaluate([u("a")] * n_hyps, [u("a")] * n_refs)
+
     def test_result_fields(self):
         res = evaluate([u("a", "b")], [u("a", "b")])
         assert res.em == 1.0 and res.count == 1
